@@ -268,7 +268,8 @@ def table_tab2():
                      "F(8;1,3,4)",
             "sections": sections,
             "notes": ["the F(8) sections are gated behind the slow flag: "
-                      "|W(A7)| = 40320 sweeps take tens of minutes"]}
+                      "about a second under the fixed-point (weyl) oracle, "
+                      "minutes per column under normal forms"]}
 
 
 def table_tab3():
@@ -761,8 +762,8 @@ def main():
         os.path.dirname(__file__), "..", "src", "flagchern", "data",
         "expected_tables.json")
 
-    # Long-sweep truths for the F(8) sections (each |W| = 40320 sweep takes
-    # minutes; regenerate with flagchern chern --manifold ... --jobs N).
+    # Recorded truths for the F(8) sections (regenerate with
+    # flagchern chern --manifold ... --oracle weyl).
     resolve_f8_134({
         (1, 1, 1): F8_134_TRUTH[(1, 1, 1)],
         (-1, 1, 1): F8_134_TRUTH[(-1, 1, 1)],

@@ -13,19 +13,17 @@ from flagchern.tables import load_registry, reproduce, to_markdown
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--oracle", choices=["weyl", "groebner", "both"],
                     default="weyl")
     ap.add_argument("--slow", action="store_true",
-                    help="include the rank-7 full-flag sections")
+                    help="include the F(8) sections of tab2")
     ap.add_argument("--full", action="store_true",
                     help="print the full markdown diff for each table")
     args = ap.parse_args()
 
     failures = []
     for tid in sorted(load_registry()["tables"]):
-        results = reproduce(tid, jobs=args.jobs, oracle=args.oracle,
-                            slow=args.slow)
+        results = reproduce(tid, oracle=args.oracle, slow=args.slow)
         for res in results:
             status = "ok" if res.ok else "UNEXPLAINED DIFFS"
             print(f"{res.table_id:10s} {status:18s} "

@@ -11,7 +11,7 @@ Subpackages compute, over exact rational arithmetic:
   * reproduction of the reference Chern-number tables (``tables``).
 """
 
-from .polyring import Polynomial, elementary_symmetric_in, antisymmetrize, exact_divide
+from .polyring import Polynomial, elementary_symmetric_in, exact_divide
 from .rootsys import RootSystem, WeylElement, WeylGroup, build_root_system, weyl_group
 from .groebner import (MonomialOrder, GroebnerBasis, buchberger, normal_form,
                        quotient_dimension, borel_generators, borel_presentation,
@@ -20,16 +20,16 @@ from .flagmodel import (FlagManifold, IsotropySummand, InvariantACS, ACSClass,
                         make_flag, parse_manifold, t_root_decomposition,
                         enumerate_acs, is_integrable, classify_acs,
                         euler_characteristic)
-from .chern import (chern_classes, chern_classes_nf, integrate, integrate_nf,
+from .chern import (chern_classes, chern_classes_nf, integrate_nf,
                     chern_numbers, chern_number, chern_number_nf,
-                    todd_polynomial, todd_genus, bernoulli, build_report,
+                    todd_polynomial, todd_genus, bernoulli,
                     parse_cmonomial, format_cmonomial,
                     monomials_of_weighted_degree)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Polynomial", "elementary_symmetric_in", "antisymmetrize", "exact_divide",
+    "Polynomial", "elementary_symmetric_in", "exact_divide",
     "RootSystem", "WeylElement", "WeylGroup", "build_root_system", "weyl_group",
     "MonomialOrder", "GroebnerBasis", "buchberger", "normal_form",
     "quotient_dimension", "borel_generators", "borel_presentation",
@@ -37,9 +37,9 @@ __all__ = [
     "FlagManifold", "IsotropySummand", "InvariantACS", "ACSClass",
     "make_flag", "parse_manifold", "t_root_decomposition", "enumerate_acs",
     "is_integrable", "classify_acs", "euler_characteristic",
-    "chern_classes", "chern_classes_nf", "integrate", "integrate_nf",
+    "chern_classes", "chern_classes_nf", "integrate_nf",
     "chern_numbers", "chern_number", "chern_number_nf",
-    "todd_polynomial", "todd_genus", "bernoulli", "build_report",
+    "todd_polynomial", "todd_genus", "bernoulli",
     "parse_cmonomial", "format_cmonomial", "monomials_of_weighted_degree",
     "__version__",
 ]

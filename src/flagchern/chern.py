@@ -1,35 +1,32 @@
 """Chern classes, exact integration, Chern numbers, and the Todd genus.
 
-Two independent integration oracles are provided.  ``integrate`` uses the
-Weyl-sum kernel: the antisymmetrization of the integrand (times the isotropy
-root product) is a constant multiple of the positive-root product, and that
-constant — divided by the isotropy Weyl order — is the integral, normalized
-so the all-plus structure's top Chern class integrates to +chi.  The constant
-is extracted by exact evaluation at generic rational points (with a second
-point as a guard), or fully symbolically on request.  ``integrate_nf`` is the
-second oracle: in the Borel quotient of the ambient full flag the top graded
-piece is one-dimensional, so normal forms of top classes are proportional and
-the ratio against the positive-root product calibrates the integral.
+Two independent integration oracles are provided.  ``chern_numbers`` is the
+fixed-point (Atiyah-Bott / Berline-Vergne localization) kernel: an integral
+over G/K is a sum over the torus-fixed points, one per coset W_K w of the
+Weyl group, evaluated in exact integers at generic points (with a second
+point as a guard) and divided once by the positive-root product.  It is
+normalized so the all-plus structure's top Chern class integrates to +chi.
+``integrate_nf`` is the second oracle: in the Borel quotient of the ambient
+full flag the top graded piece is one-dimensional, so normal forms of top
+classes are proportional and the ratio against the positive-root product
+calibrates the integral.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .flagmodel import FlagManifold, InvariantACS, is_integrable
+from .flagmodel import FlagManifold, InvariantACS
 from .groebner import GroebnerBasis, borel_groebner, normal_form
 from .polyring import (
     Polynomial,
-    antisymmetrize,
     elementary_symmetric_in,
     elementary_symmetric_values,
-    exact_divide,
 )
-from .rootsys import WeylElement, reflection_matrix, root_form, vec_dot
+from .rootsys import root_form
 
 # -- c-monomials ------------------------------------------------------------
 # A Chern monomial over c_1..c_N is a tuple of N exponents; its weighted
@@ -68,6 +65,17 @@ def parse_cmonomial(text: str, n: int) -> tuple[int, ...]:
     if pos != len(text.replace("*", "").replace(" ", "")):
         raise ValueError(f"cannot parse Chern monomial {text!r}")
     return tuple(exps)
+
+
+def _top_monomial(flag: FlagManifold, c_monomial) -> tuple[int, ...]:
+    """Exponent tuple of a c-monomial, which must have weighted degree N."""
+    n = flag.complex_dim
+    m = parse_cmonomial(c_monomial, n) if isinstance(c_monomial, str) else tuple(c_monomial)
+    if weighted_degree(m) != n:
+        raise ValueError(
+            f"monomial {format_cmonomial(m)} has weighted degree "
+            f"{weighted_degree(m)}, expected {n}")
+    return m
 
 
 def monomials_of_weighted_degree(n_classes: int, degree: int) -> list[tuple[int, ...]]:
@@ -113,83 +121,6 @@ def chern_classes_nf(flag: FlagManifold, acs: InvariantACS) -> list[Polynomial]:
     return [normal_form(c, gb) for c in chern_classes(flag, acs)]
 
 
-# -- integration: Weyl-sum oracle -------------------------------------------
-
-def _generic_points(flag: FlagManifold) -> list[tuple[Fraction, ...]]:
-    """Two rational points where every root's linear form is nonzero."""
-    dim = flag.rs.ambient_dim
-    points = []
-    base = 3
-    while len(points) < 2:
-        pt = tuple(Fraction(base**i) for i in range(dim))
-        if all(vec_dot(r, pt) != 0 for r in flag.rs.positives):
-            points.append(pt)
-        base += 2
-    return points
-
-
-def _check_isotropy_invariance(flag: FlagManifold, p: Polynomial) -> None:
-    for a in flag.theta:
-        w = WeylElement(reflection_matrix(a), -1, 1)
-        if w.act(p) != p:
-            raise ValueError("integrand is not invariant under the isotropy Weyl group")
-
-
-def _k_positive_product_value(flag: FlagManifold, pt) -> Fraction:
-    v = Fraction(1)
-    for b in flag.k_positives:
-        v *= vec_dot(b, pt)
-    return v
-
-
-def _denominator_value(flag: FlagManifold, pt) -> Fraction:
-    v = Fraction(1)
-    for a in flag.rs.positives:
-        v *= vec_dot(a, pt)
-    return v
-
-
-def integrate(flag: FlagManifold, p: Polynomial, method: str = "evaluate") -> Fraction:
-    """Integral of a top-degree invariant class over the flag manifold.
-
-    Normalized so the product of all complementary positive roots (the top
-    Chern class of the all-plus structure) integrates to +chi.
-    """
-    if p.is_zero():
-        return Fraction(0)
-    n = flag.complex_dim
-    if not p.is_homogeneous(n):
-        raise ValueError(f"integrand must be homogeneous of degree {n}")
-    _check_isotropy_invariance(flag, p)
-    weyl = flag.weyl()
-    wk = flag.euler_characteristic()
-    order_k = len(weyl) // wk  # |W_K|
-
-    if method == "symbolic":
-        q = p
-        for b in flag.k_positives:
-            q = q * root_form(b)
-        numerator = antisymmetrize(q, weyl)
-        denom = Polynomial.one(p.nvars)
-        for a in flag.rs.positives:
-            denom = denom * root_form(a)
-        quotient = exact_divide(numerator, denom)
-        return quotient.constant_value() / order_k
-    if method != "evaluate":
-        raise ValueError(f"unknown integration method {method!r}")
-
-    results = []
-    for pt in _generic_points(flag):
-        total = Fraction(0)
-        for w in weyl:
-            q = w.apply(pt)
-            total += w.sign * p.evaluate(q) * _k_positive_product_value(flag, q)
-        results.append(total / _denominator_value(flag, pt) / order_k)
-    if results[0] != results[1]:
-        raise ArithmeticError("Weyl-sum evaluation disagrees between sample points")
-    return results[0]
-
-
 # -- integration: normal-form oracle ----------------------------------------
 
 _TOP_NF_CACHE: dict = {}
@@ -229,9 +160,7 @@ def integrate_nf(flag: FlagManifold, p: Polynomial,
     if set(r.terms) != {mono}:
         raise AssertionError("normal form is not proportional to the top monomial")
     lam = r.terms[mono]
-    weyl_order = len(flag.weyl())
-    chi = flag.euler_characteristic()
-    return lam / mu * chi
+    return lam / mu * flag.euler_characteristic()
 
 
 def chern_number_nf(flag: FlagManifold, acs: InvariantACS, c_monomial,
@@ -242,12 +171,7 @@ def chern_number_nf(flag: FlagManifold, acs: InvariantACS, c_monomial,
     product is reduced to normal form before the next factor is multiplied in,
     which keeps intermediate polynomials inside the (finite) staircase.
     """
-    n = flag.complex_dim
-    m = parse_cmonomial(c_monomial, n) if isinstance(c_monomial, str) else tuple(c_monomial)
-    if weighted_degree(m) != n:
-        raise ValueError(
-            f"monomial {format_cmonomial(m)} has weighted degree "
-            f"{weighted_degree(m)}, expected {n}")
+    m = _top_monomial(flag, c_monomial)
     if gb is None:
         gb = borel_groebner(flag.rs.family, flag.rs.rank)
     classes = chern_classes(flag, acs)
@@ -272,73 +196,59 @@ def chern_number_nf(flag: FlagManifold, acs: InvariantACS, c_monomial,
     return int(val)
 
 
-# -- Chern numbers ----------------------------------------------------------
+# -- Chern numbers: fixed-point oracle ---------------------------------------
 
-def _sweep(flag: FlagManifold, acs: InvariantACS,
-           monomials: Sequence[tuple[int, ...]], pt, elements) -> dict:
-    """Partial Weyl sum of all requested Chern monomials at one point."""
-    eps_roots = []
-    for i, summand in enumerate(flag.summands()):
-        s = acs.signs[i]
-        eps_roots.extend((r, s) for r in summand.roots)
-    kmax = 0
-    for m in monomials:
-        for k, e in enumerate(m):
-            if e:
-                kmax = max(kmax, k + 1)
-    acc = {m: Fraction(0) for m in monomials}
-    for w in elements:
-        q = w.apply(pt)
-        vals = [s * vec_dot(r, q) for r, s in eps_roots]
-        e = elementary_symmetric_values(vals, kmax)
-        base = w.sign * _k_positive_product_value(flag, q)
-        for m in monomials:
-            v = base
-            for k, exp in enumerate(m):
-                if exp:
-                    v *= e[k + 1] ** exp
-            acc[m] += v
-    return acc
-
-
-def _sweep_worker(args):
-    flag, acs, monomials, pt, elements = args
-    return _sweep(flag, acs, monomials, pt, elements)
+def _generic_points(roots) -> list[tuple[int, ...]]:
+    """Two integer points where no root's linear form vanishes."""
+    dim = len(roots[0])
+    points = []
+    base = 3
+    while len(points) < 2:
+        pt = tuple(base**i for i in range(dim))
+        if all(sum(a * b for a, b in zip(r, pt)) for r in roots):
+            points.append(pt)
+        base += 2
+    return points
 
 
 def chern_numbers(flag: FlagManifold, acs: InvariantACS,
-                  monomials: Iterable, jobs: int = 1) -> dict[tuple[int, ...], int]:
-    """Exact Chern numbers for a batch of c-monomials in one Weyl sweep."""
-    n = flag.complex_dim
-    monos = []
-    for m in monomials:
-        m = parse_cmonomial(m, n) if isinstance(m, str) else tuple(m)
-        if weighted_degree(m) != n:
-            raise ValueError(
-                f"monomial {format_cmonomial(m)} has weighted degree "
-                f"{weighted_degree(m)}, expected {n}")
-        monos.append(m)
-    weyl = flag.weyl()
-    order_k = len(weyl) // flag.euler_characteristic()
-    out: dict[tuple[int, ...], int] = {}
-    per_point = []
-    for pt in _generic_points(flag):
-        if jobs > 1:
-            import multiprocessing
+                  monomials: Iterable) -> dict[tuple[int, ...], int]:
+    """Exact Chern numbers for a batch of c-monomials by localization.
 
-            chunks = [list(weyl)[i::jobs] for i in range(jobs)]
-            with multiprocessing.Pool(jobs) as pool:
-                partials = pool.map(
-                    _sweep_worker,
-                    [(flag, acs, monos, pt, c) for c in chunks])
-            acc = {m: sum((p[m] for p in partials), Fraction(0)) for m in monos}
-        else:
-            acc = _sweep(flag, acs, monos, pt, weyl.elements)
-        d = _denominator_value(flag, pt) * order_k
-        per_point.append({m: acc[m] / d for m in monos})
-    for m in monos:
+    The integral of an invariant class p is the sum over the fixed points
+    W_K w of sign(w) p(w x) prod_{K+} beta(w x) / prod_{Phi+} alpha(x), where
+    the Chern classes are the elementary symmetric functions of the signed
+    complementary roots.  With integer root vectors every term is an integer;
+    a common scale factor (3 for G2) cancels, since numerator and denominator
+    both have degree |Phi+|.
+    """
+    monos = [_top_monomial(flag, m) for m in monomials]
+    fixed = flag.fixed_points()
+    n = flag.complex_dim
+    signs = [acs.signs[i] for i, s in enumerate(flag.summands()) for _ in s.roots]
+    factors = {m: [(k + 1, e) for k, e in enumerate(m) if e] for m in monos}
+    kmax = max((k for fs in factors.values() for k, _ in fs), default=0)
+    per_point = []
+    for pt in _generic_points(fixed.roots):
+        val = [sum(a * b for a, b in zip(r, pt)) for r in fixed.roots]
+        acc = dict.fromkeys(factors, 0)
+        for sign, images in fixed.points:
+            e = elementary_symmetric_values(
+                [s * val[i] for s, i in zip(signs, images)], kmax)
+            base = sign
+            for i in images[n:]:
+                base *= val[i]
+            for m, fs in factors.items():
+                v = base
+                for k, exp in fs:
+                    v *= e[k] ** exp
+                acc[m] += v
+        denominator = math.prod(val[i] for i in fixed.positives)
+        per_point.append({m: Fraction(acc[m], denominator) for m in factors})
+    out: dict[tuple[int, ...], int] = {}
+    for m in factors:
         if per_point[0][m] != per_point[1][m]:
-            raise ArithmeticError("Weyl-sum evaluation disagrees between sample points")
+            raise ArithmeticError("fixed-point sum disagrees between sample points")
         val = per_point[0][m]
         if val.denominator != 1:
             raise ArithmeticError(
@@ -347,11 +257,9 @@ def chern_numbers(flag: FlagManifold, acs: InvariantACS,
     return out
 
 
-def chern_number(flag: FlagManifold, acs: InvariantACS, c_monomial,
-                 jobs: int = 1) -> int:
-    n = flag.complex_dim
-    m = parse_cmonomial(c_monomial, n) if isinstance(c_monomial, str) else tuple(c_monomial)
-    return chern_numbers(flag, acs, [m], jobs=jobs)[m]
+def chern_number(flag: FlagManifold, acs: InvariantACS, c_monomial) -> int:
+    m = _top_monomial(flag, c_monomial)
+    return chern_numbers(flag, acs, [m])[m]
 
 
 # -- Todd polynomials and the Todd genus ------------------------------------
@@ -467,60 +375,18 @@ def orientation_sign(flag: FlagManifold, acs: InvariantACS) -> int:
     return o
 
 
-def todd_genus(flag: FlagManifold, acs: InvariantACS, jobs: int = 1) -> Fraction:
+def todd_genus(flag: FlagManifold, acs: InvariantACS,
+               numbers: Mapping[tuple[int, ...], int] | None = None) -> Fraction:
     """Integral of the top Todd polynomial of the tangent bundle.
 
     Evaluated against the fundamental class oriented by the structure itself
     (not the fixed all-plus orientation used by ``chern_number``), so every
-    integrable structure has genus exactly 1.
+    integrable structure has genus exactly 1.  ``numbers`` may hold Chern
+    numbers already computed for at least the Todd polynomial's monomials;
+    otherwise they are computed here.
     """
-    n = flag.complex_dim
-    td = todd_polynomial(n)
-    numbers = chern_numbers(flag, acs, list(td.coefficients), jobs=jobs)
+    td = todd_polynomial(flag.complex_dim)
+    if numbers is None:
+        numbers = chern_numbers(flag, acs, list(td.coefficients))
     total = sum((c * numbers[m] for m, c in td.coefficients.items()), Fraction(0))
     return orientation_sign(flag, acs) * total
-
-
-# -- report -----------------------------------------------------------------
-
-@dataclass
-class ChernReport:
-    manifold: str
-    signs: tuple[int, ...]
-    classes: list[Polynomial]
-    numbers: dict[tuple[int, ...], int]
-    todd_genus: Fraction
-    hrr_residual: Fraction
-    integrable: bool
-
-    def numbers_by_label(self) -> dict[str, int]:
-        return {format_cmonomial(m): v for m, v in self.numbers.items()}
-
-
-def build_report(flag: FlagManifold, acs: InvariantACS,
-                 monomials: Iterable | None = None, jobs: int = 1,
-                 with_classes: bool = True) -> ChernReport:
-    n = flag.complex_dim
-    td = todd_polynomial(n)
-    wanted: dict[tuple[int, ...], None] = {}
-    top = tuple(0 if k != n - 1 else 1 for k in range(n))
-    c1n = tuple(n if k == 0 else 0 for k in range(n))
-    for m in (top, c1n):
-        wanted[m] = None
-    if monomials is not None:
-        for m in monomials:
-            m = parse_cmonomial(m, n) if isinstance(m, str) else tuple(m)
-            wanted[m] = None
-    for m in td.coefficients:
-        wanted[m] = None
-    numbers = chern_numbers(flag, acs, list(wanted), jobs=jobs)
-    genus = sum((c * numbers[m] for m, c in td.coefficients.items()), Fraction(0))
-    return ChernReport(
-        manifold=flag.name(),
-        signs=acs.signs,
-        classes=chern_classes(flag, acs) if with_classes else [],
-        numbers=numbers,
-        todd_genus=genus,
-        hrr_residual=genus - 1,
-        integrable=is_integrable(flag, acs),
-    )

@@ -213,8 +213,11 @@ def cmd_chern(args, out) -> int:
     else:
         top = [0] * (flag.complex_dim - 1) + [1]
         monos = [tuple(top)]
+    nums = None
     if args.oracle in ("weyl", "both"):
-        nums = chern_numbers(flag, acs, monos, jobs=args.jobs)
+        # one fixed-point pass serves the requested numbers and the Todd genus
+        todd = todd_polynomial(flag.complex_dim).coefficients if args.todd else {}
+        nums = chern_numbers(flag, acs, monos + list(todd))
         results = {m: nums[m] for m in monos}
     if args.oracle in ("groebner", "both"):
         nf = {m: chern_number_nf(flag, acs, m) for m in monos}
@@ -225,7 +228,7 @@ def cmd_chern(args, out) -> int:
                 f"oracle disagreement on {flag.name()} {acs.label()}: "
                 f"{results} vs {nf}")
     rows = [[format_cmonomial(m), str(results[m])] for m in monos]
-    genus = todd_genus(flag, acs, jobs=args.jobs) if args.todd else None
+    genus = todd_genus(flag, acs, nums) if args.todd else None
     if args.format == "json":
         data = {"manifold": flag.name(), "acs": acs.label(),
                 "oracle": args.oracle,
@@ -248,8 +251,8 @@ def cmd_table(args, out) -> int:
         for tid in tables.table_ids():
             out.write(tid + "\n")
         return EXIT_OK
-    results = tables.reproduce(args.table_id, jobs=args.jobs,
-                               oracle=args.oracle, slow=args.slow)
+    results = tables.reproduce(args.table_id, oracle=args.oracle,
+                               slow=args.slow)
     if args.format == "json":
         _dump_json(tables.to_json_obj(results), out)
     elif args.format == "csv":
@@ -347,8 +350,7 @@ def cmd_verify(args, out) -> int:
     reg = tables.load_registry()
     table_list = [t for t in table_list if t in reg["tables"]]
     for tid in sorted(table_list):
-        res = tables.reproduce(tid, jobs=args.jobs, oracle=args.oracle,
-                               slow=args.slow)
+        res = tables.reproduce(tid, oracle=args.oracle, slow=args.slow)
         for r in res:
             ann = r.n_annotated
             check(f"table {r.table_id} (annotated cells: {ann})", r.ok)
@@ -361,15 +363,13 @@ def cmd_verify(args, out) -> int:
                         "G2-long", "G2-short", "SO(5)/T", "Sp(2)/T"])
     for name in genus_list:
         flag = parse_manifold(name)
-        g = todd_genus(flag, InvariantACS((1,) * len(flag.summands())),
-                       jobs=args.jobs)
+        g = todd_genus(flag, InvariantACS((1,) * len(flag.summands())))
         check(f"todd genus 1 on {name}", g == 1)
     # projective-space sanity oracle
     for n in range(1, 5):
         rs = build_root_system("A", n)
         flag = make_flag(rs, rs.simples[1:])
-        v = chern_numbers(flag, InvariantACS((1,)), [(n,) + (0,) * (n - 1)],
-                          jobs=args.jobs)
+        v = chern_numbers(flag, InvariantACS((1,)), [(n,) + (0,) * (n - 1)])
         ok = (list(v.values())[0] == (n + 1) ** n
               and flag.euler_characteristic() == n + 1)
         check(f"projective space CP^{n}: c1^{n} = {(n + 1) ** n}, "
@@ -384,8 +384,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["md", "csv", "json"],
                         default="md", help="output format (default md)")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for Weyl sums")
     common.add_argument("--order", choices=["lex", "grlex", "grevlex"],
                         default="lex", help="monomial order (default lex)")
     common.add_argument("--oracle", choices=["weyl", "groebner", "both"],
@@ -393,7 +391,7 @@ def build_parser() -> _Parser:
                         help="integration oracle (default both, asserting "
                              "agreement)")
     common.add_argument("--slow", action="store_true",
-                        help="include slow computations (F(8) sweeps)")
+                        help="include the F(8) sections of tab2")
 
     p = _Parser(prog="flagchern",
                 description="Exact Chern-number computations on generalized "
@@ -464,10 +462,30 @@ def build_parser() -> _Parser:
     return p
 
 
+def _join_acs_value(argv: list[str]) -> list[str]:
+    """Fold ``--acs <signs>`` into ``--acs=<signs>``.
+
+    argparse reads a value that starts with ``-`` (``-,+,+``) as an option
+    and would report the value of ``--acs`` as missing.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--acs" and i + 1 < len(argv):
+            out.append(f"--acs={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_acs_value(list(argv)))
         if getattr(args, "command", None) == "decompose":
             if args.manifold is None and args.manifold_flag is not None:
                 args.manifold = args.manifold_flag

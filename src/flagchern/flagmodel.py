@@ -18,12 +18,14 @@ from .rootsys import (
     Vector,
     WeylGroup,
     build_root_system,
+    integral_roots,
     reflection_matrix,
     vec_dot,
     vec_neg,
     vec_sub,
     weyl_group,
     weyl_group_from_reflections,
+    weyl_order,
 )
 
 MAX_T_ROOTS = 20
@@ -57,6 +59,25 @@ class InvariantACS:
 
     def label(self) -> str:
         return "(" + ",".join("+" if s == 1 else "-" for s in self.signs) + ")"
+
+
+@dataclass(frozen=True)
+class FixedPoints:
+    """The torus-fixed points of G/K, one per coset W_K w of the Weyl group.
+
+    ``roots`` lists every root as an integer vector (G2 coordinates scaled by
+    3, see ``rootsys.integral_roots``) and ``positives`` the positions of the
+    positive roots in it.  Each point is (sign(w), images), where images are
+    the positions of w^-1(gamma) for the complementary positive roots gamma
+    in summand order, followed by those of w^-1(beta) for the K-positive
+    roots beta.
+    """
+    roots: tuple[tuple[int, ...], ...]
+    positives: tuple[int, ...]
+    points: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __len__(self) -> int:
+        return len(self.points)
 
 
 class FlagManifold:
@@ -121,10 +142,55 @@ class FlagManifold:
         return weyl_group(self.rs)
 
     def euler_characteristic(self) -> int:
-        total = len(self.weyl())
+        """chi = |W| / |W_K|, with |W| in closed form."""
+        total = weyl_order(self.rs)
         k = len(self.w_k)
         assert total % k == 0
         return total // k
+
+    def fixed_points(self) -> FixedPoints:
+        """The torus-fixed points, enumerated on first use without building W.
+
+        Breadth-first search over the orbit of lambda, the sum of the
+        complementary positive roots, under the simple reflections.  lambda
+        is dominant and fixed by exactly W_K, so w^-1(lambda) tells the
+        cosets W_K w apart.  Stepping from w to w*s applies s to lambda's
+        image and to every tracked root image, and flips the sign.
+        """
+        if "fixed_points" in self._cache:
+            return self._cache["fixed_points"]
+        roots, scaled, perms = integral_roots(self.rs)
+        index = {r: i for i, r in enumerate(roots)}
+        tracked = [r for s in self.summands() for r in s.roots]
+        tracked += self.k_positives
+        simples = [scaled[index[a]] for a in self.rs.simples]
+        norms = [sum(x * x for x in a) for a in simples]
+        lam = tuple(sum(scaled[index[r]][j] for r in self.complementary_pos)
+                    for j in range(self.rs.ambient_dim))
+        points = {lam: (1, tuple(index[r] for r in tracked))}
+        frontier = [lam]
+        while frontier:
+            nxt = []
+            for mu in frontier:
+                sign, images = points[mu]
+                for a, norm, perm in zip(simples, norms, perms):
+                    c = 2 * sum(x * y for x, y in zip(mu, a)) // norm
+                    if c == 0:
+                        continue
+                    nu = tuple(x - c * y for x, y in zip(mu, a))
+                    if nu not in points:
+                        points[nu] = (-sign, tuple(perm[i] for i in images))
+                        nxt.append(nu)
+            frontier = nxt
+        if len(points) != self.euler_characteristic():
+            raise ArithmeticError(
+                f"{len(points)} fixed points on {self.name()}, expected "
+                f"chi = {self.euler_characteristic()}")
+        fixed = FixedPoints(scaled,
+                            tuple(index[r] for r in self.rs.positives),
+                            tuple(points.values()))
+        self._cache["fixed_points"] = fixed
+        return fixed
 
     def summands(self) -> tuple[IsotropySummand, ...]:
         if self._summands is None:

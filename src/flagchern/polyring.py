@@ -297,22 +297,14 @@ def elementary_symmetric_in(forms: Sequence[Polynomial], k: int) -> Polynomial:
     return e[k]
 
 
-def elementary_symmetric_values(values: Sequence[Fraction], k_max: int) -> list[Fraction]:
-    """Values e_0..e_k_max of the elementary symmetric functions of numbers."""
-    e = [Fraction(1)] + [Fraction(0)] * k_max
+def elementary_symmetric_values(values: Sequence, k_max: int) -> list:
+    """Values e_0..e_k_max of the elementary symmetric functions of numbers
+    (integers stay integers)."""
+    e = [1] + [0] * k_max
     for v in values:
         for j in range(k_max, 0, -1):
             e[j] = e[j] + v * e[j - 1]
     return e
-
-
-def antisymmetrize(p: Polynomial, weyl) -> Polynomial:
-    """Sum over w in the Weyl group of sign(w) * (w acting on p)."""
-    total = Polynomial.zero(p.nvars)
-    for w in weyl.elements:
-        q = w.act(p)
-        total = total + (q if w.sign == 1 else -q)
-    return total
 
 
 def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -9,6 +9,7 @@ the ambient space, each carrying its sign (-1)^length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -128,11 +129,16 @@ class RootSystem:
     def height(self, root: Vector) -> Fraction:
         return sum(self.simple_coefficients(root), Fraction(0))
 
-    def to_json(self) -> dict:
+    def denominator(self) -> int:
+        """Least common denominator of the root coordinates (3 for G2)."""
         den = 1
         for r in self.roots:
             for c in r:
                 den = den * c.denominator // _gcd(den, c.denominator)
+        return den
+
+    def to_json(self) -> dict:
+        den = self.denominator()
         ordered = sorted(self.roots)
         index = {r: i for i, r in enumerate(ordered)}
         return {
@@ -321,6 +327,42 @@ def weyl_group(rs: RootSystem) -> WeylGroup:
     w = weyl_group_from_reflections(gens, rs.ambient_dim)
     rs._weyl_cache.append(w)
     return w
+
+
+def weyl_order(rs: RootSystem) -> int:
+    """|W| in closed form: (n+1)! for A_n, 2^n n! for B_n and C_n,
+    2^(n-1) n! for D_n, and 12 for G2."""
+    n = rs.rank
+    if rs.family == "A":
+        return math.factorial(n + 1)
+    if rs.family in ("B", "C"):
+        return 2 ** n * math.factorial(n)
+    if rs.family == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    return 12
+
+
+def integral_roots(rs: RootSystem) -> tuple[tuple[Vector, ...],
+                                            tuple[tuple[int, ...], ...],
+                                            tuple[tuple[int, ...], ...]]:
+    """The roots in sorted order, as integer vectors, and the simple
+    reflections as permutations of that order.
+
+    Returns (roots, integer roots, permutations): the integer vectors are the
+    roots times ``rs.denominator()`` (3 for G2, else 1), and permutation ``i`` sends the position of a root to the
+    position of its image under the reflection in simple root ``i``.
+    """
+    roots = tuple(sorted(rs.roots))
+    den = rs.denominator()
+    index = {r: i for i, r in enumerate(roots)}
+    perms = []
+    for a in rs.simples:
+        norm = vec_dot(a, a)
+        perms.append(tuple(
+            index[vec_sub(r, vec_scale(2 * vec_dot(r, a) / norm, a))]
+            for r in roots))
+    scaled = tuple(tuple(int(c * den) for c in r) for r in roots)
+    return roots, scaled, tuple(perms)
 
 
 def act(w: WeylElement, p: Polynomial) -> Polynomial:

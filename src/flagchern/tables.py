@@ -111,12 +111,12 @@ class TableResult:
                    for d in c.diffs if d.annotated)
 
 
-def _compute_column(flag: FlagManifold, signs, rows, jobs: int,
+def _compute_column(flag: FlagManifold, signs, rows,
                     oracle: str) -> list[int]:
     acs = InvariantACS(tuple(signs))
     monos = [parse_cmonomial(r, flag.complex_dim) for r in rows]
     if oracle in ("weyl", "both"):
-        nums = chern_numbers(flag, acs, monos, jobs=jobs)
+        nums = chern_numbers(flag, acs, monos)
         vals = [nums[m] for m in monos]
     if oracle in ("groebner", "both"):
         nf_vals = [chern_number_nf(flag, acs, m) for m in monos]
@@ -125,14 +125,14 @@ def _compute_column(flag: FlagManifold, signs, rows, jobs: int,
         if nf_vals != vals:
             raise ArithmeticError(
                 f"oracle disagreement on {flag.name()} {acs.label()}: "
-                f"Weyl sweep {vals} vs normal-form {nf_vals}")
+                f"fixed-point sum {vals} vs normal-form {nf_vals}")
     if oracle not in ("weyl", "groebner", "both"):
         raise ValueError(f"unknown oracle {oracle!r}")
     return vals
 
 
-def _reproduce_column(flag: FlagManifold, rows, spec: dict, jobs: int,
-                      oracle: str, slow: bool) -> ColumnResult:
+def _reproduce_column(flag: FlagManifold, rows, spec: dict, oracle: str,
+                      slow: bool) -> ColumnResult:
     printed = [int(v) for v in spec["printed"]]
     col = ColumnResult(label=spec["label"], signs=tuple(spec["signs"]),
                        global_sign=spec["global_sign"], printed=printed,
@@ -140,7 +140,7 @@ def _reproduce_column(flag: FlagManifold, rows, spec: dict, jobs: int,
     if spec.get("slow") and not slow:
         col.skipped = True
         return col
-    values = _compute_column(flag, col.signs, rows, jobs, oracle)
+    values = _compute_column(flag, col.signs, rows, oracle)
     col.recomputed = [col.global_sign * v for v in values]
     annotations = {a["row"]: a for a in spec.get("annotations", [])}
     for row, p, r in zip(rows, printed, col.recomputed):
@@ -163,7 +163,7 @@ def _reproduce_column(flag: FlagManifold, rows, spec: dict, jobs: int,
     return col
 
 
-def reproduce(table_id: str, jobs: int = 1, oracle: str = "weyl",
+def reproduce(table_id: str, oracle: str = "weyl",
               slow: bool = False) -> list[TableResult]:
     """Recompute the named table(s) and diff against the printed values."""
     reg = load_registry()
@@ -192,8 +192,7 @@ def reproduce(table_id: str, jobs: int = 1, oracle: str = "weyl",
                     skipped=True))
                 continue
             flag = parse_manifold(sec["manifold"])
-            cols = [_reproduce_column(flag, sec["rows"], c, jobs, oracle,
-                                      slow)
+            cols = [_reproduce_column(flag, sec["rows"], c, oracle, slow)
                     for c in sec["columns"]]
             sections.append(SectionResult(
                 manifold=sec["manifold"], rows=sec["rows"], columns=cols,

@@ -8,32 +8,10 @@ def reproduce_cached():
     """Session-memoized table reproduction (tables are deterministic)."""
     from flagchern.tables import reproduce
 
-    def run(table_id, oracle="weyl", slow=False, jobs=4):
+    def run(table_id, oracle="weyl", slow=False):
         key = (table_id, oracle, slow)
         if key not in _REPRODUCED:
-            _REPRODUCED[key] = reproduce(table_id, jobs=jobs, oracle=oracle,
-                                         slow=slow)
+            _REPRODUCED[key] = reproduce(table_id, oracle=oracle, slow=slow)
         return _REPRODUCED[key]
 
     return run
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--slow", action="store_true", default=False,
-        help="run slow tests (rank-7 full-flag Chern numbers; tens of "
-             "minutes)")
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: long-running exact computations (enable with --slow)")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--slow"):
-        return
-    skip = pytest.mark.skip(reason="slow test: pass --slow to run")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)

@@ -166,10 +166,12 @@ def test_all_plus_top_class_is_euler_characteristic():
         assert chern_number(flag, acs, top) == flag.euler_characteristic()
 
 
-def test_chern_numbers_independent_of_worker_count():
-    flag = parse_manifold("F(5;1,2,2)")
-    acs = InvariantACS((1, -1, 1))
+@pytest.mark.parametrize("name", ["F(4)", "FD(3;1,2)", "SO(5)/T", "Sp(2)/T",
+                                  "G2/T", "G2-long", "G2-short"])
+def test_dual_oracles_agree_on_every_structure(name):
+    flag = parse_manifold(name)
     n = flag.complex_dim
-    monos = monomials_of_weighted_degree(n, n)[:6]
-    assert chern_numbers(flag, acs, monos, jobs=1) \
-        == chern_numbers(flag, acs, monos, jobs=3)
+    monos = monomials_of_weighted_degree(n, n)
+    for acs in enumerate_acs(flag):
+        assert chern_numbers(flag, acs, monos) \
+            == {m: chern_number_nf(flag, acs, m) for m in monos}, acs.label()

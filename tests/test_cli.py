@@ -76,11 +76,21 @@ def test_chern_explicit_monomials_with_signs():
     assert all(int(v) is not None for v in nums.values())
 
 
-def test_chern_determinism_across_jobs():
+def test_chern_determinism_across_runs():
     args = ("chern", "--manifold", "F(4)", "--numbers", "c1^6,c2^3,c6",
-            "--format", "json")
-    outs = {run_cli(*args, "--jobs", str(j))[1] for j in (1, 2, 4)}
+            "--todd", "--format", "json")
+    outs = {run_cli(*args)[1] for _ in range(3)}
     assert len(outs) == 1  # byte-identical output
+
+
+def test_chern_acs_value_may_start_with_minus():
+    args = ("chern", "--manifold", "F(3;1,1,1)", "--numbers", "c1^3,c3",
+            "--todd", "--format", "json")
+    spaced = run_cli(*args, "--acs", "-,+,+")
+    joined = run_cli(*args, "--acs=-,+,+")
+    assert spaced[0] == joined[0] == 0
+    assert spaced[1] == joined[1]
+    assert json.loads(spaced[1])["acs"] == "(-,+,+)"
 
 
 def test_table_list_and_reproduce():
@@ -111,8 +121,7 @@ def test_cohomology_verify():
 
 
 def test_verify_quick_sweep():
-    code, out = run_cli("verify", "quick", "--jobs", "4",
-                        "--oracle", "weyl")
+    code, out = run_cli("verify", "quick", "--oracle", "weyl")
     assert code == 0
     assert "0 failure(s)" in out
     assert "FAIL" not in out
@@ -139,9 +148,8 @@ def test_exit_code_mismatch(monkeypatch):
 
     real_reproduce = tables.reproduce
 
-    def broken_reproduce(table_id, jobs=1, oracle="weyl", slow=False):
-        results = real_reproduce(table_id, jobs=jobs, oracle=oracle,
-                                 slow=slow)
+    def broken_reproduce(table_id, oracle="weyl", slow=False):
+        results = real_reproduce(table_id, oracle=oracle, slow=slow)
         col = results[0].sections[0].columns[0]
         col.diffs.append(tables.CellDiff(row="c4", printed=1, recomputed=2,
                                          note=None, annotated=False))

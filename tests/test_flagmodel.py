@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from flagchern.flagmodel import (InvariantACS, classify_acs, enumerate_acs,
                                  is_integrable, parse_manifold)
+from flagchern.tables import load_registry
 
 EULER = {
     "F(6;1,2,3)": 60, "F(7;1,2,4)": 105, "F(8;1,2,5)": 168,
@@ -16,6 +17,33 @@ EULER = {
 @pytest.mark.parametrize("name,chi", sorted(EULER.items()))
 def test_euler_characteristics(name, chi):
     assert parse_manifold(name).euler_characteristic() == chi
+
+
+def registry_manifolds():
+    names = {sec["manifold"] for spec in load_registry()["tables"].values()
+             for sec in spec.get("sections") or [spec]}
+    assert {"F(8;1,2,5)", "F(8;1,3,4)"} <= names
+    return sorted(names)
+
+
+@pytest.mark.parametrize("name", registry_manifolds())
+def test_fixed_point_count_is_euler_characteristic(name):
+    flag = parse_manifold(name)
+    fixed = flag.fixed_points()
+    chi = flag.euler_characteristic()
+    assert len(fixed) == chi == EULER.get(name, chi)
+    assert flag.fixed_points() is fixed  # enumerated once per manifold
+    # distinct cosets W_K w carry distinct sets w^-1(complementary roots)
+    n = flag.complex_dim
+    assert len({frozenset(images[:n]) for _, images in fixed.points}) == chi
+    # the identity coset comes first, with the roots themselves
+    sign, images = fixed.points[0]
+    tracked = [r for s in flag.summands() for r in s.roots]
+    tracked += flag.k_positives
+    assert sign == 1
+    den = flag.rs.denominator()
+    assert [fixed.roots[i] for i in images] == [
+        tuple(int(c * den) for c in r) for r in tracked]
 
 
 @pytest.mark.parametrize("name,dims", [

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagchern.polyring import (Polynomial, antisymmetrize,
-                                elementary_symmetric_in,
+from flagchern.polyring import (Polynomial, elementary_symmetric_in,
                                 elementary_symmetric_values, exact_divide,
                                 ExactDivisionError)
 
@@ -73,15 +72,3 @@ def test_exact_divide_and_remainder_error():
     with pytest.raises(ExactDivisionError):
         exact_divide(x * x + y, x)
 
-
-def test_antisymmetrize_kills_symmetric_polynomials():
-    from flagchern.rootsys import build_root_system, weyl_group
-    rs = build_root_system("A", 2)
-    w = weyl_group(rs)
-    x = Polynomial.variable(3, 0)
-    y = Polynomial.variable(3, 1)
-    z = Polynomial.variable(3, 2)
-    assert antisymmetrize(x + y + z, w).is_zero()
-    # the Weyl denominator is antisymmetric: antisymmetrization scales by |W|
-    den = (x - y) * (x - z) * (y - z)
-    assert antisymmetrize(den, w) == den * len(w)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagchern.rootsys import (build_root_system, count_negated_positives,
-                               reflection_matrix, weyl_group)
+                               integral_roots, reflection_matrix, weyl_group,
+                               weyl_order)
 
 ORDERS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
@@ -19,6 +20,30 @@ ORDERS = {
 def test_weyl_group_order(family, rank):
     rs = build_root_system(family, rank)
     assert len(weyl_group(rs)) == ORDERS[(family, rank)]
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
+    ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("G2", 2),
+])
+def test_closed_form_weyl_order(family, rank):
+    rs = build_root_system(family, rank)
+    assert weyl_order(rs) == len(weyl_group(rs))
+
+
+@pytest.mark.parametrize("family,rank", sorted(ORDERS))
+def test_integral_roots_and_simple_reflections(family, rank):
+    rs = build_root_system(family, rank)
+    roots, scaled, perms = integral_roots(rs)
+    assert set(roots) == set(rs.roots) and len(perms) == rank
+    scale = 3 if family == "G2" else 1
+    assert scaled == tuple(tuple(int(scale * c) for c in r) for r in roots)
+    for alpha, perm in zip(rs.simples, perms):
+        m = reflection_matrix(alpha)
+        for i, r in enumerate(roots):
+            image = tuple(sum(row[j] * r[j] for j in range(len(r)))
+                          for row in m)
+            assert roots[perm[i]] == image
 
 
 @pytest.mark.parametrize("family,rank,n_pos", [

@@ -92,19 +92,11 @@ def test_renderers(reproduce_cached):
     assert all(isinstance(v, str) for v in col["recomputed"])
 
 
-def test_reproduction_deterministic_across_worker_counts():
-    a = reproduce("tab5", jobs=1, oracle="weyl")
-    b = reproduce("tab5", jobs=3, oracle="weyl")
-    assert to_csv(a) == to_csv(b)
-    assert json.dumps(to_json_obj(a)) == json.dumps(to_json_obj(b))
-
-
 def test_dual_oracle_on_a_table():
-    res = reproduce("so5t", jobs=1, oracle="both")[0]
+    res = reproduce("so5t", oracle="both")[0]
     assert res.ok
 
 
-@pytest.mark.slow
 def test_f8_sections_reproduce_with_slow_enabled(reproduce_cached):
     res = reproduce_cached("tab2", slow=True)[0]
     assert res.ok
