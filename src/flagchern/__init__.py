@@ -12,33 +12,29 @@ Subpackages compute, over exact rational arithmetic:
 """
 
 from .polyring import Polynomial, elementary_symmetric_in, exact_divide
-from .rootsys import RootSystem, WeylElement, WeylGroup, build_root_system, weyl_group
+from .rootsys import RootSystem, build_root_system, weyl_group
 from .groebner import (MonomialOrder, GroebnerBasis, buchberger, normal_form,
-                       quotient_dimension, borel_generators, borel_presentation,
-                       borel_groebner)
+                       quotient_dimension, borel_generators, borel_groebner)
 from .flagmodel import (FlagManifold, IsotropySummand, InvariantACS, ACSClass,
                         make_flag, parse_manifold, t_root_decomposition,
-                        enumerate_acs, is_integrable, classify_acs,
-                        euler_characteristic)
-from .chern import (chern_classes, chern_classes_nf, integrate_nf,
-                    chern_numbers, chern_number, chern_number_nf,
-                    todd_polynomial, todd_genus, bernoulli,
-                    parse_cmonomial, format_cmonomial,
+                        enumerate_acs, is_integrable, classify_acs)
+from .chern import (chern_classes, chern_classes_nf, chern_numbers,
+                    chern_number, chern_number_nf, todd_polynomial,
+                    todd_genus, bernoulli, parse_cmonomial, format_cmonomial,
                     monomials_of_weighted_degree)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Polynomial", "elementary_symmetric_in", "exact_divide",
-    "RootSystem", "WeylElement", "WeylGroup", "build_root_system", "weyl_group",
+    "RootSystem", "build_root_system", "weyl_group",
     "MonomialOrder", "GroebnerBasis", "buchberger", "normal_form",
-    "quotient_dimension", "borel_generators", "borel_presentation",
-    "borel_groebner",
+    "quotient_dimension", "borel_generators", "borel_groebner",
     "FlagManifold", "IsotropySummand", "InvariantACS", "ACSClass",
     "make_flag", "parse_manifold", "t_root_decomposition", "enumerate_acs",
-    "is_integrable", "classify_acs", "euler_characteristic",
-    "chern_classes", "chern_classes_nf", "integrate_nf",
-    "chern_numbers", "chern_number", "chern_number_nf",
+    "is_integrable", "classify_acs",
+    "chern_classes", "chern_classes_nf", "chern_numbers", "chern_number",
+    "chern_number_nf",
     "todd_polynomial", "todd_genus", "bernoulli",
     "parse_cmonomial", "format_cmonomial", "monomials_of_weighted_degree",
     "__version__",

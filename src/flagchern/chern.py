@@ -6,9 +6,9 @@ over G/K is a sum over the torus-fixed points, one per coset W_K w of the
 Weyl group, evaluated in exact integers at generic points (with a second
 point as a guard) and divided once by the positive-root product.  It is
 normalized so the all-plus structure's top Chern class integrates to +chi.
-``integrate_nf`` is the second oracle: in the Borel quotient of the ambient
-full flag the top graded piece is one-dimensional, so normal forms of top
-classes are proportional and the ratio against the positive-root product
+``chern_number_nf`` is the second oracle: in the Borel quotient of the
+ambient full flag the top graded piece is one-dimensional, so normal forms of
+top classes are proportional and the ratio against the positive-root product
 calibrates the integral.
 """
 
@@ -141,35 +141,14 @@ def _top_reference(flag: FlagManifold, gb: GroebnerBasis):
     return mono, coeff
 
 
-def integrate_nf(flag: FlagManifold, p: Polynomial,
-                 gb: GroebnerBasis | None = None) -> Fraction:
-    """Second oracle: normal-form proportionality against the top class."""
-    if p.is_zero():
-        return Fraction(0)
-    n = flag.complex_dim
-    if not p.is_homogeneous(n):
-        raise ValueError(f"integrand must be homogeneous of degree {n}")
-    if gb is None:
-        gb = borel_groebner(flag.rs.family, flag.rs.rank)
-    mono, mu = _top_reference(flag, gb)
-    r = normal_form(p, gb)
-    for b in flag.k_positives:
-        r = normal_form(r * root_form(b), gb)
-    if r.is_zero():
-        return Fraction(0)
-    if set(r.terms) != {mono}:
-        raise AssertionError("normal form is not proportional to the top monomial")
-    lam = r.terms[mono]
-    return lam / mu * flag.euler_characteristic()
-
-
 def chern_number_nf(flag: FlagManifold, acs: InvariantACS, c_monomial,
                     gb: GroebnerBasis | None = None) -> int:
     """Chern number of a c-monomial via incremental normal-form reduction.
 
-    Equivalent to ``integrate_nf`` on the expanded product, but every partial
-    product is reduced to normal form before the next factor is multiplied in,
-    which keeps intermediate polynomials inside the (finite) staircase.
+    The integral of the product times the K-positive roots is read off the
+    normal form, against the positive-root product's.  Every partial product
+    is reduced to normal form before the next factor is multiplied in, which
+    keeps intermediate polynomials inside the (finite) staircase.
     """
     m = _top_monomial(flag, c_monomial)
     if gb is None:

@@ -22,7 +22,7 @@ from .flagmodel import (InvariantACS, classify_acs, enumerate_acs,
                         is_integrable, make_flag, parse_manifold)
 from .groebner import MonomialOrder, buchberger, borel_generators, quotient_dimension
 from .polyring import Polynomial
-from .rootsys import build_root_system, weyl_group
+from .rootsys import build_root_system, weyl_order
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,7 +117,7 @@ def cmd_roots(args, out) -> int:
     rs = build_root_system(args.family, args.rank)
     if args.format == "json":
         data = rs.to_json()
-        data["weyl_order"] = len(weyl_group(rs))
+        data["weyl_order"] = weyl_order(rs)
         _dump_json(data, out)
         return EXIT_OK
     rows = [[f"alpha_{i+1}", _vec_str(a)] for i, a in enumerate(rs.simples)]
@@ -128,7 +128,7 @@ def cmd_roots(args, out) -> int:
     _emit_table(args.format, "Positive roots",
                 ["#", "coordinates", "height"], rows, out)
     if args.format == "md":
-        out.write(f"\nWeyl group order: {len(weyl_group(rs))}\n")
+        out.write(f"\nWeyl group order: {weyl_order(rs)}\n")
     return EXIT_OK
 
 

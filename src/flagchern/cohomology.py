@@ -12,13 +12,13 @@ scalar relating the claimed top class to the canonical top normal monomial
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .groebner import (GroebnerBasis, MonomialOrder, _divides, borel_generators,
-                       buchberger, normal_form, quotient_dimension)
+from .groebner import (GroebnerBasis, MonomialOrder, _complete_homogeneous,
+                       borel_generators, buchberger, normal_form,
+                       quotient_dimension, staircase_monomials)
 from .polyring import Polynomial, exact_divide
 
 
@@ -57,27 +57,12 @@ class PresentationCase:
 
 # -- relation families --------------------------------------------------------
 
-def _complete_homogeneous_tail(nvars: int, degree: int, first: int,
-                               square: bool = False) -> Polynomial:
-    """h_degree in the variables x_first..x_{nvars-1} (squared if requested)."""
-    k = nvars - first
-    terms = {}
-    for exps in itertools.product(range(degree + 1), repeat=k):
-        if sum(exps) != degree:
-            continue
-        e = [0] * nvars
-        for j, x in enumerate(exps):
-            e[first + j] = 2 * x if square else x
-        terms[tuple(e)] = Fraction(1)
-    return Polynomial(nvars, terms)
-
-
 def relations_a_full(n: int) -> list[Polynomial]:
     """The n claimed relations in H*(SU(n+1)/T): for p = 1..n the complete
     homogeneous polynomial of degree n-p+2 in the last p of x_1..x_n,
     expressed inside the (n+1)-variable ambient ring."""
     nvars = n + 1
-    return [_complete_homogeneous_tail(nvars, n - p + 2, n - p + 1)
+    return [_complete_homogeneous(nvars, n - p + 2, n - p + 1)
             for p in range(1, n + 1)]
 
 
@@ -85,7 +70,7 @@ def relations_bc_full(n: int) -> list[Polynomial]:
     """The n claimed relations in H*(Spin(2n+1)/T) = H*(Sp(n)/T): for
     p = 1..n the complete homogeneous polynomial of degree n-p+1 in the
     squares of the last p of the n variables."""
-    return [_complete_homogeneous_tail(n, n - p + 1, n - p, square=True)
+    return [_complete_homogeneous(n, n - p + 1, n - p, square=True)
             for p in range(1, n + 1)]
 
 
@@ -204,23 +189,6 @@ def verify_claimed_basis(case: PresentationCase,
     if gb is None:
         gb = case.groebner()
     return set(gb.generators) == set(case.claimed_basis)
-
-
-def staircase_monomials(gb: GroebnerBasis, nvars: int) -> list[tuple[int, ...]]:
-    """All monomials outside the leading-term ideal (finite quotients only)."""
-    lts = gb.leading_terms()
-    caps = []
-    for i in range(nvars):
-        pure = [e[i] for e in lts
-                if all(x == 0 for j, x in enumerate(e) if j != i)]
-        if not pure:
-            raise ValueError("quotient is not finite-dimensional")
-        caps.append(min(pure))
-    out = []
-    for exps in itertools.product(*(range(c) for c in caps)):
-        if not any(_divides(lt, exps) for lt in lts):
-            out.append(exps)
-    return out
 
 
 def top_normal_monomial(gb: GroebnerBasis, nvars: int) -> tuple[int, ...]:

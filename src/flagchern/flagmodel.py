@@ -9,22 +9,20 @@ the integrability test, and classification up to conjugation and equivalence.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .rootsys import (
     RootSystem,
     Vector,
-    WeylGroup,
     build_root_system,
     integral_roots,
-    reflection_matrix,
+    reflection_closure,
     vec_dot,
     vec_neg,
     vec_sub,
-    weyl_group,
-    weyl_group_from_reflections,
     weyl_order,
 )
 
@@ -101,11 +99,6 @@ class FlagManifold:
             r for r in rs.positives if r not in self.k_roots
         )
         self.complex_dim = len(self.complementary_pos)
-        gens = [reflection_matrix(a) for a in theta]
-        if gens:
-            self.w_k = weyl_group_from_reflections(gens, rs.ambient_dim)
-        else:
-            self.w_k = weyl_group_from_reflections([], rs.ambient_dim)
         self.removed_simples = tuple(s for s in rs.simples if s not in span_members)
         self._summands: tuple[IsotropySummand, ...] | None = None
         self._cache: dict = {}
@@ -138,8 +131,14 @@ class FlagManifold:
 
     # -- derived structure ----------------------------------------------
 
-    def weyl(self) -> WeylGroup:
-        return weyl_group(self.rs)
+    @functools.cached_property
+    def w_k(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """W_K as (sign, root permutation) pairs, built on first use."""
+        roots, _, perms = integral_roots(self.rs)
+        theta = set(self.theta)
+        return reflection_closure(
+            [p for a, p in zip(self.rs.simples, perms) if a in theta],
+            len(roots))
 
     def euler_characteristic(self) -> int:
         """chi = |W| / |W_K|, with |W| in closed form."""
@@ -309,26 +308,31 @@ def inner_summand_actions(flag: FlagManifold) -> list[tuple[tuple[int, ...], tup
     K-roots setwise (the elements inducing self-equivalences of the manifold).
 
     Each action is (target index per summand, orientation +-1 per summand):
-    summand i maps onto orients[i] * summand targets[i].
+    summand i maps onto orients[i] * summand targets[i].  One element per
+    coset w W_K suffices: W_K maps every summand onto itself with orientation
+    +, so an element that stabilizes the K-roots acts like its whole coset.
+    The fixed points supply those elements with the images of the tracked
+    roots already computed.
     """
-    k_roots = flag.k_roots
-    summands = flag.summands()
+    roots = integral_roots(flag.rs)[0]
+    where = {pos: flag.summand_index(r) for pos, r in enumerate(roots)
+             if r in flag.complementary}
+    sizes = [s.dim_complex for s in flag.summands()]
+    n = flag.complex_dim
     actions = set()
-    for w in flag.weyl():
-        if any(w.apply(r) not in k_roots for r in flag.k_positives):
+    for _, images in flag.fixed_points().points:
+        if any(i in where for i in images[n:]):
             continue
         targets, orients = [], []
-        consistent = True
-        for s in summands:
-            images = {flag.summand_index(w.apply(r)) for r in s.roots}
-            if len(images) != 1:
-                consistent = False
-                break
-            i, part = images.pop()
+        start = 0
+        for size in sizes:
+            block = {where[i] for i in images[start:start + size]}
+            start += size
+            if len(block) != 1:
+                raise AssertionError("Weyl element does not permute the isotropy summands")
+            i, part = block.pop()
             targets.append(i)
             orients.append(part)
-        if not consistent:
-            raise AssertionError("Weyl element does not permute the isotropy summands")
         actions.add((tuple(targets), tuple(orients)))
     return sorted(actions)
 
@@ -359,10 +363,10 @@ def classify_acs(flag: FlagManifold) -> list[ACSClass]:
     Reported members are the conjugation-reduced census representatives
     (first sign +) contained in the class.
     """
-    actions = inner_summand_actions(flag)
     s = len(flag.summands())
     if s > MAX_T_ROOTS:
         raise ValueError(f"{s} positive T-roots exceed the practical bound {MAX_T_ROOTS}")
+    actions = inner_summand_actions(flag)
 
     unseen = set(itertools.product((1, -1), repeat=s))
     orbits: list[frozenset[tuple[int, ...]]] = []
@@ -409,10 +413,6 @@ def classify_acs(flag: FlagManifold) -> list[ACSClass]:
         classes.append(ACSClass(members[0], members, verdicts.pop()))
     classes.sort(key=lambda c: c.representative.signs, reverse=True)
     return classes
-
-
-def euler_characteristic(flag: FlagManifold) -> int:
-    return flag.euler_characteristic()
 
 
 # -- manifold name grammar -------------------------------------------------

@@ -174,20 +174,23 @@ def buchberger(generators: Sequence[Polynomial],
     return GroebnerBasis(tuple(reduced), order, True)
 
 
-def quotient_dimension(gb: GroebnerBasis, nvars: int) -> int:
-    """Vector-space dimension of the quotient ring: monomials under the staircase."""
+def staircase_monomials(gb: GroebnerBasis, nvars: int) -> list[tuple[int, ...]]:
+    """All monomials outside the leading-term ideal (finite quotients only)."""
     lts = gb.leading_terms()
     caps = []
     for i in range(nvars):
-        pure = [e[i] for e in lts if all(x == 0 for j, x in enumerate(e) if j != i)]
+        pure = [e[i] for e in lts
+                if all(x == 0 for j, x in enumerate(e) if j != i)]
         if not pure:
             raise ValueError("quotient is not finite-dimensional")
         caps.append(min(pure))
-    count = 0
-    for exps in itertools.product(*(range(c) for c in caps)):
-        if not any(_divides(lt, exps) for lt in lts):
-            count += 1
-    return count
+    return [exps for exps in itertools.product(*(range(c) for c in caps))
+            if not any(_divides(lt, exps) for lt in lts)]
+
+
+def quotient_dimension(gb: GroebnerBasis, nvars: int) -> int:
+    """Vector-space dimension of the quotient ring: monomials under the staircase."""
+    return len(staircase_monomials(gb, nvars))
 
 
 # -- Borel presentations ------------------------------------------------
@@ -201,14 +204,16 @@ def _power_sum(nvars: int, k: int) -> Polynomial:
     return Polynomial(nvars, terms)
 
 
-def _complete_homogeneous(nvars: int, k: int, first_var: int) -> Polynomial:
-    """h_k in the variables x_{first_var}..x_{nvars-1} (0-indexed)."""
+def _complete_homogeneous(nvars: int, k: int, first_var: int,
+                          square: bool = False) -> Polynomial:
+    """h_k in the variables x_{first_var}..x_{nvars-1} (0-indexed), or in
+    their squares when ``square`` is set."""
     terms = {}
     varset = range(first_var, nvars)
     for combo in itertools.combinations_with_replacement(varset, k):
         e = [0] * nvars
         for i in combo:
-            e[i] += 1
+            e[i] += 2 if square else 1
         terms[tuple(e)] = Fraction(1)
     return Polynomial(nvars, terms)
 
@@ -234,12 +239,6 @@ def borel_generators(family: str, rank: int) -> list[Polynomial]:
     raise ValueError(f"no Borel presentation for family {family!r}")
 
 
-def borel_presentation(flag) -> list[Polynomial]:
-    """Borel-ideal generators for the full flag over the flag's root system."""
-    rs = flag.rs if hasattr(flag, "rs") else flag
-    return borel_generators(rs.family, rs.rank)
-
-
 def _staircase_seed(family: str, rank: int) -> list[Polynomial] | None:
     """Known reduced lex Groebner bases that generate the same Borel ideal.
 
@@ -253,13 +252,8 @@ def _staircase_seed(family: str, rank: int) -> list[Polynomial] | None:
         n = rank + 1
         return [_complete_homogeneous(n, k, k - 1) for k in range(1, n + 1)]
     if family in ("B", "C"):
-        n = rank
-        squared = []
-        for k in range(1, n + 1):
-            h = _complete_homogeneous(n, k, k - 1)
-            squared.append(Polynomial(n, {tuple(2 * e for e in exps): c
-                                          for exps, c in h.terms.items()}))
-        return squared
+        return [_complete_homogeneous(rank, k, k - 1, square=True)
+                for k in range(1, rank + 1)]
     return None
 
 

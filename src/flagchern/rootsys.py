@@ -3,14 +3,14 @@
 Roots are vectors of rationals in an explicit ambient coordinate space:
 A_n lives in n+1 coordinates (roots e_i - e_j), B/C/D_n in n coordinates,
 and G2 in 3 coordinates on the trace-zero plane (so some coordinates have
-denominator 3).  Weyl group elements are dense rational matrices acting on
-the ambient space, each carrying its sign (-1)^length.
+denominator 3).  Weyl group elements are permutations of the roots, in the
+sorted order of ``integral_roots``, each carrying its sign (-1)^length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -51,58 +51,6 @@ def root_form(root: Vector) -> Polynomial:
     return Polynomial.linear_form(root)
 
 
-class WeylElement:
-    """An orthogonal linear map on the ambient space with its parity sign."""
-
-    __slots__ = ("matrix", "sign", "length")
-
-    def __init__(self, matrix: tuple[tuple[Fraction, ...], ...], sign: int, length: int):
-        self.matrix = matrix
-        self.sign = sign
-        self.length = length
-
-    def apply(self, v: Sequence) -> Vector:
-        return tuple(
-            sum(row[j] * v[j] for j in range(len(v)) if row[j]) if any(row) else 0
-            for row in self.matrix
-        )
-
-    def act(self, p: Polynomial) -> Polynomial:
-        """Coordinate substitution x -> w(x) on polynomials.
-
-        Chosen so that acting on the linear form of a root gives the linear
-        form of the mapped root: act(w, form(a)) = form(w(a)).
-        """
-        n = len(self.matrix)
-        if p.nvars != n:
-            raise ValueError("polynomial/matrix dimension mismatch")
-        images = [
-            Polynomial.linear_form([self.matrix[i][j] for i in range(n)])
-            for j in range(n)
-        ]
-        return p.substitute(images)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"WeylElement(length={self.length}, sign={self.sign:+d})"
-
-
-@dataclass(frozen=True)
-class WeylGroup:
-    elements: tuple[WeylElement, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
 @dataclass(frozen=True)
 class RootSystem:
     family: str
@@ -111,7 +59,6 @@ class RootSystem:
     roots: frozenset[Vector]
     positives: tuple[Vector, ...]
     simples: tuple[Vector, ...]
-    _weyl_cache: list = field(default_factory=list, compare=False, repr=False)
 
     @property
     def n_positive(self) -> int:
@@ -257,78 +204,6 @@ def _unit(dim: int, i: int) -> Vector:
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
 
 
-def _simplify(x: Fraction):
-    """Use plain ints for integral entries (much faster arithmetic)."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def reflection_matrix(alpha: Vector) -> tuple[tuple, ...]:
-    """Matrix of the orthogonal reflection through the hyperplane normal to alpha."""
-    n = len(alpha)
-    norm = vec_dot(alpha, alpha)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = Fraction(1) if i == j else Fraction(0)
-            row.append(_simplify(v - 2 * alpha[i] * alpha[j] / norm))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _matmul(a, b):
-    n = len(a)
-    # rows of a are sparse for the signed-permutation families; skip zeros
-    rows = []
-    for i in range(n):
-        arow = a[i]
-        nz = [j for j in range(n) if arow[j]]
-        rows.append(tuple(
-            sum(arow[j] * b[j][k] for j in nz) for k in range(n)
-        ))
-    return tuple(rows)
-
-
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def weyl_group_from_reflections(generators: Sequence, ambient_dim: int) -> WeylGroup:
-    """Closure of the given reflection matrices, breadth-first by word length.
-
-    Within each length level, elements are ordered by their matrix entries,
-    which makes the element list deterministic.
-    """
-    ident = _identity(ambient_dim)
-    seen = {ident}
-    levels = [[ident]]
-    while levels[-1]:
-        nxt = set()
-        for m in levels[-1]:
-            for g in generators:
-                prod = _matmul(g, m)
-                if prod not in seen:
-                    nxt.add(prod)
-        seen.update(nxt)
-        levels.append(sorted(nxt))
-    elements = []
-    for length, level in enumerate(levels):
-        sign = 1 if length % 2 == 0 else -1
-        for m in level:
-            elements.append(WeylElement(m, sign, length))
-    return WeylGroup(tuple(elements))
-
-
-def weyl_group(rs: RootSystem) -> WeylGroup:
-    """The full Weyl group of the root system (cached on the root system)."""
-    if rs._weyl_cache:
-        return rs._weyl_cache[0]
-    gens = [reflection_matrix(a) for a in rs.simples]
-    w = weyl_group_from_reflections(gens, rs.ambient_dim)
-    rs._weyl_cache.append(w)
-    return w
-
-
 def weyl_order(rs: RootSystem) -> int:
     """|W| in closed form: (n+1)! for A_n, 2^n n! for B_n and C_n,
     2^(n-1) n! for D_n, and 12 for G2."""
@@ -342,16 +217,23 @@ def weyl_order(rs: RootSystem) -> int:
     return 12
 
 
+_INTEGRAL_ROOTS_CACHE: dict = {}
+
+
 def integral_roots(rs: RootSystem) -> tuple[tuple[Vector, ...],
                                             tuple[tuple[int, ...], ...],
                                             tuple[tuple[int, ...], ...]]:
     """The roots in sorted order, as integer vectors, and the simple
-    reflections as permutations of that order.
+    reflections as permutations of that order (cached per family and rank).
 
     Returns (roots, integer roots, permutations): the integer vectors are the
-    roots times ``rs.denominator()`` (3 for G2, else 1), and permutation ``i`` sends the position of a root to the
-    position of its image under the reflection in simple root ``i``.
+    roots times ``rs.denominator()`` (3 for G2, else 1), and permutation ``i``
+    sends the position of a root to the position of its image under the
+    reflection in simple root ``i``.
     """
+    key = (rs.family, rs.rank)
+    if key in _INTEGRAL_ROOTS_CACHE:
+        return _INTEGRAL_ROOTS_CACHE[key]
     roots = tuple(sorted(rs.roots))
     den = rs.denominator()
     index = {r: i for i, r in enumerate(roots)}
@@ -362,21 +244,34 @@ def integral_roots(rs: RootSystem) -> tuple[tuple[Vector, ...],
             index[vec_sub(r, vec_scale(2 * vec_dot(r, a) / norm, a))]
             for r in roots))
     scaled = tuple(tuple(int(c * den) for c in r) for r in roots)
-    return roots, scaled, tuple(perms)
+    table = roots, scaled, tuple(perms)
+    _INTEGRAL_ROOTS_CACHE[key] = table
+    return table
 
 
-def act(w: WeylElement, p: Polynomial) -> Polynomial:
-    return w.act(p)
+def reflection_closure(perms: Sequence[tuple[int, ...]],
+                       n_roots: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The group generated by reflections given as permutations of
+    ``n_roots`` root positions, as (sign, permutation) pairs.
+
+    Breadth-first by word length, so the sign is (-1)^length; within a
+    length the permutations are sorted, which makes the order deterministic.
+    """
+    level = [tuple(range(n_roots))]
+    seen = set(level)
+    out = []
+    sign = 1
+    while level:
+        out += [(sign, w) for w in level]
+        nxt = {tuple(g[i] for i in w) for w in level for g in perms}
+        level = sorted(nxt - seen)
+        seen.update(level)
+        sign = -sign
+    return tuple(out)
 
 
-def count_negated_positives(rs: RootSystem, w: WeylElement) -> int:
-    """Number of positive roots that w sends to negative roots."""
-    positives = set(rs.positives)
-    count = 0
-    for a in rs.positives:
-        img = w.apply(a)
-        if img not in positives:
-            if vec_neg(img) not in positives:
-                raise ValueError("matrix does not preserve the root system")
-            count += 1
-    return count
+def weyl_group(rs: RootSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The full Weyl group as (sign, permutation of the ``integral_roots``
+    order) pairs."""
+    roots, _, perms = integral_roots(rs)
+    return reflection_closure(perms, len(roots))

@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagchern import flagmodel
 from flagchern.flagmodel import (InvariantACS, classify_acs, enumerate_acs,
-                                 is_integrable, parse_manifold)
+                                 inner_summand_actions, is_integrable,
+                                 parse_manifold)
+from flagchern.rootsys import integral_roots, weyl_group
 from flagchern.tables import load_registry
 
 EULER = {
@@ -44,6 +47,54 @@ def test_fixed_point_count_is_euler_characteristic(name):
     den = flag.rs.denominator()
     assert [fixed.roots[i] for i in images] == [
         tuple(int(c * den) for c in r) for r in tracked]
+
+
+def reference_summand_actions(flag):
+    """Actions on the summands of every element of W that stabilizes the
+    K-roots, read off the whole Weyl group."""
+    roots, _, _ = integral_roots(flag.rs)
+    index = {r: i for i, r in enumerate(roots)}
+    k_roots = {index[r] for r in flag.k_roots}
+    actions = set()
+    for _, w in weyl_group(flag.rs):
+        if any(w[i] not in k_roots for i in k_roots):
+            continue
+        targets, orients = [], []
+        for s in flag.summands():
+            (target, part), = {flag.summand_index(roots[w[index[r]]])
+                               for r in s.roots}
+            targets.append(target)
+            orients.append(part)
+        actions.add((tuple(targets), tuple(orients)))
+    return sorted(actions)
+
+
+@pytest.mark.parametrize("name", [
+    "F(4)", "F(5;1,2,2)", "FD(4;1,3)", "FD(4;1,1,1,1)", "Sp(3)/T",
+    "FB(3;1,1,1)", "G2-long", "SO(7)/U(3)",
+])
+def test_inner_summand_actions_match_whole_weyl_group(name):
+    flag = parse_manifold(name)
+    actions = inner_summand_actions(flag)
+    assert actions == reference_summand_actions(flag)
+    s = len(flag.summands())
+    assert (tuple(range(s)), (1,) * s) in actions
+
+
+def test_isotropy_weyl_group_is_built_on_first_use():
+    flag = parse_manifold("F(8;1,3,4)")
+    assert "w_k" not in vars(flag)
+    assert len(flag.w_k) == 1 * 6 * 24
+    assert flag.w_k is flag.w_k
+    assert len(parse_manifold("F(4)").w_k) == 1
+
+
+def test_classify_checks_summand_bound_first(monkeypatch):
+    def unreachable(flag):
+        raise AssertionError("inner_summand_actions called")
+    monkeypatch.setattr(flagmodel, "inner_summand_actions", unreachable)
+    with pytest.raises(ValueError, match="21 positive T-roots exceed"):
+        classify_acs(parse_manifold("F(7)"))
 
 
 @pytest.mark.parametrize("name,dims", [

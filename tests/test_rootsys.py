@@ -1,19 +1,21 @@
-from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagchern.rootsys import (build_root_system, count_negated_positives,
-                               integral_roots, reflection_matrix, weyl_group,
-                               weyl_order)
+from flagchern.rootsys import (build_root_system, integral_roots, vec_dot,
+                               weyl_group, weyl_order)
 
 ORDERS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
     ("B", 2): 8, ("B", 3): 48, ("C", 3): 48, ("D", 3): 24, ("D", 4): 192,
     ("G2", 2): 12,
 }
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 @pytest.mark.parametrize("family,rank", sorted(ORDERS))
@@ -36,13 +38,15 @@ def test_integral_roots_and_simple_reflections(family, rank):
     rs = build_root_system(family, rank)
     roots, scaled, perms = integral_roots(rs)
     assert set(roots) == set(rs.roots) and len(perms) == rank
+    assert integral_roots(rs) is integral_roots(build_root_system(family,
+                                                                  rank))
     scale = 3 if family == "G2" else 1
     assert scaled == tuple(tuple(int(scale * c) for c in r) for r in roots)
     for alpha, perm in zip(rs.simples, perms):
-        m = reflection_matrix(alpha)
+        c = 2 / vec_dot(alpha, alpha)
         for i, r in enumerate(roots):
-            image = tuple(sum(row[j] * r[j] for j in range(len(r)))
-                          for row in m)
+            image = tuple(x - c * vec_dot(r, alpha) * a
+                          for x, a in zip(r, alpha))
             assert roots[perm[i]] == image
 
 
@@ -71,29 +75,46 @@ def test_simples_are_positive_and_heights_integral(family, rank):
 
 @pytest.mark.parametrize("family,rank", sorted(ORDERS))
 def test_weyl_preserves_root_set(family, rank):
+    # each element permutes the roots, commutes with negation and keeps the
+    # inner products, as the orthogonal map it stands for does
     rs = build_root_system(family, rank)
-    roots = set(rs.positives) | {tuple(-x for x in r) for r in rs.positives}
-    for w in weyl_group(rs):
-        assert {w.apply(r) for r in roots} == roots
+    roots, scaled, _ = integral_roots(rs)
+    n = len(roots)
+    index = {r: i for i, r in enumerate(roots)}
+    neg = [index[tuple(-x for x in r)] for r in roots]
+    group = weyl_group(rs)
+    assert len({w for _, w in group}) == len(group)
+    assert group[0] == (1, tuple(range(n)))
+    for _, w in group:
+        assert sorted(w) == list(range(n))
+        assert all(w[neg[i]] == neg[w[i]] for i in range(n))
+        assert all(dot(scaled[w[i]], scaled[w[j]])
+                   == dot(scaled[i], scaled[j])
+                   for i in range(n) for j in range(i, n))
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4),
-                                         ("G2", 2)])
+@pytest.mark.parametrize("family,rank", sorted(ORDERS))
 def test_sign_is_negated_positive_parity(family, rank):
     rs = build_root_system(family, rank)
-    for w in weyl_group(rs):
-        assert w.sign == (-1) ** count_negated_positives(rs, w)
+    roots, _, _ = integral_roots(rs)
+    index = {r: i for i, r in enumerate(roots)}
+    positives = {index[r] for r in rs.positives}
+    for sign, w in weyl_group(rs):
+        negated = sum(1 for i in positives if w[i] not in positives)
+        assert sign == (-1) ** negated
 
 
 def test_reflection_is_involutive_isometry():
-    rs = build_root_system("B", 3)
-    for alpha in rs.simples:
-        m = reflection_matrix(alpha)
-        n = len(m)
-        sq = [[sum(m[i][k] * m[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-        assert all(sq[i][j] == (1 if i == j else 0)
-                   for i in range(n) for j in range(n))
+    for family, rank in sorted(ORDERS):
+        _, scaled, perms = integral_roots(build_root_system(family, rank))
+        n = len(scaled)
+        for perm in perms:
+            assert sorted(perm) == list(range(n))
+            assert all(perm[perm[i]] == i for i in range(n))
+            assert any(perm[i] != i for i in range(n))
+            assert all(dot(scaled[perm[i]], scaled[perm[j]])
+                       == dot(scaled[i], scaled[j])
+                       for i in range(n) for j in range(i, n))
 
 
 @given(st.sampled_from(["A", "B", "C", "D", "G2"]),
