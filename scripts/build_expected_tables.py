@@ -806,8 +806,10 @@ def main():
 
 
 # Recomputed c1^19 values on F(8;1,3,4) (sign tuples in this package's
-# summand order).  These take minutes each; they are pinned here and
-# re-verified by the slow acceptance test.
+# summand order).  The fixed-point oracle recomputes each in well under a
+# second; they are pinned here so the build stays independent of the F(8)
+# sections, and tests/test_acceptance.py::test_criterion_02_c1_power_rows_f8
+# re-verifies them through `table reproduce tab2 --slow`.
 F8_134_TRUTH = {
     (1, 1, 1): 301923064586776419730944,
     (-1, 1, 1): -262989979268101525440000,

@@ -11,7 +11,7 @@ Subpackages compute, over exact rational arithmetic:
   * reproduction of the reference Chern-number tables (``tables``).
 """
 
-from .polyring import Polynomial, elementary_symmetric_in, exact_divide
+from .polyring import Polynomial, elementary_symmetric_values, exact_divide
 from .rootsys import RootSystem, build_root_system, weyl_group
 from .groebner import (MonomialOrder, GroebnerBasis, buchberger, normal_form,
                        quotient_dimension, borel_generators, borel_groebner)
@@ -19,14 +19,14 @@ from .flagmodel import (FlagManifold, IsotropySummand, InvariantACS, ACSClass,
                         make_flag, parse_manifold, t_root_decomposition,
                         enumerate_acs, is_integrable, classify_acs)
 from .chern import (chern_classes, chern_classes_nf, chern_numbers,
-                    chern_number, chern_number_nf, todd_polynomial,
+                    chern_number, chern_numbers_nf, todd_polynomial,
                     todd_genus, bernoulli, parse_cmonomial, format_cmonomial,
                     monomials_of_weighted_degree)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Polynomial", "elementary_symmetric_in", "exact_divide",
+    "Polynomial", "elementary_symmetric_values", "exact_divide",
     "RootSystem", "build_root_system", "weyl_group",
     "MonomialOrder", "GroebnerBasis", "buchberger", "normal_form",
     "quotient_dimension", "borel_generators", "borel_groebner",
@@ -34,7 +34,7 @@ __all__ = [
     "make_flag", "parse_manifold", "t_root_decomposition", "enumerate_acs",
     "is_integrable", "classify_acs",
     "chern_classes", "chern_classes_nf", "chern_numbers", "chern_number",
-    "chern_number_nf",
+    "chern_numbers_nf",
     "todd_polynomial", "todd_genus", "bernoulli",
     "parse_cmonomial", "format_cmonomial", "monomials_of_weighted_degree",
     "__version__",

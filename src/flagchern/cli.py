@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import cohomology, tables
-from .chern import (chern_number_nf, chern_numbers, format_cmonomial,
+from .chern import (chern_numbers, chern_numbers_nf, format_cmonomial,
                     parse_cmonomial, todd_genus, todd_polynomial)
 from .flagmodel import (InvariantACS, classify_acs, enumerate_acs,
                         is_integrable, make_flag, parse_manifold)
@@ -220,7 +220,7 @@ def cmd_chern(args, out) -> int:
         nums = chern_numbers(flag, acs, monos + list(todd))
         results = {m: nums[m] for m in monos}
     if args.oracle in ("groebner", "both"):
-        nf = {m: chern_number_nf(flag, acs, m) for m in monos}
+        nf = chern_numbers_nf(flag, acs, monos)
         if args.oracle == "groebner":
             results = nf
         elif nf != results:

@@ -141,11 +141,24 @@ class FlagManifold:
             len(roots))
 
     def euler_characteristic(self) -> int:
-        """chi = |W| / |W_K|, with |W| in closed form."""
+        """chi = |W| / |W_K|, both orders in closed form.
+
+        |W_K| is Kostant's product of (ht beta + 1) / ht beta over the
+        K-positive roots beta.  Their height over Theta is (beta, rho), where
+        rho, the sum of beta / (beta, beta) over the same roots (half the sum
+        of their coroots), pairs to 1 with every root in Theta.
+        """
+        rho = [Fraction(0)] * self.rs.ambient_dim
+        for b in self.k_positives:
+            c = 1 / vec_dot(b, b)
+            rho = [x + c * y for x, y in zip(rho, b)]
+        k = Fraction(1)
+        for b in self.k_positives:
+            h = vec_dot(b, rho)
+            k *= (h + 1) / h
         total = weyl_order(self.rs)
-        k = len(self.w_k)
-        assert total % k == 0
-        return total // k
+        assert k.denominator == 1 and total % k.numerator == 0
+        return total // k.numerator
 
     def fixed_points(self) -> FixedPoints:
         """The torus-fixed points, enumerated on first use without building W.
@@ -368,46 +381,32 @@ def classify_acs(flag: FlagManifold) -> list[ACSClass]:
         raise ValueError(f"{s} positive T-roots exceed the practical bound {MAX_T_ROOTS}")
     actions = inner_summand_actions(flag)
 
-    unseen = set(itertools.product((1, -1), repeat=s))
-    orbits: list[frozenset[tuple[int, ...]]] = []
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for targets, orients in actions:
-                img = [0] * len(cur)
-                for i, v in enumerate(cur):
-                    img[targets[i]] = v * orients[i]
-                nxt = tuple(img)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        unseen -= orbit
-        orbits.append(frozenset(orbit))
+    def orbit(v):
+        # the actions form a group, so the orbit of v is {a.v}
+        out = set()
+        for targets, orients in actions:
+            img = [0] * s
+            for i, x in enumerate(v):
+                img[targets[i]] = x * orients[i]
+            out.add(tuple(img))
+        return out
 
-    index = {o: k for k, o in enumerate(orbits)}
-    merged: list[set[tuple[int, ...]]] = []
-    used: set[int] = set()
-    for k, orbit in enumerate(orbits):
-        if k in used:
-            continue
-        used.add(k)
-        cls = set(orbit)
-        conj = frozenset(tuple(-v for v in x) for x in orbit)
-        if conj != orbit and is_integrable(flag, InvariantACS(min(orbit))):
-            used.add(index[conj])
-            cls |= conj
-        merged.append(cls)
-
+    integrable = {v: is_integrable(flag, InvariantACS(v))
+                  for v in itertools.product((1, -1), repeat=s)}
+    seen: set[tuple[int, ...]] = set()
     classes = []
-    for cls in merged:
+    for start in integrable:
+        if start in seen:
+            continue
+        cls = orbit(start)
+        if integrable[start]:
+            cls |= orbit(tuple(-x for x in start))
+        seen |= cls
         canonical = sorted((v for v in cls if v[0] == 1), reverse=True)
         if not canonical:
             canonical = sorted((tuple(-x for x in v) for v in cls), reverse=True)
         members = tuple(InvariantACS(v) for v in canonical)
-        verdicts = {is_integrable(flag, InvariantACS(v)) for v in cls}
+        verdicts = {integrable[v] for v in cls}
         if len(verdicts) != 1:
             raise AssertionError("equivalence class mixes integrable and non-integrable members")
         classes.append(ACSClass(members[0], members, verdicts.pop()))

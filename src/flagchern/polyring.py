@@ -4,7 +4,8 @@ Polynomials are immutable values: a fixed number of variables, terms stored
 as a map from dense exponent tuples to ``Fraction`` coefficients with no zero
 coefficients kept.  The canonical term order used for printing, leading terms
 and serialization is graded lexicographic (higher total degree first, ties
-broken by the exponent tuple).
+broken by the exponent tuple).  ``elementary_symmetric_values`` expands the
+elementary symmetric functions of numbers or of polynomials alike.
 """
 
 from __future__ import annotations
@@ -285,21 +286,13 @@ def _var_names(nvars: int) -> list[str]:
     return [f"x{i + 1}" for i in range(nvars)]
 
 
-def elementary_symmetric_in(forms: Sequence[Polynomial], k: int) -> Polynomial:
-    """Degree-k elementary symmetric polynomial in the given linear forms."""
-    if not 0 <= k <= len(forms):
-        raise ValueError(f"k={k} out of range for {len(forms)} forms")
-    nvars = forms[0].nvars if forms else 0
-    e = [Polynomial.one(nvars)] + [Polynomial.zero(nvars) for _ in range(k)]
-    for f in forms:
-        for j in range(min(k, len(e) - 1), 0, -1):
-            e[j] = e[j] + f * e[j - 1]
-    return e[k]
-
-
 def elementary_symmetric_values(values: Sequence, k_max: int) -> list:
-    """Values e_0..e_k_max of the elementary symmetric functions of numbers
-    (integers stay integers)."""
+    """e_0..e_k_max, the elementary symmetric functions of ``values``.
+
+    The values may be numbers or polynomials (anything closed under ``+`` and
+    ``*`` with the integers 0 and 1); integers stay integers, and e_0 is the
+    integer 1.
+    """
     e = [1] + [0] * k_max
     for v in values:
         for j in range(k_max, 0, -1):

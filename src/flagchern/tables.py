@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .chern import chern_number_nf, chern_numbers, parse_cmonomial
+from .chern import chern_numbers, chern_numbers_nf, parse_cmonomial
 from .flagmodel import FlagManifold, InvariantACS, parse_manifold
 
 _REGISTRY: dict | None = None
@@ -119,7 +119,8 @@ def _compute_column(flag: FlagManifold, signs, rows,
         nums = chern_numbers(flag, acs, monos)
         vals = [nums[m] for m in monos]
     if oracle in ("groebner", "both"):
-        nf_vals = [chern_number_nf(flag, acs, m) for m in monos]
+        nf = chern_numbers_nf(flag, acs, monos)
+        nf_vals = [nf[m] for m in monos]
         if oracle == "groebner":
             return nf_vals
         if nf_vals != vals:
@@ -131,15 +132,12 @@ def _compute_column(flag: FlagManifold, signs, rows,
     return vals
 
 
-def _reproduce_column(flag: FlagManifold, rows, spec: dict, oracle: str,
-                      slow: bool) -> ColumnResult:
+def _reproduce_column(flag: FlagManifold, rows, spec: dict,
+                      oracle: str) -> ColumnResult:
     printed = [int(v) for v in spec["printed"]]
     col = ColumnResult(label=spec["label"], signs=tuple(spec["signs"]),
                        global_sign=spec["global_sign"], printed=printed,
                        recomputed=None, note=spec.get("note"))
-    if spec.get("slow") and not slow:
-        col.skipped = True
-        return col
     values = _compute_column(flag, col.signs, rows, oracle)
     col.recomputed = [col.global_sign * v for v in values]
     annotations = {a["row"]: a for a in spec.get("annotations", [])}
@@ -192,7 +190,7 @@ def reproduce(table_id: str, oracle: str = "weyl",
                     skipped=True))
                 continue
             flag = parse_manifold(sec["manifold"])
-            cols = [_reproduce_column(flag, sec["rows"], c, oracle, slow)
+            cols = [_reproduce_column(flag, sec["rows"], c, oracle)
                     for c in sec["columns"]]
             sections.append(SectionResult(
                 manifold=sec["manifold"], rows=sec["rows"], columns=cols,

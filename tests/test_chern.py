@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagchern import chern as chern_module
 from flagchern.chern import (bernoulli, chern_classes_nf, chern_number,
-                             chern_number_nf, chern_numbers, format_cmonomial,
+                             chern_numbers, chern_numbers_nf, format_cmonomial,
                              monomials_of_weighted_degree, parse_cmonomial,
                              todd_genus, todd_polynomial, weighted_degree)
 from flagchern.flagmodel import InvariantACS, enumerate_acs, is_integrable, \
@@ -29,7 +30,7 @@ def test_projective_space_oracle(n):
     acs = InvariantACS((1,) * len(flag.summands()))
     c1n = tuple(n if k == 0 else 0 for k in range(n))
     assert chern_number(flag, acs, c1n) == (n + 1) ** n
-    assert chern_number_nf(flag, acs, c1n) == (n + 1) ** n
+    assert chern_numbers_nf(flag, acs, [c1n]) == {c1n: (n + 1) ** n}
     top = tuple(1 if k == n - 1 else 0 for k in range(n))
     assert chern_number(flag, acs, top) == n + 1
 
@@ -52,8 +53,8 @@ def test_monomial_parsing_round_trip():
     # integration front ends
     flag = parse_manifold("SO(5)/T")
     with pytest.raises(ValueError):
-        chern_number_nf(flag, InvariantACS((1, 1, 1, 1)),
-                        parse_cmonomial("c1^2", 4))
+        chern_numbers_nf(flag, InvariantACS((1, 1, 1, 1)),
+                         [parse_cmonomial("c4", 4), parse_cmonomial("c1^2", 4)])
 
 
 # printed-identity regression: the Todd polynomial in low degrees, cleared
@@ -152,9 +153,9 @@ def test_dual_oracles_agree(name, signs):
     flag = parse_manifold(name)
     acs = InvariantACS(signs)
     n = flag.complex_dim
-    for mono in monomials_of_weighted_degree(n, n):
-        assert chern_number(flag, acs, mono) \
-            == chern_number_nf(flag, acs, mono)
+    nf = chern_numbers_nf(flag, acs, monomials_of_weighted_degree(n, n))
+    for mono, value in nf.items():
+        assert chern_number(flag, acs, mono) == value
 
 
 def test_all_plus_top_class_is_euler_characteristic():
@@ -174,4 +175,22 @@ def test_dual_oracles_agree_on_every_structure(name):
     monos = monomials_of_weighted_degree(n, n)
     for acs in enumerate_acs(flag):
         assert chern_numbers(flag, acs, monos) \
-            == {m: chern_number_nf(flag, acs, m) for m in monos}, acs.label()
+            == chern_numbers_nf(flag, acs, monos), acs.label()
+
+
+def test_normal_form_batch_builds_the_chern_classes_once(monkeypatch):
+    calls = []
+    real = chern_module.chern_classes
+
+    def counting(flag, acs):
+        calls.append(acs)
+        return real(flag, acs)
+
+    monkeypatch.setattr(chern_module, "chern_classes", counting)
+    flag = parse_manifold("F(5;1,2,2)")
+    acs = InvariantACS((1, -1, 1))
+    monos = monomials_of_weighted_degree(flag.complex_dim, flag.complex_dim)
+    nf = chern_numbers_nf(flag, acs, monos)
+    assert len(calls) == 1
+    assert len(nf) == len(monos) == 22
+    assert nf == chern_numbers(flag, acs, monos)

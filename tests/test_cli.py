@@ -162,10 +162,14 @@ def test_exit_code_mismatch(monkeypatch):
 def test_exit_code_internal_on_oracle_disagreement(monkeypatch):
     import flagchern.cli as cli
 
-    monkeypatch.setattr(cli, "chern_number_nf",
-                        lambda flag, acs, m: 10 ** 9)
+    def wrong(flag, acs, monos):
+        return {m: 10 ** 9 for m in monos}
+
+    monkeypatch.setattr(cli, "chern_numbers_nf", wrong)
     assert run_cli("chern", "--manifold", "SO(5)/T",
                    "--oracle", "both")[0] == 3
+    monkeypatch.setattr(cli.tables, "chern_numbers_nf", wrong)
+    assert run_cli("table", "reproduce", "so5t", "--oracle", "both")[0] == 3
 
 
 def _declared_script(name):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,8 @@ from flagchern import flagmodel
 from flagchern.flagmodel import (InvariantACS, classify_acs, enumerate_acs,
                                  inner_summand_actions, is_integrable,
                                  parse_manifold)
-from flagchern.rootsys import integral_roots, weyl_group
+from flagchern import rootsys
+from flagchern.rootsys import integral_roots, weyl_group, weyl_order
 from flagchern.tables import load_registry
 
 EULER = {
@@ -77,8 +80,34 @@ def test_inner_summand_actions_match_whole_weyl_group(name):
     flag = parse_manifold(name)
     actions = inner_summand_actions(flag)
     assert actions == reference_summand_actions(flag)
+    # a group, so classify_acs may take the orbit of v to be {a.v}
     s = len(flag.summands())
     assert (tuple(range(s)), (1,) * s) in actions
+    for ta, oa in actions:
+        for tb, ob in actions:
+            # summand i -> oa[i] * (b applied to summand ta[i])
+            composed = (tuple(tb[ta[i]] for i in range(s)),
+                        tuple(oa[i] * ob[ta[i]] for i in range(s)))
+            assert composed in actions
+
+
+@pytest.mark.parametrize("name", registry_manifolds())
+def test_closed_form_isotropy_weyl_order(name):
+    flag = parse_manifold(name)
+    assert flag.euler_characteristic() * len(flag.w_k) == weyl_order(flag.rs)
+
+
+def test_decompose_counts_chi_without_building_w_k(monkeypatch, capsys):
+    from flagchern.cli import main
+
+    def unreachable(*args):
+        raise AssertionError("reflection_closure called")
+
+    monkeypatch.setattr(rootsys, "reflection_closure", unreachable)
+    monkeypatch.setattr(flagmodel, "reflection_closure", unreachable)
+    assert main(["decompose", "F(12;6,6)", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["euler_characteristic"] == 924  # binomial(12, 6)
 
 
 def test_isotropy_weyl_group_is_built_on_first_use():

@@ -1,12 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagchern.polyring import (Polynomial, elementary_symmetric_in,
-                                elementary_symmetric_values, exact_divide,
-                                ExactDivisionError)
+from flagchern.polyring import (Polynomial, elementary_symmetric_values,
+                                exact_divide, ExactDivisionError)
 
 
 def poly_strategy(nvars=3, max_deg=3, max_terms=5):
@@ -55,13 +55,35 @@ def test_power_nonnegative_only():
         x ** -1
 
 
+def _subset_sum(values, k, zero):
+    """e_k by brute force: the sum over all k-subsets of their products."""
+    total = zero
+    for subset in itertools.combinations(values, k):
+        prod = subset[0] if subset else 1
+        for v in subset[1:]:
+            prod = prod * v
+        total = total + prod
+    return total
+
+
 def test_elementary_symmetric_matches_value_version():
-    forms = [Polynomial.variable(3, i) for i in range(3)]
-    pt = [Fraction(2), Fraction(3), Fraction(5)]
-    vals = elementary_symmetric_values(pt, 3)
-    for k in range(1, 4):
-        assert elementary_symmetric_in(forms, k).evaluate(pt) == vals[k]
-    assert vals[1] == 10 and vals[2] == 31 and vals[3] == 30
+    ints = [2, -3, 5, 7]
+    vals = elementary_symmetric_values(ints, 4)
+    assert vals == [_subset_sum(ints, k, 0) for k in range(5)]
+    assert vals[1:] == [11, 17, -107, -210]
+    assert all(type(v) is int for v in vals)
+    assert elementary_symmetric_values(ints, 2) == vals[:3]
+    # on linear forms: the same routine gives polynomials
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    forms = [x + y, 2 * y - z, x - 3 * z, x]
+    polys = elementary_symmetric_values(forms, len(forms))
+    assert polys[0] == 1
+    for k in range(1, len(forms) + 1):
+        assert polys[k] == _subset_sum(forms, k, Polynomial.zero(3))
+        assert polys[k].is_homogeneous(k)
+    assert polys[1] == 3 * x + 3 * y - 4 * z
+    assert polys[4] == forms[0] * forms[1] * forms[2] * forms[3]
+    assert elementary_symmetric_values([], 0) == [1]
 
 
 def test_exact_divide_and_remainder_error():

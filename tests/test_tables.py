@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +45,8 @@ def test_printed_values_are_decimal_strings():
 
 @pytest.mark.parametrize("tid", FAST)
 def test_fast_tables_reproduce_cleanly(tid, reproduce_cached):
-    res = reproduce_cached(tid)[0]
+    # both oracles, so every cell is also cross-checked by normal forms
+    res = reproduce_cached(tid, oracle="both")[0]
     assert res.ok, [
         (c.label, d.row, d.printed, d.recomputed)
         for s in res.sections for c in s.columns for d in c.unexplained]
@@ -56,6 +60,14 @@ def test_every_annotated_cell_carries_a_note(reproduce_cached):
                 for col in sec.columns:
                     for d in col.diffs:
                         assert d.annotated and d.note
+
+
+def test_slow_columns_sit_in_slow_sections():
+    # reproduce skips whole sections; a column cannot be slow on its own
+    for spec in load_registry()["tables"].values():
+        for sec in spec.get("sections") or [spec]:
+            for col in sec["columns"]:
+                assert not col.get("slow") or sec.get("slow"), col["label"]
 
 
 def test_slow_sections_skipped_by_default(reproduce_cached):
@@ -106,3 +118,13 @@ def test_f8_sections_reproduce_with_slow_enabled(reproduce_cached):
              for s in res.sections for c in s.columns for d in c.diffs]
     assert cells == [("F(8;1,2,5)", cells[0][1], "c1^17",
                       1250749500000000, 12507495000000000)]
+
+
+def test_build_script_regenerates_the_packaged_registry(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    out = tmp_path / "expected_tables.json"
+    script = repo / "scripts" / "build_expected_tables.py"
+    subprocess.run([sys.executable, str(script), str(out)], check=True,
+                   capture_output=True)
+    packaged = repo / "src" / "flagchern" / "data" / "expected_tables.json"
+    assert out.read_bytes() == packaged.read_bytes()
