@@ -10,6 +10,9 @@ normalized so the all-plus structure's top Chern class integrates to +chi.
 the Borel quotient of the ambient full flag the top graded piece is
 one-dimensional, so normal forms of top classes are proportional and the
 ratio against the positive-root product calibrates the integral.
+
+The universal Todd polynomials are Hirzebruch's multiplicative sequence for
+x / (1 - e^{-x}), built one weighted degree at a time from td = exp(L).
 """
 
 from __future__ import annotations
@@ -287,11 +290,6 @@ def _series_log(q: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _truncate_weighted(p: Polynomial, max_wdeg: int) -> Polynomial:
-    terms = {e: c for e, c in p.terms.items() if weighted_degree(e) <= max_wdeg}
-    return Polynomial(p.nvars, terms)
-
-
 def _power_sums_in_chern(n: int) -> list[Polynomial]:
     """p_1..p_n as polynomials in c_1..c_n (Newton's identities)."""
     c = [None] + [Polynomial.variable(n, k) for k in range(n)]
@@ -321,7 +319,14 @@ _TODD_CACHE: dict[int, ToddExpansion] = {}
 
 
 def todd_polynomial(degree: int) -> ToddExpansion:
-    """The universal Todd polynomial of the given weighted degree in c_1..c_degree."""
+    """The universal Todd polynomial of the given weighted degree in c_1..c_degree.
+
+    td = exp(L) with L = sum_k L_k, L_k = l_k p_k, where l_k are the
+    coefficients of log(x / (1 - e^{-x})) and p_k the power sums in the
+    Chern classes.  The graded pieces of td follow from td' = L' td:
+    T_0 = 1 and m T_m = sum_{k=1}^m k L_k T_{m-k}, each product already of
+    weighted degree m.
+    """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if degree in _TODD_CACHE:
@@ -329,20 +334,15 @@ def todd_polynomial(degree: int) -> ToddExpansion:
     n = degree
     series = _series_log(_todd_series(n))  # log of x/(1-e^{-x})
     psums = _power_sums_in_chern(n)
-    exponent_arg = Polynomial.zero(n)
+    logs = [series[k] * psums[k - 1] for k in range(1, n + 1)]
+    pieces = [Polynomial.one(n)]
     for m in range(1, n + 1):
-        if series[m]:
-            exponent_arg = exponent_arg + series[m] * psums[m - 1]
-    exponent_arg = _truncate_weighted(exponent_arg, n)
-    td = Polynomial.one(n)
-    power = Polynomial.one(n)
-    for j in range(1, n + 1):
-        power = _truncate_weighted(power * exponent_arg, n)
-        if power.is_zero():
-            break
-        td = td + power * Fraction(1, math.factorial(j))
-    coeffs = {e: c for e, c in td.terms.items() if weighted_degree(e) == degree}
-    exp = ToddExpansion(degree, coeffs)
+        acc = Polynomial.zero(n)
+        for k in range(1, m + 1):
+            if series[k]:
+                acc = acc + logs[k - 1] * pieces[m - k] * k
+        pieces.append(acc * Fraction(1, m))
+    exp = ToddExpansion(degree, dict(pieces[n].terms))
     _TODD_CACHE[degree] = exp
     return exp
 

@@ -3,7 +3,8 @@
 Subcommands: roots, decompose, acs, chern, table, groebner, cohomology,
 verify.  Output formats: markdown (default), CSV, JSON (big integers as
 decimal strings).  Exit codes: 0 ok, 1 usage error, 2 verification mismatch,
-3 internal invariant violation.
+3 internal invariant violation or any other internal error; every error is
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -494,14 +495,19 @@ def main(argv=None) -> int:
                 raise UsageError("table reproduce needs a table id "
                                  f"(one of: {', '.join(tables.table_ids())})")
         return args.func(args, sys.stdout)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (KeyError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except KeyError as exc:
+        # str(KeyError) quotes its message; print the message itself
+        print(f"usage error: {exc.args[0] if exc.args else exc}",
+              file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -5,6 +5,13 @@ simple roots generating K, the complementary roots, the isotropy summands
 (grouped by equal restriction to the orthogonal complement of span(Theta)),
 invariant almost complex structures as sign vectors on the positive T-roots,
 the integrability test, and classification up to conjugation and equivalence.
+
+Root membership is read off the integer simple-root coordinates of
+``rootsys.root_coefficients``: K-roots have coordinate 0 on every removed
+simple root, and a summand collects the roots with one coordinate vector on
+the removed simples.  The integrability test reads a per-manifold table of
+root positions saying which summand parts add up to which (the closedness
+criterion of Borel and Hirzebruch).
 """
 
 from __future__ import annotations
@@ -17,12 +24,12 @@ from fractions import Fraction
 from .rootsys import (
     RootSystem,
     Vector,
+    _solve,
     build_root_system,
     integral_roots,
     reflection_closure,
+    root_coefficients,
     vec_dot,
-    vec_neg,
-    vec_sub,
     weyl_order,
 )
 
@@ -33,15 +40,15 @@ MAX_T_ROOTS = 20
 class IsotropySummand:
     t_root: Vector
     roots: tuple[Vector, ...]  # the positive complementary roots of the summand
-    coeffs: tuple[Fraction, ...]  # t_root over the kappa-images of removed simples
+    coeffs: tuple[int, ...]  # t_root over the kappa-images of removed simples
 
     @property
     def dim_complex(self) -> int:
         return len(self.roots)
 
     @property
-    def height(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
+    def height(self) -> int:
+        return sum(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class InvariantACS:
     signs: tuple[int, ...]  # one entry of +-1 per positive T-root, canonical order
 
     def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
+        if not set(self.signs) <= {1, -1}:
             raise ValueError("signs must be +-1")
 
     def conjugate(self) -> "InvariantACS":
@@ -79,7 +86,12 @@ class FixedPoints:
 
 
 class FlagManifold:
-    """G/K described by a root system and a subset Theta of the simple roots."""
+    """G/K described by a root system and a subset Theta of the simple roots.
+
+    The root data come from the integer simple-root coordinates of
+    ``rootsys.root_coefficients``: the K-roots are the roots whose
+    coordinates on the removed simple roots are all 0.
+    """
 
     def __init__(self, rs: RootSystem, theta):
         theta = tuple(theta)
@@ -90,44 +102,24 @@ class FlagManifold:
         self.rs = rs
         self.theta = theta
         span_members = set(theta)
+        self.removed_indices = tuple(i for i, a in enumerate(rs.simples)
+                                     if a not in span_members)
+        self.removed_simples = tuple(rs.simples[i] for i in self.removed_indices)
         self.k_roots = frozenset(
-            r for r in rs.roots if self._in_span_of_theta(r)
-        )
+            r for r, c in root_coefficients(rs).items()
+            if not any(c[i] for i in self.removed_indices))
         self.k_positives = tuple(r for r in rs.positives if r in self.k_roots)
         self.complementary = frozenset(rs.roots - self.k_roots)
         self.complementary_pos = tuple(
             r for r in rs.positives if r not in self.k_roots
         )
         self.complex_dim = len(self.complementary_pos)
-        self.removed_simples = tuple(s for s in rs.simples if s not in span_members)
+        if not self.complex_dim:
+            raise ValueError(
+                f"Theta holds every simple root of {rs.family}{rs.rank}, so "
+                f"G/K is a point with no invariant almost complex structure")
         self._summands: tuple[IsotropySummand, ...] | None = None
         self._cache: dict = {}
-
-    # -- linear algebra over span(Theta) --------------------------------
-
-    def _theta_projection(self, v: Vector) -> Vector:
-        """Orthogonal projection of v onto span(Theta)."""
-        if not self.theta:
-            return tuple(Fraction(0) for _ in v)
-        gram = [[vec_dot(a, b) for b in self.theta] for a in self.theta]
-        rhs = [vec_dot(a, v) for a in self.theta]
-        from .rootsys import _solve
-
-        coeffs = _solve(gram, rhs)
-        out = [Fraction(0)] * len(v)
-        for c, a in zip(coeffs, self.theta):
-            for i, x in enumerate(a):
-                out[i] += c * x
-        return tuple(out)
-
-    def _in_span_of_theta(self, v: Vector) -> bool:
-        proj = self._theta_projection(v)
-        return all(Fraction(a) == b for a, b in zip(v, proj))
-
-    def kappa(self, v: Vector) -> Vector:
-        """Restriction map: component of v orthogonal to span(Theta)."""
-        proj = self._theta_projection(v)
-        return vec_sub(tuple(Fraction(x) for x in v), proj)
 
     # -- derived structure ----------------------------------------------
 
@@ -144,18 +136,13 @@ class FlagManifold:
         """chi = |W| / |W_K|, both orders in closed form.
 
         |W_K| is Kostant's product of (ht beta + 1) / ht beta over the
-        K-positive roots beta.  Their height over Theta is (beta, rho), where
-        rho, the sum of beta / (beta, beta) over the same roots (half the sum
-        of their coroots), pairs to 1 with every root in Theta.
+        K-positive roots beta.  A K-root has simple-root coordinates only on
+        Theta, so its height over Theta is its height in G.
         """
-        rho = [Fraction(0)] * self.rs.ambient_dim
-        for b in self.k_positives:
-            c = 1 / vec_dot(b, b)
-            rho = [x + c * y for x, y in zip(rho, b)]
         k = Fraction(1)
         for b in self.k_positives:
-            h = vec_dot(b, rho)
-            k *= (h + 1) / h
+            h = self.rs.height(b)
+            k *= Fraction(h + 1, h)
         total = weyl_order(self.rs)
         assert k.denominator == 1 and total % k.numerator == 0
         return total // k.numerator
@@ -211,18 +198,46 @@ class FlagManifold:
 
     def summand_index(self, root: Vector) -> tuple[int, int]:
         """(summand position, +1/-1 for positive/negative part) of a complementary root."""
-        if self._cache.get("summand_index") is None:
+        if "summand_index" not in self._cache:
             index = {}
             for i, s in enumerate(self.summands()):
-                for r in s.roots:
-                    index[r] = (i, 1)
-                    index[vec_neg(r)] = (i, -1)
+                index[s.coeffs] = (i, 1)
+                index[tuple(-c for c in s.coeffs)] = (i, -1)
             self._cache["summand_index"] = index
-        return self._cache["summand_index"][tuple(Fraction(x) for x in root)]
+        c = root_coefficients(self.rs)[tuple(root)]
+        return self._cache["summand_index"][tuple(c[i] for i in self.removed_indices)]
 
-    def acs_sign_of_root(self, acs: InvariantACS, root: Vector) -> int:
-        i, part = self.summand_index(root)
-        return acs.signs[i] * part
+    @functools.cached_property
+    def summand_parts(self) -> dict[int, tuple[int, int]]:
+        """``summand_index`` of every complementary root, keyed by the root's
+        position in the ``integral_roots`` order."""
+        roots = integral_roots(self.rs)[0]
+        return {pos: self.summand_index(r) for pos, r in enumerate(roots)
+                if r in self.complementary}
+
+    @functools.cached_property
+    def closure_table(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """Entries (i, p, j, q, k, r): part p of summand i plus part q of
+        summand j is a root in part r of summand k.
+
+        A sign vector s is integrable iff no entry has s_i = p, s_j = q and
+        s_k != r.  Sums with a K-root term stay in the part of the other
+        term, and sums that land in K stay in K, so neither can break
+        closedness and the table leaves them out.
+        """
+        scaled = integral_roots(self.rs)[1]
+        position = {v: pos for pos, v in enumerate(scaled)}
+        parts = self.summand_parts
+        entries = set()
+        for a, part_a in parts.items():
+            for b, part_b in parts.items():
+                if a < b:
+                    c = position.get(tuple(x + y for x, y in
+                                           zip(scaled[a], scaled[b])))
+                    if c in parts:
+                        entries.add(min(part_a, part_b) + max(part_a, part_b)
+                                    + parts[c])
+        return tuple(sorted(entries))
 
     def name(self) -> str:
         blocks = self._block_string()
@@ -242,11 +257,7 @@ class FlagManifold:
             return "G2(theta=" + ",".join(str(list(t)) for t in self.theta) + ")"
         tag = {"A": "F", "B": "FB", "C": "FC", "D": "FD"}[fam]
         n = self.rs.rank + 1 if fam == "A" else self.rs.rank
-        removed = []
-        for i, s in enumerate(self.rs.simples):
-            if s in self.removed_simples:
-                removed.append(i + 1)
-        bounds = removed + ([n] if fam == "A" else [])
+        bounds = [i + 1 for i in self.removed_indices] + ([n] if fam == "A" else [])
         blocks, prev = [], 0
         for b in bounds:
             blocks.append(b - prev)
@@ -266,21 +277,34 @@ def make_flag(rs: RootSystem, theta) -> FlagManifold:
 def t_root_decomposition(flag: FlagManifold) -> tuple[IsotropySummand, ...]:
     """Positive isotropy summands, grouped by equal kappa and canonically ordered.
 
+    kappa restricts a root to the orthogonal complement of span(Theta).  Two
+    roots have equal kappa exactly when their difference lies in span(Theta),
+    that is when their coordinates on the removed simple roots agree, so the
+    summands group the complementary positive roots by those coordinates c.
+    The T-root kappa(alpha) = sum_j c_j kappa(alpha_j) is built once per
+    summand from the kappa-images of the removed simples alpha_j, which one
+    Gram system over Theta gives.
+
     The order is by height over the simple T-roots (the kappa-images of the
     removed simple roots), ties broken so that multiples of earlier removed
     simples come first.
     """
-    groups: dict[Vector, list[Vector]] = {}
+    coeffs = root_coefficients(flag.rs)
+    groups: dict[tuple[int, ...], list[Vector]] = {}
     for a in flag.complementary_pos:
-        groups.setdefault(flag.kappa(a), []).append(a)
+        key = tuple(coeffs[a][i] for i in flag.removed_indices)
+        groups.setdefault(key, []).append(a)
 
-    rs = flag.rs
+    kappas = flag.removed_simples
+    if flag.theta:
+        gram = [[vec_dot(a, b) for b in flag.theta] for a in flag.theta]
+        proj = _solve(gram, [[vec_dot(t, a) for t in flag.theta] for a in kappas])
+        kappas = [tuple(x - sum(c * t[i] for c, t in zip(cs, flag.theta))
+                        for i, x in enumerate(a)) for a, cs in zip(kappas, proj)]
     summands = []
-    for t_root, roots in groups.items():
-        # integer coefficients over removed simples, read off any member root
-        coeffs = rs.simple_coefficients(roots[0])
-        removed_idx = [i for i, s in enumerate(rs.simples) if s in flag.removed_simples]
-        cvec = tuple(coeffs[i] for i in removed_idx)
+    for cvec, roots in groups.items():
+        t_root = tuple(sum((c * k[i] for c, k in zip(cvec, kappas)), Fraction(0))
+                       for i in range(flag.rs.ambient_dim))
         summands.append(IsotropySummand(t_root, tuple(roots), cvec))
     summands.sort(key=lambda s: (s.height, tuple(-c for c in s.coeffs)))
     return tuple(summands)
@@ -299,21 +323,11 @@ def enumerate_acs(flag: FlagManifold, up_to_conjugation: bool = True) -> list[In
 
 
 def is_integrable(flag: FlagManifold, acs: InvariantACS) -> bool:
-    """True iff the K-roots together with the +1 roots form a closed root subset."""
-    plus: set[Vector] = set(flag.k_roots)
-    for i, summand in enumerate(flag.summands()):
-        if acs.signs[i] == 1:
-            plus.update(summand.roots)
-        else:
-            plus.update(vec_neg(r) for r in summand.roots)
-    roots = flag.rs.roots
-    members = list(plus)
-    for a in members:
-        for b in members:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in roots and s not in plus:
-                return False
-    return True
+    """True iff the K-roots together with the +1 roots form a closed root
+    subset: no entry of ``flag.closure_table`` adds two +1 roots to a -1 root."""
+    s = acs.signs
+    return not any(s[i] == p and s[j] == q and s[k] != r
+                   for i, p, j, q, k, r in flag.closure_table)
 
 
 def inner_summand_actions(flag: FlagManifold) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -327,9 +341,7 @@ def inner_summand_actions(flag: FlagManifold) -> list[tuple[tuple[int, ...], tup
     The fixed points supply those elements with the images of the tracked
     roots already computed.
     """
-    roots = integral_roots(flag.rs)[0]
-    where = {pos: flag.summand_index(r) for pos, r in enumerate(roots)
-             if r in flag.complementary}
+    where = flag.summand_parts
     sizes = [s.dim_complex for s in flag.summands()]
     n = flag.complex_dim
     actions = set()

@@ -78,19 +78,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         if not self.terms:
             return True
@@ -196,7 +183,7 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    # -- evaluation and substitution -----------------------------------
+    # -- evaluation ----------------------------------------------------
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
@@ -209,28 +196,6 @@ class Polynomial:
                     v = v * x**e
             total += v
         return total
-
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Ring homomorphism x_i -> images[i]."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image per variable")
-        nvars_out = images[0].nvars if images else self.nvars
-        power_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def img_pow(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = images[i] ** e
-            return power_cache[key]
-
-        result = Polynomial.zero(nvars_out)
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(nvars_out, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * img_pow(i, e)
-            result = result + term
-        return result
 
     # -- printing and serialization ------------------------------------
 

@@ -3,8 +3,12 @@
 Roots are vectors of rationals in an explicit ambient coordinate space:
 A_n lives in n+1 coordinates (roots e_i - e_j), B/C/D_n in n coordinates,
 and G2 in 3 coordinates on the trace-zero plane (so some coordinates have
-denominator 3).  Weyl group elements are permutations of the roots, in the
-sorted order of ``integral_roots``, each carrying its sign (-1)^length.
+denominator 3).  Per family and rank, the roots are also held in the sorted
+order of ``integral_roots`` as integer vectors and, in ``root_coefficients``,
+as integer coordinates in the basis of simple roots; heights and the
+canonical order of the positive roots read that table.  Weyl group elements
+are permutations of the roots in that order, each carrying its sign
+(-1)^length.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ def vec_scale(c, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
 
-def vec_dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def vec_dot(u, v):
+    """Inner product; exact for Fraction and for int vectors alike."""
+    return sum(a * b for a, b in zip(u, v))
 
 
 def vec_neg(v: Vector) -> Vector:
@@ -64,17 +69,12 @@ class RootSystem:
     def n_positive(self) -> int:
         return len(self.positives)
 
-    def is_root(self, v: Vector) -> bool:
-        return v in self.roots
+    def simple_coefficients(self, root: Vector) -> tuple[int, ...]:
+        """Integer coordinates of a root in the basis of simple roots."""
+        return root_coefficients(self)[root]
 
-    def simple_coefficients(self, root: Vector) -> tuple[Fraction, ...]:
-        """Coordinates of a root in the basis of simple roots (exact)."""
-        gram = [[vec_dot(a, b) for b in self.simples] for a in self.simples]
-        rhs = [vec_dot(a, root) for a in self.simples]
-        return tuple(_solve(gram, rhs))
-
-    def height(self, root: Vector) -> Fraction:
-        return sum(self.simple_coefficients(root), Fraction(0))
+    def height(self, root: Vector) -> int:
+        return sum(root_coefficients(self)[root])
 
     def denominator(self) -> int:
         """Least common denominator of the root coordinates (3 for G2)."""
@@ -105,10 +105,12 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def _solve(matrix, rhs) -> list[Fraction]:
-    """Solve a small square rational linear system by Gaussian elimination."""
-    n = len(rhs)
-    m = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+def _solve(matrix, rhs) -> list[list[Fraction]]:
+    """Solve a small square rational system matrix * x = b for every row b
+    of ``rhs`` at once, by Gauss-Jordan elimination."""
+    n = len(matrix)
+    m = [[Fraction(matrix[i][j]) for j in range(n)]
+         + [Fraction(b[i]) for b in rhs] for i in range(n)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if m[r][col] != 0)
         m[col], m[pivot] = m[pivot], m[col]
@@ -118,7 +120,7 @@ def _solve(matrix, rhs) -> list[Fraction]:
             if r != col and m[r][col]:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+    return [[m[i][n + k] for i in range(n)] for k in range(len(rhs))]
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -236,16 +238,53 @@ def integral_roots(rs: RootSystem) -> tuple[tuple[Vector, ...],
         return _INTEGRAL_ROOTS_CACHE[key]
     roots = tuple(sorted(rs.roots))
     den = rs.denominator()
-    index = {r: i for i, r in enumerate(roots)}
-    perms = []
-    for a in rs.simples:
+    scaled = tuple(tuple(int(c * den) for c in r) for r in roots)
+    index = {v: i for i, v in enumerate(scaled)}
+    perms = []  # 2 (v, a) / (a, a) is a Cartan integer, so // is exact
+    for a in (scaled[roots.index(a)] for a in rs.simples):
         norm = vec_dot(a, a)
         perms.append(tuple(
-            index[vec_sub(r, vec_scale(2 * vec_dot(r, a) / norm, a))]
-            for r in roots))
-    scaled = tuple(tuple(int(c * den) for c in r) for r in roots)
+            index[tuple(x - 2 * vec_dot(v, a) // norm * y
+                        for x, y in zip(v, a))]
+            for v in scaled))
     table = roots, scaled, tuple(perms)
     _INTEGRAL_ROOTS_CACHE[key] = table
+    return table
+
+
+_COEFFICIENTS_CACHE: dict = {}
+
+
+def root_coefficients(rs: RootSystem) -> dict[Vector, tuple[int, ...]]:
+    """Each root's integer coordinates in the basis of simple roots, in the
+    ``integral_roots`` order (cached per family and rank).
+
+    One Gram system over the simple roots is solved, once, for the dual
+    basis; each root's coordinates are then integer dot products.
+    """
+    key = (rs.family, rs.rank)
+    if key in _COEFFICIENTS_CACHE:
+        return _COEFFICIENTS_CACHE[key]
+    roots, scaled, _ = integral_roots(rs)
+    simples = [scaled[roots.index(a)] for a in rs.simples]
+    n = rs.rank
+    # the rows of the inverse Gram matrix give the dual basis w_k, with
+    # (alpha_i, w_k) = delta_ik, so a root's k-th coordinate is (root, w_k);
+    # the scale factor of the integer vectors cancels in that product
+    inverse = _solve([[vec_dot(a, b) for b in simples] for a in simples],
+                     [[int(i == k) for i in range(n)] for k in range(n)])
+    duals = [[sum(c * a[j] for c, a in zip(row, simples))
+              for j in range(rs.ambient_dim)] for row in inverse]
+    d = math.lcm(*(x.denominator for w in duals for x in w))
+    duals = [[int(x * d) for x in w] for w in duals]
+    table = {}
+    for r, v in zip(roots, scaled):
+        c = [vec_dot(v, w) for w in duals]
+        if any(x % d for x in c):
+            raise ArithmeticError(f"root {r} of {rs.family}{rs.rank} has "
+                                  f"non-integral simple-root coordinates")
+        table[r] = tuple(x // d for x in c)
+    _COEFFICIENTS_CACHE[key] = table
     return table
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -194,3 +195,42 @@ def test_normal_form_batch_builds_the_chern_classes_once(monkeypatch):
     assert len(calls) == 1
     assert len(nf) == len(monos) == 22
     assert nf == chern_numbers(flag, acs, monos)
+
+
+def truncated_power_todd(degree):
+    """The Todd polynomial as exp(L) = sum_j L^j / j!, every power of L cut
+    back to weighted degree <= degree, then the degree-``degree`` part."""
+    n = degree
+    series = chern_module._series_log(chern_module._todd_series(n))
+    psums = chern_module._power_sums_in_chern(n)
+    L = Polynomial.zero(n)
+    for k in range(1, n + 1):
+        L = L + series[k] * psums[k - 1]
+
+    def cut(p):
+        return Polynomial(n, {e: c for e, c in p.terms.items()
+                              if weighted_degree(e) <= n})
+
+    td, power = Polynomial.one(n), Polynomial.one(n)
+    for j in range(1, n + 1):
+        power = cut(power * L)
+        td = td + power * Fraction(1, factorial(j))
+    return {e: c for e, c in td.terms.items() if weighted_degree(e) == n}
+
+
+@pytest.mark.parametrize("degree", range(1, 11))
+def test_todd_polynomial_matches_truncated_power_expansion(degree):
+    assert dict(todd_polynomial(degree).coefficients) \
+        == truncated_power_todd(degree)
+
+
+@pytest.mark.parametrize("d", range(1, 15))
+def test_todd_genus_of_projective_space_is_one(d):
+    # c(CP^d) = (1 + x)^(d+1): c_k = C(d+1, k) x^k, and x^d integrates to 1
+    total = Fraction(0)
+    for exps, coeff in todd_polynomial(d).coefficients.items():
+        term = coeff
+        for k, e in enumerate(exps, start=1):
+            term *= comb(d + 1, k) ** e
+        total += term
+    assert total == 1

@@ -222,3 +222,45 @@ def test_console_script_entry_point():
         script = _run([installed, "table", "list"])
         assert script.returncode == proc.returncode, script.stderr
         assert script.stdout == proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "F(3;3)"),
+    ("acs", "list", "F(3;3)"),
+    ("acs", "classify", "F(3;3)"),
+    ("decompose", "--family", "B", "--rank", "3", "--theta", "keep=1,2,3"),
+])
+def test_point_manifold_is_a_usage_error(argv, capsys):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert "is a point" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_key_error_message_is_printed_without_quotes(monkeypatch, capsys):
+    import flagchern.cli as cli
+
+    assert main(["table", "reproduce", "nosuch"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: unknown table id 'nosuch'; known ids: ")
+
+    def lookup_fails(args, out):
+        raise KeyError("no entry 'x' here")
+
+    monkeypatch.setattr(cli, "cmd_roots", lookup_fails)
+    assert main(["roots", "--family", "A", "--rank", "2"]) == 1
+    assert capsys.readouterr().err == "usage error: no entry 'x' here\n"
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    import flagchern.cli as cli
+
+    def broken(args, out):
+        raise RuntimeError("state went wrong")
+
+    monkeypatch.setattr(cli, "cmd_roots", broken)
+    assert main(["roots", "--family", "A", "--rank", "2"]) == 3
+    assert capsys.readouterr().err \
+        == "internal error: RuntimeError: state went wrong\n"

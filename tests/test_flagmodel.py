@@ -1,4 +1,6 @@
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -240,3 +242,102 @@ def test_parse_manifold_aliases_and_errors():
 def test_acs_sign_validation():
     with pytest.raises(ValueError):
         InvariantACS((1, 0, 1))
+
+
+def test_point_manifolds_are_refused():
+    # Theta holding every simple root leaves G/K a point: no summand, no
+    # structure
+    with pytest.raises(ValueError, match="is a point"):
+        parse_manifold("F(3;3)")
+    rs = rootsys.build_root_system("B", 3)
+    with pytest.raises(ValueError, match="is a point"):
+        flagmodel.make_flag(rs, rs.simples)
+
+
+# -- reference definitions over Fraction root vectors ------------------------
+
+def theta_projection(flag, v):
+    """Orthogonal projection of v onto span(Theta), by Gram-Schmidt."""
+    basis = []
+    for t in flag.theta:
+        u = tuple(t)
+        for b in basis:
+            c = sum(x * y for x, y in zip(u, b)) / sum(x * x for x in b)
+            u = tuple(x - c * y for x, y in zip(u, b))
+        basis.append(u)
+    out = tuple(Fraction(0) for _ in v)
+    for b in basis:
+        c = sum(x * y for x, y in zip(v, b)) / sum(x * x for x in b)
+        out = tuple(x + c * y for x, y in zip(out, b))
+    return out
+
+
+def reference_kappa(flag, v):
+    return tuple(x - y for x, y in zip(v, theta_projection(flag, v)))
+
+
+def reference_k_roots(flag):
+    return {r for r in flag.rs.roots if theta_projection(flag, r) == r}
+
+
+def reference_is_integrable(flag, k_roots, signs):
+    """The K-roots and the +1 roots form a closed subset of the roots."""
+    plus = set(k_roots)
+    for s, summand in zip(signs, flag.summands()):
+        plus.update(r if s == 1 else tuple(-x for x in r)
+                    for r in summand.roots)
+    return all(tuple(x + y for x, y in zip(a, b)) not in flag.rs.roots
+               or tuple(x + y for x, y in zip(a, b)) in plus
+               for a in plus for b in plus)
+
+
+@pytest.mark.parametrize("name", registry_manifolds())
+def test_k_roots_and_summands_match_projection_and_kappa(name):
+    flag = parse_manifold(name)
+    k_roots = reference_k_roots(flag)
+    assert flag.k_roots == k_roots
+    assert set(flag.complementary_pos) == set(flag.rs.positives) - k_roots
+    groups = {}
+    for a in flag.complementary_pos:
+        groups.setdefault(reference_kappa(flag, a), []).append(a)
+    summands = flag.summands()
+    assert len(summands) == len(groups)
+    for s in summands:
+        assert list(s.roots) == groups[s.t_root]
+        # the coordinates on the removed simples, read off every member
+        for r in s.roots:
+            c = flag.rs.simple_coefficients(r)
+            assert s.coeffs == tuple(c[i] for i in flag.removed_indices)
+
+
+@pytest.mark.parametrize("name", [
+    "F(4)", "F(5)", "F(5;1,2,2)", "F(6;1,2,3)", "FD(4;1,3)", "FD(4;1,1,1,1)",
+    "Sp(3)/T", "FB(3;1,1,1)", "G2/T", "G2-long", "G2-short", "SO(7)/U(3)",
+])
+def test_is_integrable_matches_closure_definition(name):
+    flag = parse_manifold(name)
+    k_roots = reference_k_roots(flag)
+    s = len(flag.summands())
+    for signs in itertools.product((1, -1), repeat=s):
+        assert is_integrable(flag, InvariantACS(signs)) \
+            == reference_is_integrable(flag, k_roots, signs), signs
+
+
+@pytest.mark.parametrize("name", ["F(6)", "F(6;1,2,3)"])
+def test_one_gram_solve_per_root_system(monkeypatch, name):
+    # parse, summands and classification share the cached simple-root
+    # coordinates: at most rank Gram solves, counted from a cold cache
+    calls = []
+    real = rootsys._solve
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rootsys, "_solve", counted)
+    monkeypatch.setattr(flagmodel, "_solve", counted)
+    monkeypatch.setattr(rootsys, "_COEFFICIENTS_CACHE", {})
+    flag = parse_manifold(name)
+    flag.summands()
+    classify_acs(flag)
+    assert 1 <= len(calls) <= flag.rs.rank

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagchern.rootsys import (build_root_system, integral_roots, vec_dot,
-                               weyl_group, weyl_order)
+from flagchern.rootsys import (build_root_system, integral_roots,
+                               root_coefficients, vec_dot, weyl_group,
+                               weyl_order)
 
 ORDERS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
@@ -140,3 +141,19 @@ def test_a_family_order_formula():
     for n in range(1, 5):
         rs = build_root_system("A", n)
         assert len(weyl_group(rs)) == factorial(n + 1)
+
+
+@pytest.mark.parametrize("family,rank", sorted(ORDERS))
+def test_simple_coefficients_rebuild_every_root(family, rank):
+    # sum_i c_i alpha_i == root, with integer c_i, for every root
+    rs = build_root_system(family, rank)
+    coeffs = root_coefficients(rs)
+    assert list(coeffs) == list(integral_roots(rs)[0])
+    for root in rs.roots:
+        c = rs.simple_coefficients(root)
+        assert c == coeffs[root] and len(c) == rank
+        assert all(type(x) is int for x in c)
+        rebuilt = tuple(sum(ci * a[j] for ci, a in zip(c, rs.simples))
+                        for j in range(rs.ambient_dim))
+        assert rebuilt == root
+        assert rs.height(root) == sum(c)
