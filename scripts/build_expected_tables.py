@@ -23,10 +23,17 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from flagchern.chern import chern_classes_nf, chern_numbers, parse_cmonomial  # noqa: E402
+from flagchern.chern import chern_classes, chern_numbers, parse_cmonomial  # noqa: E402
 from flagchern.flagmodel import InvariantACS, parse_manifold  # noqa: E402
+from flagchern.groebner import borel_groebner, normal_form  # noqa: E402
 
 FLAGS: dict = {}
+
+
+def chern_classes_nf(flag, acs):
+    """Chern classes reduced to normal form in the ambient Borel quotient."""
+    gb = borel_groebner(flag.rs.family, flag.rs.rank)
+    return [normal_form(c, gb) for c in chern_classes(flag, acs)]
 
 
 def flag_of(name):

@@ -13,8 +13,10 @@ from flagchern.tables import load_registry, reproduce, to_markdown
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--oracle", choices=["weyl", "groebner", "both"],
-                    default="weyl")
+    ap.add_argument("--oracle",
+                    choices=["weyl", "schubert", "both", "groebner"],
+                    default="weyl",
+                    help="groebner is a deprecated alias of schubert")
     ap.add_argument("--slow", action="store_true",
                     help="include the F(8) sections of tab2")
     ap.add_argument("--full", action="store_true",

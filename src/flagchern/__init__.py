@@ -12,14 +12,14 @@ Subpackages compute, over exact rational arithmetic:
 """
 
 from .polyring import Polynomial, elementary_symmetric_values, exact_divide
-from .rootsys import RootSystem, build_root_system, weyl_group
+from .rootsys import RootSystem, build_root_system, bruhat_covers, weyl_group
 from .groebner import (MonomialOrder, GroebnerBasis, buchberger, normal_form,
                        quotient_dimension, borel_generators, borel_groebner)
 from .flagmodel import (FlagManifold, IsotropySummand, InvariantACS, ACSClass,
                         make_flag, parse_manifold, t_root_decomposition,
                         enumerate_acs, is_integrable, classify_acs)
-from .chern import (chern_classes, chern_classes_nf, chern_numbers,
-                    chern_number, chern_numbers_nf, todd_polynomial,
+from .chern import (chern_classes, chern_numbers, chern_number,
+                    chern_numbers_schubert, todd_polynomial,
                     todd_genus, bernoulli, parse_cmonomial, format_cmonomial,
                     monomials_of_weighted_degree)
 
@@ -27,14 +27,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Polynomial", "elementary_symmetric_values", "exact_divide",
-    "RootSystem", "build_root_system", "weyl_group",
+    "RootSystem", "build_root_system", "bruhat_covers", "weyl_group",
     "MonomialOrder", "GroebnerBasis", "buchberger", "normal_form",
     "quotient_dimension", "borel_generators", "borel_groebner",
     "FlagManifold", "IsotropySummand", "InvariantACS", "ACSClass",
     "make_flag", "parse_manifold", "t_root_decomposition", "enumerate_acs",
     "is_integrable", "classify_acs",
-    "chern_classes", "chern_classes_nf", "chern_numbers", "chern_number",
-    "chern_numbers_nf",
+    "chern_classes", "chern_numbers", "chern_number", "chern_numbers_schubert",
     "todd_polynomial", "todd_genus", "bernoulli",
     "parse_cmonomial", "format_cmonomial", "monomials_of_weighted_degree",
     "__version__",

@@ -1,15 +1,16 @@
 """Chern classes, exact integration, Chern numbers, and the Todd genus.
 
-Two independent integration oracles are provided.  ``chern_numbers`` is the
-fixed-point (Atiyah-Bott / Berline-Vergne localization) kernel: an integral
-over G/K is a sum over the torus-fixed points, one per coset W_K w of the
-Weyl group, evaluated in exact integers at generic points (with a second
-point as a guard) and divided once by the positive-root product.  It is
-normalized so the all-plus structure's top Chern class integrates to +chi.
-``chern_numbers_nf`` is the second oracle, with the same batch contract: in
-the Borel quotient of the ambient full flag the top graded piece is
-one-dimensional, so normal forms of top classes are proportional and the
-ratio against the positive-root product calibrates the integral.
+Two independent integration oracles are provided, with the same batch
+contract.  ``chern_numbers`` is the fixed-point (Atiyah-Bott /
+Berline-Vergne localization) kernel: an integral over G/K is a sum over the
+torus-fixed points, one per coset W_K w of the Weyl group, evaluated in exact
+integers at generic points (with a second point as a guard) and divided once
+by the positive-root product.  It is normalized so the all-plus structure's
+top Chern class integrates to +chi.  ``chern_numbers_schubert`` is the
+second oracle: it multiplies in the Schubert basis of H*(G/B) by Chevalley's
+formula over the Bruhat covers, reads off the coefficient of the point class
+sigma_{w0}, and calibrates it against the positive-root product.  It uses no
+fixed points, no rational functions and no Groebner basis.
 
 The universal Todd polynomials are Hirzebruch's multiplicative sequence for
 x / (1 - e^{-x}), built one weighted degree at a time from td = exp(L).
@@ -23,9 +24,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .flagmodel import FlagManifold, InvariantACS
-from .groebner import GroebnerBasis, borel_groebner, normal_form
 from .polyring import Polynomial, elementary_symmetric_values
-from .rootsys import root_form
+from .rootsys import (BruhatCovers, bruhat_covers, integral_roots, root_form,
+                      vec_dot, weyl_order)
 
 # -- c-monomials ------------------------------------------------------------
 # A Chern monomial over c_1..c_N is a tuple of N exponents; its weighted
@@ -114,70 +115,124 @@ def chern_classes(flag: FlagManifold, acs: InvariantACS) -> list[Polynomial]:
     return elementary_symmetric_values(forms, len(forms))[1:]
 
 
-def chern_classes_nf(flag: FlagManifold, acs: InvariantACS) -> list[Polynomial]:
-    """Chern classes reduced to normal form in the ambient Borel quotient."""
-    gb = borel_groebner(flag.rs.family, flag.rs.rank)
-    return [normal_form(c, gb) for c in chern_classes(flag, acs)]
+# -- Chern numbers: Schubert-calculus oracle --------------------------------
+
+def _coroot_pairings(rs) -> dict:
+    """<alpha, beta^vee> for every positive root alpha, as a list over the
+    positive roots beta in ``rs.positives`` order (Cartan integers)."""
+    roots, scaled, _ = integral_roots(rs)
+    vector = dict(zip(roots, scaled))
+    coroots = [(vector[b], vec_dot(vector[b], vector[b])) for b in rs.positives]
+    return {a: [2 * vec_dot(vector[a], b) // norm for b, norm in coroots]
+            for a in rs.positives}
 
 
-# -- integration: normal-form oracle ----------------------------------------
-
-_TOP_NF_CACHE: dict = {}
-
-
-def _top_reference(flag: FlagManifold, gb: GroebnerBasis):
-    """Normal form of the positive-root product: a single staircase monomial."""
-    key = (flag.rs.family, flag.rs.rank, gb.order)
-    if key in _TOP_NF_CACHE:
-        return _TOP_NF_CACHE[key]
-    r = Polynomial.one(flag.rs.ambient_dim)
-    for a in flag.rs.positives:
-        r = normal_form(r * root_form(a), gb)
-    if len(r.terms) != 1:
-        raise AssertionError("top normal form is not a single monomial")
-    ((mono, coeff),) = r.terms.items()
-    _TOP_NF_CACHE[key] = (mono, coeff)
-    return mono, coeff
+def _chevalley(state: dict[int, int], pairing: Sequence[int],
+               covers: BruhatCovers, out: dict[int, int]) -> dict[int, int]:
+    """Add lambda . state into ``out`` by Chevalley's formula
+    lambda . sigma_w = sum <lambda, beta^vee> sigma_{w s_beta}, summed over
+    the covers w < w s_beta; ``pairing`` holds <lambda, beta^vee> per beta."""
+    offsets, targets, roots = covers.offsets, covers.targets, covers.roots
+    get = out.get
+    for w, c in state.items():
+        lo, hi = offsets[w], offsets[w + 1]
+        for t, b in zip(targets[lo:hi], roots[lo:hi]):
+            p = pairing[b]
+            if p:
+                out[t] = get(t, 0) + c * p
+    return out
 
 
-def chern_numbers_nf(flag: FlagManifold, acs: InvariantACS,
-                     monomials: Iterable) -> dict[tuple[int, ...], int]:
-    """Exact Chern numbers for a batch of c-monomials by normal forms.
+_SCHUBERT_TOP_CACHE: dict = {}
 
-    The integral of a class times the K-positive roots is read off its normal
-    form, against the positive-root product's.  The classes the batch uses
-    and the K-positive root product are reduced to normal form once.  Each
-    monomial multiplies in its class factors one at a time, reducing after
-    every factor, which keeps intermediate polynomials inside the (finite)
-    staircase, and then the reduced root product.  Normal forms are unique,
-    so the factor order does not change the result.
+
+def _schubert_top(rs, covers: BruhatCovers) -> int:
+    """The sigma_{w0}-coefficient of the positive-root product (cached per
+    family and rank)."""
+    key = (rs.family, rs.rank)
+    if key not in _SCHUBERT_TOP_CACHE:
+        state = {0: 1}
+        for pairing in _coroot_pairings(rs).values():
+            state = _chevalley(state, pairing, covers, {})
+        top = state.get(covers.top, 0)
+        # the Euler class of G/B integrates to chi(G/B) = |W|
+        if top != weyl_order(rs):
+            raise AssertionError(f"positive-root product has sigma_w0 "
+                                 f"coefficient {top}, expected |W|")
+        _SCHUBERT_TOP_CACHE[key] = top
+    return _SCHUBERT_TOP_CACHE[key]
+
+
+def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
+                           monomials: Iterable) -> dict[tuple[int, ...], int]:
+    """Exact Chern numbers for a batch of c-monomials by Schubert calculus.
+
+    Pulled back to G/B, the integral of p over G/K is chi times the
+    sigma_{w0}-coefficient of p times the K-positive roots, over that of the
+    positive-root product.  Products are taken in the Schubert basis of
+    H*(G/B), one linear form at a time by Chevalley's formula over the Bruhat
+    covers of ``rootsys.bruhat_covers``, in Python ints.  The K-positive roots
+    go first, so the batch shares them; then each monomial's class factors,
+    largest first, along a depth-first walk of the trie of factor sequences.
+    c_1 is the sum of the signed forms f_i, and c_k comes from the recurrence
+    S_j += f_i S_{j-1}; one pass of it gives every child of a trie node.
+    Only the states on the current path and their pending siblings are kept.
     """
     monos = [_top_monomial(flag, m) for m in monomials]
-    gb = borel_groebner(flag.rs.family, flag.rs.rank)
-    chi = flag.euler_characteristic()
-    # reduce only the classes the batch uses: the top ones are the largest
-    classes = chern_classes(flag, acs)
-    used = {k for m in monos for k, e in enumerate(m) if e}
-    factors = {k: normal_form(classes[k], gb) for k in used}
-    k_product = Polynomial.one(flag.rs.ambient_dim)
+    covers = bruhat_covers(flag.rs)
+    pairing = _coroot_pairings(flag.rs)
+    forms = [[s * p for p in pairing[r]]
+             for s, summand in zip(acs.signs, flag.summands())
+             for r in summand.roots]
+    c1 = [sum(col) for col in zip(*forms)]
+    n = len(forms)
+
+    def times_classes(state, ks):
+        """{k: state * c_k} for the sorted class degrees ks, all from one
+        pass of the recurrence up to c_max(ks)."""
+        top_k = ks[-1]
+        if top_k == 1:
+            return {1: _chevalley(state, c1, covers, {})}
+        partial = [state] + [{} for _ in range(top_k)]
+        for i, f in enumerate(forms):
+            # S_j only feeds S_k while n - 1 - i forms remain to raise it
+            for j in range(min(i + 1, top_k), max(0, ks[0] - n + i), -1):
+                if partial[j - 1]:
+                    _chevalley(partial[j - 1], f, covers, partial[j])
+        return {k: {w: c for w, c in partial[k].items() if c} for k in ks}
+
+    trie: dict = {}
+    sequences = {}
+    for m in monos:
+        seq = tuple(sorted((k + 1 for k, e in enumerate(m) for _ in range(e)),
+                           reverse=True))
+        sequences[m] = seq
+        node = trie
+        for k in seq:
+            node = node.setdefault(k, {})
+    tops = {}
+
+    def walk(state, node, seq):
+        if not node:
+            if any(c for w, c in state.items() if w != covers.top):
+                raise AssertionError(
+                    "top Schubert state is not supported on w0")
+            tops[seq] = state.get(covers.top, 0)
+            return
+        ks = sorted(node)
+        children = times_classes(state, ks)
+        for k in ks:
+            walk(children.pop(k), node[k], seq + (k,))
+
+    state = {0: 1}
     for b in flag.k_positives:
-        k_product = normal_form(k_product * root_form(b), gb)
-    mono, mu = _top_reference(flag, gb)
+        state = _chevalley(state, pairing[b], covers, {})
+    walk(state, trie, ())
+    chi = flag.euler_characteristic()
+    reference = _schubert_top(flag.rs, covers)
     out: dict[tuple[int, ...], int] = {}
     for m in monos:
-        # the K-root product goes on last: multiplying the classes onto it
-        # instead is 2-4x slower on F(6;1,2,3) and F(7;1,2,4)
-        r = Polynomial.one(flag.rs.ambient_dim)
-        for k, exp in enumerate(m):
-            for _ in range(exp):
-                r = normal_form(r * factors[k], gb)
-        r = normal_form(r * k_product, gb)
-        if r.is_zero():
-            out[m] = 0
-            continue
-        if set(r.terms) != {mono}:
-            raise AssertionError("normal form is not proportional to the top monomial")
-        val = r.terms[mono] / mu * chi
+        val = Fraction(tops[sequences[m]] * chi, reference)
         if val.denominator != 1:
             raise ArithmeticError(
                 f"Chern number {format_cmonomial(m)} is not an integer: {val}")
@@ -212,6 +267,7 @@ def chern_numbers(flag: FlagManifold, acs: InvariantACS,
     both have degree |Phi+|.
     """
     monos = [_top_monomial(flag, m) for m in monomials]
+    flag.check_fixed_point_bound()
     fixed = flag.fixed_points()
     n = flag.complex_dim
     signs = [acs.signs[i] for i, s in enumerate(flag.summands()) for _ in s.roots]

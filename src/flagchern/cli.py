@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import cohomology, tables
-from .chern import (chern_numbers, chern_numbers_nf, format_cmonomial,
+from .chern import (chern_numbers, chern_numbers_schubert, format_cmonomial,
                     parse_cmonomial, todd_genus, todd_polynomial)
 from .flagmodel import (InvariantACS, classify_acs, enumerate_acs,
                         is_integrable, make_flag, parse_manifold)
@@ -220,14 +220,14 @@ def cmd_chern(args, out) -> int:
         todd = todd_polynomial(flag.complex_dim).coefficients if args.todd else {}
         nums = chern_numbers(flag, acs, monos + list(todd))
         results = {m: nums[m] for m in monos}
-    if args.oracle in ("groebner", "both"):
-        nf = chern_numbers_nf(flag, acs, monos)
-        if args.oracle == "groebner":
-            results = nf
-        elif nf != results:
+    if args.oracle in ("schubert", "groebner", "both"):
+        schubert = chern_numbers_schubert(flag, acs, monos)
+        if args.oracle != "both":
+            results = schubert
+        elif schubert != results:
             raise ArithmeticError(
                 f"oracle disagreement on {flag.name()} {acs.label()}: "
-                f"{results} vs {nf}")
+                f"{results} vs {schubert}")
     rows = [[format_cmonomial(m), str(results[m])] for m in monos]
     genus = todd_genus(flag, acs, nums) if args.todd else None
     if args.format == "json":
@@ -387,10 +387,13 @@ def build_parser() -> _Parser:
                         default="md", help="output format (default md)")
     common.add_argument("--order", choices=["lex", "grlex", "grevlex"],
                         default="lex", help="monomial order (default lex)")
-    common.add_argument("--oracle", choices=["weyl", "groebner", "both"],
+    common.add_argument("--oracle",
+                        choices=["weyl", "schubert", "both", "groebner"],
                         default="both",
-                        help="integration oracle (default both, asserting "
-                             "agreement)")
+                        help="integration oracle: weyl (fixed-point sum), "
+                             "schubert (Chevalley's formula) or both, "
+                             "asserting agreement (default); groebner is a "
+                             "deprecated alias of schubert")
     common.add_argument("--slow", action="store_true",
                         help="include the F(8) sections of tab2")
 

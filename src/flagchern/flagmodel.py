@@ -34,6 +34,9 @@ from .rootsys import (
 )
 
 MAX_T_ROOTS = 20
+# chi above this is refused before the fixed points are enumerated: F(8)
+# has 40320, F(9) already 362880
+MAX_FIXED_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,14 @@ class FlagManifold:
         assert k.denominator == 1 and total % k.numerator == 0
         return total // k.numerator
 
+    def check_fixed_point_bound(self) -> None:
+        """Refuse (ValueError) a manifold with more than ``MAX_FIXED_POINTS``
+        fixed points; call it before ``fixed_points``."""
+        chi = self.euler_characteristic()
+        if chi > MAX_FIXED_POINTS:
+            raise ValueError(f"{self.name()} has chi = {chi} fixed points, "
+                             f"above the bound {MAX_FIXED_POINTS}")
+
     def fixed_points(self) -> FixedPoints:
         """The torus-fixed points, enumerated on first use without building W.
 
@@ -223,7 +234,12 @@ class FlagManifold:
         A sign vector s is integrable iff no entry has s_i = p, s_j = q and
         s_k != r.  Sums with a K-root term stay in the part of the other
         term, and sums that land in K stay in K, so neither can break
-        closedness and the table leaves them out.
+        closedness and the table leaves them out.  A violation is a triple of
+        complementary roots x + y + z = 0 all on the +1 side, which reads as
+        any of the sums x + y = -z, x + z = -y and y + z = -x.  Two of the
+        three roots have one sign and the third the other, so exactly one of
+        those sums adds two roots of the same part sign; only that one is
+        kept.
         """
         scaled = integral_roots(self.rs)[1]
         position = {v: pos for pos, v in enumerate(scaled)}
@@ -231,7 +247,7 @@ class FlagManifold:
         entries = set()
         for a, part_a in parts.items():
             for b, part_b in parts.items():
-                if a < b:
+                if a < b and part_a[1] == part_b[1]:
                     c = position.get(tuple(x + y for x, y in
                                            zip(scaled[a], scaled[b])))
                     if c in parts:
@@ -341,6 +357,7 @@ def inner_summand_actions(flag: FlagManifold) -> list[tuple[tuple[int, ...], tup
     The fixed points supply those elements with the images of the tracked
     roots already computed.
     """
+    flag.check_fixed_point_bound()
     where = flag.summand_parts
     sizes = [s.dim_complex for s in flag.summands()]
     n = flag.complex_dim

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polyring import Polynomial
+from .rootsys import weyl_order_of
 
 ORDER_KINDS = ("lex", "grlex", "grevlex")
 
@@ -262,7 +263,12 @@ _BOREL_GB_CACHE: dict = {}
 
 def borel_groebner(family: str, rank: int,
                    order: MonomialOrder | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the full-flag Borel ideal (cached)."""
+    """Reduced Groebner basis of the full-flag Borel ideal (cached).
+
+    The quotient must have dimension |W|, the rank of H*(G/B): with the
+    seed check (the raw generators reduce to zero) this proves that a seeded
+    basis presents exactly the Borel ideal.
+    """
     if order is None:
         order = MonomialOrder("lex")
     key = (family.upper(), rank, order)
@@ -280,5 +286,10 @@ def borel_groebner(family: str, rank: int,
                 raise AssertionError("staircase seed does not contain the Borel ideal")
     else:
         gb = buchberger(gens, order)
+    dim = quotient_dimension(gb, nvars)
+    expected = weyl_order_of(family.upper(), rank)
+    if dim != expected:
+        raise AssertionError(f"Borel quotient of {family.upper()}{rank} has "
+                             f"dimension {dim}, expected |W| = {expected}")
     _BOREL_GB_CACHE[key] = gb
     return gb

@@ -14,6 +14,7 @@ are permutations of the roots in that order, each carrying its sign
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -207,14 +208,18 @@ def _unit(dim: int, i: int) -> Vector:
 
 
 def weyl_order(rs: RootSystem) -> int:
-    """|W| in closed form: (n+1)! for A_n, 2^n n! for B_n and C_n,
+    """|W| in closed form (see ``weyl_order_of``)."""
+    return weyl_order_of(rs.family, rs.rank)
+
+
+def weyl_order_of(family: str, n: int) -> int:
+    """|W| of family and rank n: (n+1)! for A_n, 2^n n! for B_n and C_n,
     2^(n-1) n! for D_n, and 12 for G2."""
-    n = rs.rank
-    if rs.family == "A":
+    if family == "A":
         return math.factorial(n + 1)
-    if rs.family in ("B", "C"):
+    if family in ("B", "C"):
         return 2 ** n * math.factorial(n)
-    if rs.family == "D":
+    if family == "D":
         return 2 ** (n - 1) * math.factorial(n)
     return 12
 
@@ -314,3 +319,80 @@ def weyl_group(rs: RootSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
     order) pairs."""
     roots, _, perms = integral_roots(rs)
     return reflection_closure(perms, len(roots))
+
+
+# |W(B6)| = |W(C6)|: every A_n up to A7, B/C up to rank 6 and D up to D6
+MAX_BRUHAT_ORDER = 46080
+
+
+@dataclass(frozen=True)
+class BruhatCovers:
+    """The Bruhat covers w < w s_beta of a Weyl group, in compressed rows.
+
+    Elements are numbered in ``weyl_group`` order (0 is the identity, ``top``
+    the longest element w0).  The covers of element w are the entries
+    ``offsets[w]`` to ``offsets[w + 1]`` of ``targets`` (the index of
+    w s_beta) and ``roots`` (the index of beta in ``rs.positives``).
+    """
+    offsets: array
+    targets: array
+    roots: array
+    top: int
+
+
+_COVERS_CACHE: dict = {}
+
+
+def bruhat_covers(rs: RootSystem) -> BruhatCovers:
+    """The Bruhat cover table of W (cached per family and rank).
+
+    w -> w s_beta raises the length exactly when w(beta) > 0, and is a cover
+    when it raises it by one.  An element is keyed by the images of the
+    simple roots, which determine it, and w s_beta sends alpha_i to
+    w(s_beta(alpha_i)), so the target is found without composing the full
+    root permutations; those are dropped once the table is built.  Groups
+    with |W| above ``MAX_BRUHAT_ORDER`` are refused before W is built.
+    """
+    key = (rs.family, rs.rank)
+    if key in _COVERS_CACHE:
+        return _COVERS_CACHE[key]
+    order = weyl_order(rs)
+    if order > MAX_BRUHAT_ORDER:
+        raise ValueError(
+            f"|W({rs.family}{rs.rank})| = {order} exceeds the Bruhat-table "
+            f"bound {MAX_BRUHAT_ORDER}")
+    roots, scaled, _ = integral_roots(rs)
+    index = {r: i for i, r in enumerate(roots)}
+    position = {v: i for i, v in enumerate(scaled)}
+    simple_pos = [index[a] for a in rs.simples]
+    positive = [False] * len(roots)
+    reflections = []  # (position of beta, positions of s_beta(alpha_i))
+    for a in rs.positives:
+        pos = index[a]
+        positive[pos] = True
+        v = scaled[pos]
+        norm = vec_dot(v, v)
+        reflections.append((pos, [
+            position[tuple(x - 2 * vec_dot(scaled[i], v) // norm * y
+                           for x, y in zip(scaled[i], v))]
+            for i in simple_pos]))
+    perms = [w for _, w in weyl_group(rs)]
+    element = {tuple(w[i] for i in simple_pos): k for k, w in enumerate(perms)}
+    length = [sum(not positive[w[pos]] for pos, _ in reflections)
+              for w in perms]
+    offsets, targets, betas = array("i", [0]), array("i"), array("H")
+    for w, lw in zip(perms, length):
+        for b, (pos, image) in enumerate(reflections):
+            if positive[w[pos]]:
+                t = element[tuple(w[i] for i in image)]
+                if length[t] == lw + 1:
+                    targets.append(t)
+                    betas.append(b)
+        offsets.append(len(targets))
+    tops = length.count(rs.n_positive)
+    if len(perms) != order or tops != 1:
+        raise AssertionError(f"W({rs.family}{rs.rank}) has {len(perms)} "
+                             f"elements and {tops} of top length")
+    table = BruhatCovers(offsets, targets, betas, length.index(rs.n_positive))
+    _COVERS_CACHE[key] = table
+    return table

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .chern import chern_numbers, chern_numbers_nf, parse_cmonomial
+from .chern import chern_numbers, chern_numbers_schubert, parse_cmonomial
 from .flagmodel import FlagManifold, InvariantACS, parse_manifold
 
 _REGISTRY: dict | None = None
@@ -118,16 +118,16 @@ def _compute_column(flag: FlagManifold, signs, rows,
     if oracle in ("weyl", "both"):
         nums = chern_numbers(flag, acs, monos)
         vals = [nums[m] for m in monos]
-    if oracle in ("groebner", "both"):
-        nf = chern_numbers_nf(flag, acs, monos)
-        nf_vals = [nf[m] for m in monos]
-        if oracle == "groebner":
-            return nf_vals
-        if nf_vals != vals:
+    if oracle in ("schubert", "groebner", "both"):
+        nums = chern_numbers_schubert(flag, acs, monos)
+        schubert = [nums[m] for m in monos]
+        if oracle != "both":
+            return schubert
+        if schubert != vals:
             raise ArithmeticError(
                 f"oracle disagreement on {flag.name()} {acs.label()}: "
-                f"fixed-point sum {vals} vs normal-form {nf_vals}")
-    if oracle not in ("weyl", "groebner", "both"):
+                f"fixed-point sum {vals} vs Schubert {schubert}")
+    if oracle not in ("weyl", "schubert", "groebner", "both"):
         raise ValueError(f"unknown oracle {oracle!r}")
     return vals
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagchern.chern import (chern_number, chern_numbers_nf, format_cmonomial,
+from flagchern.chern import (chern_number, chern_numbers_schubert, format_cmonomial,
                              monomials_of_weighted_degree, parse_cmonomial,
                              todd_genus, todd_polynomial)
 from flagchern.flagmodel import (InvariantACS, classify_acs, enumerate_acs,
@@ -293,7 +293,7 @@ def test_criterion_10_projective_space(n):
     acs = InvariantACS((1,))
     c1n = (n,) + (0,) * (n - 1)
     assert chern_number(flag, acs, c1n) == (n + 1) ** n
-    assert chern_numbers_nf(flag, acs, [c1n]) == {c1n: (n + 1) ** n}
+    assert chern_numbers_schubert(flag, acs, [c1n]) == {c1n: (n + 1) ** n}
 
 
 @pytest.mark.parametrize("name", ["F(5;1,2,2)", "FD(3;1,2)", "G2-long"])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -6,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagchern import chern as chern_module
-from flagchern.chern import (bernoulli, chern_classes_nf, chern_number,
-                             chern_numbers, chern_numbers_nf, format_cmonomial,
-                             monomials_of_weighted_degree, parse_cmonomial,
-                             todd_genus, todd_polynomial, weighted_degree)
+from flagchern import rootsys
+from flagchern.chern import (bernoulli, chern_classes, chern_number,
+                             chern_numbers, chern_numbers_schubert,
+                             format_cmonomial, monomials_of_weighted_degree,
+                             parse_cmonomial, todd_genus, todd_polynomial,
+                             weighted_degree)
 from flagchern.flagmodel import InvariantACS, enumerate_acs, is_integrable, \
     parse_manifold
+from flagchern.groebner import borel_groebner, normal_form
 from flagchern.polyring import Polynomial
 from flagchern.rootsys import build_root_system
 from flagchern.flagmodel import make_flag
@@ -31,7 +35,7 @@ def test_projective_space_oracle(n):
     acs = InvariantACS((1,) * len(flag.summands()))
     c1n = tuple(n if k == 0 else 0 for k in range(n))
     assert chern_number(flag, acs, c1n) == (n + 1) ** n
-    assert chern_numbers_nf(flag, acs, [c1n]) == {c1n: (n + 1) ** n}
+    assert chern_numbers_schubert(flag, acs, [c1n]) == {c1n: (n + 1) ** n}
     top = tuple(1 if k == n - 1 else 0 for k in range(n))
     assert chern_number(flag, acs, top) == n + 1
 
@@ -54,8 +58,9 @@ def test_monomial_parsing_round_trip():
     # integration front ends
     flag = parse_manifold("SO(5)/T")
     with pytest.raises(ValueError):
-        chern_numbers_nf(flag, InvariantACS((1, 1, 1, 1)),
-                         [parse_cmonomial("c4", 4), parse_cmonomial("c1^2", 4)])
+        chern_numbers_schubert(flag, InvariantACS((1, 1, 1, 1)),
+                               [parse_cmonomial("c4", 4),
+                                parse_cmonomial("c1^2", 4)])
 
 
 # printed-identity regression: the Todd polynomial in low degrees, cleared
@@ -110,6 +115,11 @@ def test_todd_genus_need_not_be_one_when_non_integrable():
     assert any(g != 1 for g in genera.values())
 
 
+def chern_classes_nf(flag, acs):
+    gb = borel_groebner(flag.rs.family, flag.rs.rank)
+    return [normal_form(c, gb) for c in chern_classes(flag, acs)]
+
+
 def test_printed_chern_classes_rank2_full_flags():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
@@ -154,8 +164,9 @@ def test_dual_oracles_agree(name, signs):
     flag = parse_manifold(name)
     acs = InvariantACS(signs)
     n = flag.complex_dim
-    nf = chern_numbers_nf(flag, acs, monomials_of_weighted_degree(n, n))
-    for mono, value in nf.items():
+    schubert = chern_numbers_schubert(flag, acs,
+                                      monomials_of_weighted_degree(n, n))
+    for mono, value in schubert.items():
         assert chern_number(flag, acs, mono) == value
 
 
@@ -168,33 +179,59 @@ def test_all_plus_top_class_is_euler_characteristic():
         assert chern_number(flag, acs, top) == flag.euler_characteristic()
 
 
-@pytest.mark.parametrize("name", ["F(4)", "FD(3;1,2)", "SO(5)/T", "Sp(2)/T",
-                                  "G2/T", "G2-long", "G2-short"])
+@pytest.mark.parametrize("name", [
+    "F(4)", "F(5)", "F(5;1,2,2)", "FD(4;1,3)", "FD(4;1,1,1,1)", "Sp(3)/T",
+    "FB(3;1,1,1)", "SO(5)/T", "SO(7)/U(3)", "SO(8)/U(4)", "G2/T", "G2-long",
+    "G2-short", "FD(3;1,2)", "Sp(2)/T",
+])
 def test_dual_oracles_agree_on_every_structure(name):
+    # every structure on c1^N and one more monomial in turn; every monomial
+    # on every structure of the censuses up to 63 structures, and on at
+    # least 32 structures of the larger ones (F(5) has 512, FD(4;1,1,1,1)
+    # 2048, where all 77 monomials everywhere would take minutes)
     flag = parse_manifold(name)
     n = flag.complex_dim
     monos = monomials_of_weighted_degree(n, n)
-    for acs in enumerate_acs(flag):
-        assert chern_numbers(flag, acs, monos) \
-            == chern_numbers_nf(flag, acs, monos), acs.label()
+    structures = enumerate_acs(flag)
+    stride = max(1, len(structures) // 32)
+    for i, acs in enumerate(structures):
+        batch = monos if i % stride == 0 else [monos[0], monos[i % len(monos)]]
+        assert chern_numbers(flag, acs, batch) \
+            == chern_numbers_schubert(flag, acs, batch), acs.label()
 
 
-def test_normal_form_batch_builds_the_chern_classes_once(monkeypatch):
+def test_schubert_batch_builds_the_cover_table_once(monkeypatch):
+    # one cover table per (family, rank), however many manifolds,
+    # structures and monomials use it
     calls = []
-    real = chern_module.chern_classes
+    real = rootsys.weyl_group
 
-    def counting(flag, acs):
-        calls.append(acs)
-        return real(flag, acs)
+    def counting(rs):
+        calls.append((rs.family, rs.rank))
+        return real(rs)
 
-    monkeypatch.setattr(chern_module, "chern_classes", counting)
-    flag = parse_manifold("F(5;1,2,2)")
-    acs = InvariantACS((1, -1, 1))
-    monos = monomials_of_weighted_degree(flag.complex_dim, flag.complex_dim)
-    nf = chern_numbers_nf(flag, acs, monos)
-    assert len(calls) == 1
-    assert len(nf) == len(monos) == 22
-    assert nf == chern_numbers(flag, acs, monos)
+    monkeypatch.setattr(rootsys, "weyl_group", counting)
+    monkeypatch.setattr(rootsys, "_COVERS_CACHE", {})
+    for name in ("F(5;1,2,2)", "F(5)", "F(5;2,3)"):
+        flag = parse_manifold(name)
+        n = flag.complex_dim
+        monos = monomials_of_weighted_degree(n, n)
+        for acs in enumerate_acs(flag)[:3]:
+            assert chern_numbers_schubert(flag, acs, monos) \
+                == chern_numbers(flag, acs, monos)
+    assert calls == [("A", 4)]
+
+
+def test_schubert_oracle_checks_its_final_state(monkeypatch):
+    # a cover table whose top index is wrong leaves the top state on an
+    # element other than w0, which the oracle refuses
+    flag = parse_manifold("F(4)")
+    covers = rootsys.bruhat_covers(flag.rs)
+    monkeypatch.setattr(rootsys, "_COVERS_CACHE",
+                        {("A", 3): replace(covers, top=covers.top - 1)})
+    with pytest.raises(AssertionError, match="w0"):
+        chern_numbers_schubert(flag, InvariantACS((1,) * 6),
+                               [(6, 0, 0, 0, 0, 0)])
 
 
 def truncated_power_todd(degree):

@@ -165,11 +165,69 @@ def test_exit_code_internal_on_oracle_disagreement(monkeypatch):
     def wrong(flag, acs, monos):
         return {m: 10 ** 9 for m in monos}
 
-    monkeypatch.setattr(cli, "chern_numbers_nf", wrong)
+    monkeypatch.setattr(cli, "chern_numbers_schubert", wrong)
     assert run_cli("chern", "--manifold", "SO(5)/T",
                    "--oracle", "both")[0] == 3
-    monkeypatch.setattr(cli.tables, "chern_numbers_nf", wrong)
+    monkeypatch.setattr(cli.tables, "chern_numbers_schubert", wrong)
     assert run_cli("table", "reproduce", "so5t", "--oracle", "both")[0] == 3
+
+
+def test_groebner_oracle_is_an_alias_of_schubert():
+    argv = ["chern", "--manifold", "F(5;1,2,2)", "--acs", "+,-,+",
+            "--numbers", "c1^8,c2c3^2,c8", "--format", "json"]
+    outs = {}
+    for oracle in ("schubert", "groebner", "weyl"):
+        code, out = run_cli(*argv, "--oracle", oracle)
+        assert code == 0
+        outs[oracle] = json.loads(out)
+        assert outs[oracle]["oracle"] == oracle
+    assert outs["groebner"]["numbers"] == outs["schubert"]["numbers"] \
+        == outs["weyl"]["numbers"]
+    tables = {}
+    for oracle in ("schubert", "groebner"):
+        code, out = run_cli("table", "reproduce", "tab3", "--oracle", oracle,
+                            "--format", "json")
+        assert code == 0
+        tables[oracle] = out
+    assert tables["groebner"] == tables["schubert"]
+
+
+def _refuse_calls(*_args, **_kwargs):
+    raise AssertionError("the refused input reached the enumeration")
+
+
+def test_huge_fixed_point_count_is_refused_before_enumeration(monkeypatch,
+                                                              capsys):
+    # F(10) has 10! fixed points; chi is closed-form, so the kernel refuses
+    # it without walking them
+    from flagchern.flagmodel import FlagManifold
+
+    monkeypatch.setattr(FlagManifold, "fixed_points", _refuse_calls)
+    code, out = run_cli("chern", "--manifold", "F(10)", "--oracle", "weyl")
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("usage error: F(10) has chi = 3628800 fixed points")
+
+
+def test_huge_weyl_group_is_refused_by_the_schubert_oracle(monkeypatch,
+                                                           capsys):
+    # F(9;1,8) is CP^8, with 9 fixed points, but its Schubert oracle walks
+    # |W(A8)| = 362880 Weyl elements; it is refused before W is built
+    import flagchern.rootsys as rootsys
+
+    monkeypatch.setattr(rootsys, "weyl_group", _refuse_calls)
+    monkeypatch.setattr(rootsys, "_COVERS_CACHE", {})
+    code, out = run_cli("chern", "--manifold", "F(9;1,8)",
+                        "--oracle", "schubert")
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("usage error: |W(A8)| = 362880 exceeds")
+    # the fixed-point kernel still answers: c8 = chi = 9
+    code, out = run_cli("chern", "--manifold", "F(9;1,8)", "--oracle", "weyl",
+                        "--format", "json")
+    assert code == 0 and json.loads(out)["numbers"] == {"c8": "9"}
 
 
 def _declared_script(name):

@@ -128,6 +128,18 @@ def test_classify_checks_summand_bound_first(monkeypatch):
         classify_acs(parse_manifold("F(7)"))
 
 
+def test_classify_refuses_huge_fixed_point_counts(monkeypatch):
+    # 15 summands pass the T-root bound, but chi = 16!/11! = 524160 fixed
+    # points would be enumerated
+    def unreachable(self):
+        raise AssertionError("fixed_points called")
+    monkeypatch.setattr(flagmodel.FlagManifold, "fixed_points", unreachable)
+    flag = parse_manifold("F(16;1,1,1,1,1,11)")
+    assert len(flag.summands()) == 15
+    with pytest.raises(ValueError, match="chi = 524160 fixed points, above"):
+        classify_acs(flag)
+
+
 @pytest.mark.parametrize("name,dims", [
     ("F(6;1,2,3)", (2, 3, 6)),     # block products 1*2, 1*3, 2*3
     ("F(7;1,2,4)", (2, 4, 8)),
@@ -321,6 +333,36 @@ def test_is_integrable_matches_closure_definition(name):
     for signs in itertools.product((1, -1), repeat=s):
         assert is_integrable(flag, InvariantACS(signs)) \
             == reference_is_integrable(flag, k_roots, signs), signs
+
+
+@pytest.mark.parametrize("name", [
+    "F(4)", "F(5)", "F(6;1,2,3)", "FD(4;1,1,1,1)", "Sp(3)/T", "G2/T",
+])
+def test_closure_table_holds_each_violation_once(name):
+    # the sums a + b = c of complementary roots outside K, read as the
+    # violated triple {a, b, -c} of summand parts: the table holds one
+    # entry per triple, and each adds two roots of the same part sign
+    flag = parse_manifold(name)
+    roots = set(flag.rs.roots)
+
+    def part(r):
+        return flag.summand_index(r)
+
+    def negated(r):
+        return tuple(-x for x in r)
+
+    triples = set()
+    for a in flag.complementary:
+        for b in flag.complementary:
+            c = tuple(x + y for x, y in zip(a, b))
+            if c in roots and c in flag.complementary:
+                i, p = part(negated(c))
+                triples.add(frozenset([part(a), part(b), (i, p)]))
+    table = flag.closure_table
+    assert all(p == q for _, p, _, q, _, _ in table)
+    assert len(table) == len(triples)
+    assert {frozenset([(i, p), (j, q), (k, -r)])
+            for i, p, j, q, k, r in table} == triples
 
 
 @pytest.mark.parametrize("name", ["F(6)", "F(6;1,2,3)"])

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagchern.rootsys import (build_root_system, integral_roots,
+from flagchern import rootsys
+from flagchern.rootsys import (MAX_BRUHAT_ORDER, build_root_system,
+                               bruhat_covers, integral_roots,
                                root_coefficients, vec_dot, weyl_group,
                                weyl_order)
 
@@ -157,3 +159,64 @@ def test_simple_coefficients_rebuild_every_root(family, rank):
                         for j in range(rs.ambient_dim))
         assert rebuilt == root
         assert rs.height(root) == sum(c)
+
+
+# the degrees of the basic invariants of W
+DEGREES = {
+    "A": lambda n: list(range(2, n + 2)),
+    "B": lambda n: list(range(2, 2 * n + 1, 2)),
+    "C": lambda n: list(range(2, 2 * n + 1, 2)),
+    "D": lambda n: list(range(2, 2 * n - 1, 2)) + [n],
+    "G2": lambda n: [2, 6],
+}
+
+
+def poincare_coefficients(degrees):
+    """Coefficients of prod_i [d_i]_q = prod_i (1 + q + ... + q^(d_i - 1))."""
+    coeffs = [1]
+    for d in degrees:
+        out = [0] * (len(coeffs) + d - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(d):
+                out[i + j] += c
+        coeffs = out
+    return coeffs
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
+    ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("G2", 2),
+])
+def test_bruhat_cover_table_lengths(family, rank):
+    rs = build_root_system(family, rank)
+    covers = bruhat_covers(rs)
+    n = len(covers.offsets) - 1
+    assert n == weyl_order(rs)
+    # lengths by breadth-first search over the covers from the identity:
+    # every cover raises the length by exactly one
+    length = {0: 0}
+    for w in range(n):  # weyl_group order is by length
+        for t in covers.targets[covers.offsets[w]:covers.offsets[w + 1]]:
+            assert length.setdefault(t, length[w] + 1) == length[w] + 1
+    assert len(length) == n
+    sizes = [0] * (rs.n_positive + 1)
+    for l in length.values():
+        sizes[l] += 1
+    assert sizes == poincare_coefficients(DEGREES[family](rank))
+    # w0 is the only element of length |Phi+|, and the only one without
+    # a cover above it
+    assert [w for w, l in length.items() if l == rs.n_positive] \
+        == [covers.top]
+    assert [w for w in range(n)
+            if covers.offsets[w] == covers.offsets[w + 1]] == [covers.top]
+    assert set(covers.roots) <= set(range(rs.n_positive))
+
+
+def test_bruhat_covers_refuse_large_groups(monkeypatch):
+    def unreachable(rs):
+        raise AssertionError("weyl_group called")
+
+    monkeypatch.setattr(rootsys, "weyl_group", unreachable)
+    with pytest.raises(ValueError, match="362880"):
+        bruhat_covers(build_root_system("A", 8))
+    assert MAX_BRUHAT_ORDER >= weyl_order(build_root_system("A", 7))
