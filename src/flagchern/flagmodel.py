@@ -140,15 +140,20 @@ class FlagManifold:
 
         |W_K| is Kostant's product of (ht beta + 1) / ht beta over the
         K-positive roots beta.  A K-root has simple-root coordinates only on
-        Theta, so its height over Theta is its height in G.
+        Theta, so its height over Theta is its height in G.  Cached, since
+        both oracles check it on every call.
         """
-        k = Fraction(1)
-        for b in self.k_positives:
-            h = self.rs.height(b)
-            k *= Fraction(h + 1, h)
-        total = weyl_order(self.rs)
-        assert k.denominator == 1 and total % k.numerator == 0
-        return total // k.numerator
+        if "chi" not in self._cache:
+            num = den = 1
+            for b in self.k_positives:
+                h = self.rs.height(b)
+                num *= h + 1
+                den *= h
+            order_k, rest = divmod(num, den)
+            total = weyl_order(self.rs)
+            assert rest == 0 and total % order_k == 0
+            self._cache["chi"] = total // order_k
+        return self._cache["chi"]
 
     def check_fixed_point_bound(self) -> None:
         """Refuse (ValueError) a manifold with more than ``MAX_FIXED_POINTS``

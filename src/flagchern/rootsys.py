@@ -14,7 +14,6 @@ are permutations of the roots in that order, each carrying its sign
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -208,18 +207,14 @@ def _unit(dim: int, i: int) -> Vector:
 
 
 def weyl_order(rs: RootSystem) -> int:
-    """|W| in closed form (see ``weyl_order_of``)."""
-    return weyl_order_of(rs.family, rs.rank)
-
-
-def weyl_order_of(family: str, n: int) -> int:
-    """|W| of family and rank n: (n+1)! for A_n, 2^n n! for B_n and C_n,
+    """|W| in closed form: (n+1)! for A_n, 2^n n! for B_n and C_n,
     2^(n-1) n! for D_n, and 12 for G2."""
-    if family == "A":
+    n = rs.rank
+    if rs.family == "A":
         return math.factorial(n + 1)
-    if family in ("B", "C"):
+    if rs.family in ("B", "C"):
         return 2 ** n * math.factorial(n)
-    if family == "D":
+    if rs.family == "D":
         return 2 ** (n - 1) * math.factorial(n)
     return 12
 
@@ -334,9 +329,9 @@ class BruhatCovers:
     ``offsets[w]`` to ``offsets[w + 1]`` of ``targets`` (the index of
     w s_beta) and ``roots`` (the index of beta in ``rs.positives``).
     """
-    offsets: array
-    targets: array
-    roots: array
+    offsets: list
+    targets: list
+    roots: list
     top: int
 
 
@@ -346,22 +341,34 @@ _COVERS_CACHE: dict = {}
 def bruhat_covers(rs: RootSystem) -> BruhatCovers:
     """The Bruhat cover table of W (cached per family and rank).
 
-    w -> w s_beta raises the length exactly when w(beta) > 0, and is a cover
-    when it raises it by one.  An element is keyed by the images of the
-    simple roots, which determine it, and w s_beta sends alpha_i to
-    w(s_beta(alpha_i)), so the target is found without composing the full
-    root permutations; those are dropped once the table is built.  Groups
-    with |W| above ``MAX_BRUHAT_ORDER`` are refused before W is built.
+    Groups with |W| above ``MAX_BRUHAT_ORDER`` are refused before any
+    element is built.
     """
     key = (rs.family, rs.rank)
-    if key in _COVERS_CACHE:
-        return _COVERS_CACHE[key]
-    order = weyl_order(rs)
-    if order > MAX_BRUHAT_ORDER:
-        raise ValueError(
-            f"|W({rs.family}{rs.rank})| = {order} exceeds the Bruhat-table "
-            f"bound {MAX_BRUHAT_ORDER}")
-    roots, scaled, _ = integral_roots(rs)
+    if key not in _COVERS_CACHE:
+        order = weyl_order(rs)
+        if order > MAX_BRUHAT_ORDER:
+            raise ValueError(
+                f"|W({rs.family}{rs.rank})| = {order} exceeds the "
+                f"Bruhat-table bound {MAX_BRUHAT_ORDER} of the Schubert "
+                f"oracle; the fixed-point oracle (--oracle weyl) has no such "
+                f"bound")
+        _COVERS_CACHE[key] = _cover_table(rs)
+    return _COVERS_CACHE[key]
+
+
+def _cover_table(rs: RootSystem) -> BruhatCovers:
+    """Build the Bruhat cover table of W.
+
+    W is walked breadth-first by length, as in ``reflection_closure``, with
+    only two lengths of root permutations alive at a time.  w -> w s_beta
+    raises the length exactly when w(beta) > 0, and is a cover when w s_beta
+    has the next length.  The elements of one length are keyed by the
+    images of the simple roots, which determine them, and w s_beta sends
+    alpha_i to w(s_beta(alpha_i)), so a target is found without composing
+    full permutations.
+    """
+    roots, scaled, perms = integral_roots(rs)
     index = {r: i for i, r in enumerate(roots)}
     position = {v: i for i, v in enumerate(scaled)}
     simple_pos = [index[a] for a in rs.simples]
@@ -376,23 +383,33 @@ def bruhat_covers(rs: RootSystem) -> BruhatCovers:
             position[tuple(x - 2 * vec_dot(scaled[i], v) // norm * y
                            for x, y in zip(scaled[i], v))]
             for i in simple_pos]))
-    perms = [w for _, w in weyl_group(rs)]
-    element = {tuple(w[i] for i in simple_pos): k for k, w in enumerate(perms)}
-    length = [sum(not positive[w[pos]] for pos, _ in reflections)
-              for w in perms]
-    offsets, targets, betas = array("i", [0]), array("i"), array("H")
-    for w, lw in zip(perms, length):
-        for b, (pos, image) in enumerate(reflections):
-            if positive[w[pos]]:
-                t = element[tuple(w[i] for i in image)]
-                if length[t] == lw + 1:
-                    targets.append(t)
-                    betas.append(b)
-        offsets.append(len(targets))
-    tops = length.count(rs.n_positive)
-    if len(perms) != order or tops != 1:
-        raise AssertionError(f"W({rs.family}{rs.rank}) has {len(perms)} "
-                             f"elements and {tops} of top length")
-    table = BruhatCovers(offsets, targets, betas, length.index(rs.n_positive))
-    _COVERS_CACHE[key] = table
-    return table
+    offsets, targets, betas = [0], [], []
+    level, shorter, first, length = [list(range(len(roots)))], set(), 0, 0
+    while True:
+        keys = {tuple(w[i] for i in simple_pos) for w in level}
+        longer = {}  # g w for simple g has length +-1; keep the longer
+        for w in level:
+            for g in perms:
+                u = [g[i] for i in w]
+                k = tuple(u[i] for i in simple_pos)
+                if k not in shorter:
+                    longer[k] = u
+        longer = sorted(longer.values())
+        after = first + len(level)
+        element = {tuple(u[i] for i in simple_pos): after + k
+                   for k, u in enumerate(longer)}
+        for w in level:
+            for b, (pos, image) in enumerate(reflections):
+                if positive[w[pos]]:
+                    t = element.get(tuple(w[i] for i in image))
+                    if t is not None:
+                        targets.append(t)
+                        betas.append(b)
+            offsets.append(len(targets))
+        if not longer:
+            break
+        level, shorter, first, length = longer, keys, after, length + 1
+    if after != weyl_order(rs) or len(level) != 1 or length != rs.n_positive:
+        raise AssertionError(f"W({rs.family}{rs.rank}) has {after} elements "
+                             f"and {len(level)} of the top length {length}")
+    return BruhatCovers(offsets, targets, betas, first)

@@ -204,13 +204,13 @@ def test_schubert_batch_builds_the_cover_table_once(monkeypatch):
     # one cover table per (family, rank), however many manifolds,
     # structures and monomials use it
     calls = []
-    real = rootsys.weyl_group
+    real = rootsys._cover_table
 
     def counting(rs):
         calls.append((rs.family, rs.rank))
         return real(rs)
 
-    monkeypatch.setattr(rootsys, "weyl_group", counting)
+    monkeypatch.setattr(rootsys, "_cover_table", counting)
     monkeypatch.setattr(rootsys, "_COVERS_CACHE", {})
     for name in ("F(5;1,2,2)", "F(5)", "F(5;2,3)"):
         flag = parse_manifold(name)

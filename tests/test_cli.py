@@ -213,17 +213,21 @@ def test_huge_fixed_point_count_is_refused_before_enumeration(monkeypatch,
 def test_huge_weyl_group_is_refused_by_the_schubert_oracle(monkeypatch,
                                                            capsys):
     # F(9;1,8) is CP^8, with 9 fixed points, but its Schubert oracle walks
-    # |W(A8)| = 362880 Weyl elements; it is refused before W is built
+    # |W(A8)| = 362880 Weyl elements; it is refused before W is built, and
+    # the refusal points to the fixed-point oracle
     import flagchern.rootsys as rootsys
 
+    monkeypatch.setattr(rootsys, "_cover_table", _refuse_calls)
     monkeypatch.setattr(rootsys, "weyl_group", _refuse_calls)
     monkeypatch.setattr(rootsys, "_COVERS_CACHE", {})
-    code, out = run_cli("chern", "--manifold", "F(9;1,8)",
-                        "--oracle", "schubert")
-    err = capsys.readouterr().err
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("usage error: |W(A8)| = 362880 exceeds")
+    for oracle in ("schubert", "both"):
+        code, out = run_cli("chern", "--manifold", "F(9;1,8)",
+                            "--oracle", oracle)
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("usage error: |W(A8)| = 362880 exceeds")
+        assert "(--oracle weyl) has no such bound" in err
     # the fixed-point kernel still answers: c8 = chi = 9
     code, out = run_cli("chern", "--manifold", "F(9;1,8)", "--oracle", "weyl",
                         "--format", "json")

@@ -214,9 +214,9 @@ def test_bruhat_cover_table_lengths(family, rank):
 
 def test_bruhat_covers_refuse_large_groups(monkeypatch):
     def unreachable(rs):
-        raise AssertionError("weyl_group called")
+        raise AssertionError("cover table built")
 
-    monkeypatch.setattr(rootsys, "weyl_group", unreachable)
+    monkeypatch.setattr(rootsys, "_cover_table", unreachable)
     with pytest.raises(ValueError, match="362880"):
         bruhat_covers(build_root_system("A", 8))
     assert MAX_BRUHAT_ORDER >= weyl_order(build_root_system("A", 7))
