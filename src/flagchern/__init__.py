@@ -16,7 +16,7 @@ from .rootsys import RootSystem, build_root_system, bruhat_covers, weyl_group
 from .groebner import (MonomialOrder, GroebnerBasis, buchberger, normal_form,
                        quotient_dimension, borel_generators, borel_groebner)
 from .flagmodel import (FlagManifold, IsotropySummand, InvariantACS, ACSClass,
-                        make_flag, parse_manifold, t_root_decomposition,
+                        parse_manifold, t_root_decomposition,
                         enumerate_acs, is_integrable, classify_acs)
 from .chern import (chern_classes, chern_numbers, chern_number,
                     chern_numbers_schubert, todd_polynomial,
@@ -31,7 +31,7 @@ __all__ = [
     "MonomialOrder", "GroebnerBasis", "buchberger", "normal_form",
     "quotient_dimension", "borel_generators", "borel_groebner",
     "FlagManifold", "IsotropySummand", "InvariantACS", "ACSClass",
-    "make_flag", "parse_manifold", "t_root_decomposition", "enumerate_acs",
+    "parse_manifold", "t_root_decomposition", "enumerate_acs",
     "is_integrable", "classify_acs",
     "chern_classes", "chern_numbers", "chern_number", "chern_numbers_schubert",
     "todd_polynomial", "todd_genus", "bernoulli",

@@ -25,8 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .flagmodel import FlagManifold, InvariantACS
 from .polyring import Polynomial, elementary_symmetric_values
-from .rootsys import (BruhatCovers, bruhat_covers, integral_roots, root_form,
-                      vec_dot, weyl_order)
+from .rootsys import (BruhatCovers, bruhat_covers, coroot_pairings,
+                      weyl_order)
 
 # -- c-monomials ------------------------------------------------------------
 # A Chern monomial over c_1..c_N is a tuple of N exponents; its weighted
@@ -105,7 +105,7 @@ def signed_root_forms(flag: FlagManifold, acs: InvariantACS) -> list[Polynomial]
     for i, summand in enumerate(flag.summands()):
         s = acs.signs[i]
         for r in summand.roots:
-            forms.append(root_form(r) * s)
+            forms.append(Polynomial.linear_form(r) * s)
     return forms
 
 
@@ -116,16 +116,6 @@ def chern_classes(flag: FlagManifold, acs: InvariantACS) -> list[Polynomial]:
 
 
 # -- Chern numbers: Schubert-calculus oracle --------------------------------
-
-def _coroot_pairings(rs) -> dict:
-    """<alpha, beta^vee> for every positive root alpha, as a list over the
-    positive roots beta in ``rs.positives`` order (Cartan integers)."""
-    roots, scaled, _ = integral_roots(rs)
-    vector = dict(zip(roots, scaled))
-    coroots = [(vector[b], vec_dot(vector[b], vector[b])) for b in rs.positives]
-    return {a: [2 * vec_dot(vector[a], b) // norm for b, norm in coroots]
-            for a in rs.positives}
-
 
 def _chevalley(state: dict[int, int], pairing: Sequence[int],
                covers: BruhatCovers, out: dict[int, int]) -> dict[int, int]:
@@ -152,8 +142,9 @@ def _schubert_top(rs, covers: BruhatCovers) -> int:
     key = (rs.family, rs.rank)
     if key not in _SCHUBERT_TOP_CACHE:
         state = {0: 1}
-        for pairing in _coroot_pairings(rs).values():
-            state = _chevalley(state, pairing, covers, {})
+        for b in rs.positives:
+            state = _chevalley(state, coroot_pairings(rs, rs.coordinates[b]),
+                               covers, {})
         top = state.get(covers.top, 0)
         # the Euler class of G/B integrates to chi(G/B) = |W|
         if top != weyl_order(rs):
@@ -179,9 +170,9 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
     Only the states on the current path and their pending siblings are kept.
     """
     monos = [_top_monomial(flag, m) for m in monomials]
-    covers = bruhat_covers(flag.rs)
-    pairing = _coroot_pairings(flag.rs)
-    forms = [[s * p for p in pairing[r]]
+    rs = flag.rs
+    covers = bruhat_covers(rs)
+    forms = [[s * p for p in coroot_pairings(rs, rs.coordinates[r])]
              for s, summand in zip(acs.signs, flag.summands())
              for r in summand.roots]
     c1 = [sum(col) for col in zip(*forms)]
@@ -226,10 +217,11 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
 
     state = {0: 1}
     for b in flag.k_positives:
-        state = _chevalley(state, pairing[b], covers, {})
+        state = _chevalley(state, coroot_pairings(rs, rs.coordinates[b]),
+                           covers, {})
     walk(state, trie, ())
     chi = flag.euler_characteristic()
-    reference = _schubert_top(flag.rs, covers)
+    reference = _schubert_top(rs, covers)
     out: dict[tuple[int, ...], int] = {}
     for m in monos:
         val = Fraction(tops[sequences[m]] * chi, reference)
@@ -243,7 +235,8 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
 # -- Chern numbers: fixed-point oracle ---------------------------------------
 
 def _generic_points(roots) -> list[tuple[int, ...]]:
-    """Two integer points where no root's linear form vanishes."""
+    """Two integer points, as values on the simple roots, where no root
+    vanishes."""
     dim = len(roots[0])
     points = []
     base = 3
@@ -262,9 +255,9 @@ def chern_numbers(flag: FlagManifold, acs: InvariantACS,
     The integral of an invariant class p is the sum over the fixed points
     W_K w of sign(w) p(w x) prod_{K+} beta(w x) / prod_{Phi+} alpha(x), where
     the Chern classes are the elementary symmetric functions of the signed
-    complementary roots.  With integer root vectors every term is an integer;
-    a common scale factor (3 for G2) cancels, since numerator and denominator
-    both have degree |Phi+|.
+    complementary roots.  A point x is given by integer values on the simple
+    roots, so every root value, read off the root's simple-root coordinates,
+    and every term is an integer.
     """
     monos = [_top_monomial(flag, m) for m in monomials]
     flag.check_fixed_point_bound()
@@ -300,6 +293,27 @@ def chern_numbers(flag: FlagManifold, acs: InvariantACS,
                 f"Chern number {format_cmonomial(m)} is not an integer: {val}")
         out[m] = int(val)
     return out
+
+
+ORACLES = ("weyl", "schubert", "both", "groebner")
+
+
+def chern_numbers_by(flag: FlagManifold, acs: InvariantACS, monos: list,
+                     oracle: str) -> dict[tuple[int, ...], int]:
+    """Chern numbers by ``chern_numbers`` (weyl), ``chern_numbers_schubert``
+    (schubert, or its deprecated alias groebner) or both, which must agree."""
+    if oracle not in ORACLES:
+        raise ValueError(f"unknown oracle {oracle!r}")
+    if oracle in ("schubert", "groebner"):
+        return chern_numbers_schubert(flag, acs, monos)
+    weyl = chern_numbers(flag, acs, monos)
+    if oracle == "both":
+        schubert = chern_numbers_schubert(flag, acs, monos)
+        if weyl != schubert:
+            raise ArithmeticError(
+                f"oracle disagreement on {flag.name()} {acs.label()}: "
+                f"fixed-point sum {weyl} vs Schubert {schubert}")
+    return weyl
 
 
 def chern_number(flag: FlagManifold, acs: InvariantACS, c_monomial) -> int:

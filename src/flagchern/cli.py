@@ -17,10 +17,11 @@ import sys
 from fractions import Fraction
 
 from . import cohomology, tables
-from .chern import (chern_numbers, chern_numbers_schubert, format_cmonomial,
-                    parse_cmonomial, todd_genus, todd_polynomial)
-from .flagmodel import (InvariantACS, classify_acs, enumerate_acs,
-                        is_integrable, make_flag, parse_manifold)
+from .chern import (ORACLES, chern_numbers, chern_numbers_by,
+                    format_cmonomial, parse_cmonomial, todd_genus,
+                    todd_polynomial)
+from .flagmodel import (FlagManifold, InvariantACS, classify_acs,
+                        enumerate_acs, is_integrable, parse_manifold)
 from .groebner import MonomialOrder, buchberger, borel_generators, quotient_dimension
 from .polyring import Polynomial
 from .rootsys import build_root_system, weyl_order
@@ -109,7 +110,7 @@ def _flag_from_args(args) -> "FlagManifold":
                      if i not in idx]
         else:
             raise UsageError("--theta must look like keep=1,2 or remove=1,3")
-    return make_flag(rs, theta)
+    return FlagManifold(rs, theta)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -207,27 +208,16 @@ def cmd_chern(args, out) -> int:
     flag = parse_manifold(args.manifold)
     s = len(flag.summands())
     acs = _parse_signs(args.acs, s) if args.acs else InvariantACS((1,) * s)
-    results = {}
     if args.numbers:
         monos = [parse_cmonomial(m.strip(), flag.complex_dim)
                  for m in args.numbers.split(",")]
     else:
         top = [0] * (flag.complex_dim - 1) + [1]
         monos = [tuple(top)]
-    nums = None
-    if args.oracle in ("weyl", "both"):
-        # one fixed-point pass serves the requested numbers and the Todd genus
-        todd = todd_polynomial(flag.complex_dim).coefficients if args.todd else {}
-        nums = chern_numbers(flag, acs, monos + list(todd))
-        results = {m: nums[m] for m in monos}
-    if args.oracle in ("schubert", "groebner", "both"):
-        schubert = chern_numbers_schubert(flag, acs, monos)
-        if args.oracle != "both":
-            results = schubert
-        elif schubert != results:
-            raise ArithmeticError(
-                f"oracle disagreement on {flag.name()} {acs.label()}: "
-                f"{results} vs {schubert}")
+    # one batch serves the requested numbers and the Todd genus
+    todd = todd_polynomial(flag.complex_dim).coefficients if args.todd else {}
+    nums = chern_numbers_by(flag, acs, monos + list(todd), args.oracle)
+    results = {m: nums[m] for m in monos}
     rows = [[format_cmonomial(m), str(results[m])] for m in monos]
     genus = todd_genus(flag, acs, nums) if args.todd else None
     if args.format == "json":
@@ -369,7 +359,7 @@ def cmd_verify(args, out) -> int:
     # projective-space sanity oracle
     for n in range(1, 5):
         rs = build_root_system("A", n)
-        flag = make_flag(rs, rs.simples[1:])
+        flag = FlagManifold(rs, rs.simples[1:])
         v = chern_numbers(flag, InvariantACS((1,)), [(n,) + (0,) * (n - 1)])
         ok = (list(v.values())[0] == (n + 1) ** n
               and flag.euler_characteristic() == n + 1)
@@ -382,53 +372,50 @@ def cmd_verify(args, out) -> int:
 # -- parser -------------------------------------------------------------------
 
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["md", "csv", "json"],
-                        default="md", help="output format (default md)")
-    common.add_argument("--order", choices=["lex", "grlex", "grevlex"],
-                        default="lex", help="monomial order (default lex)")
-    common.add_argument("--oracle",
-                        choices=["weyl", "schubert", "both", "groebner"],
-                        default="both",
+    # each shared option goes only on the subcommands that read it
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["md", "csv", "json"],
+                     default="md", help="output format (default md)")
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument("--oracle", choices=ORACLES, default="both",
                         help="integration oracle: weyl (fixed-point sum), "
                              "schubert (Chevalley's formula) or both, "
                              "asserting agreement (default); groebner is a "
                              "deprecated alias of schubert")
-    common.add_argument("--slow", action="store_true",
-                        help="include the F(8) sections of tab2")
+    slow = argparse.ArgumentParser(add_help=False)
+    slow.add_argument("--slow", action="store_true",
+                      help="include the F(8) sections of tab2")
 
     p = _Parser(prog="flagchern",
                 description="Exact Chern-number computations on generalized "
                             "flag manifolds")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("roots", parents=[common],
+    q = sub.add_parser("roots", parents=[fmt],
                        help="print a root system")
     q.add_argument("--family", required=True,
                    choices=["A", "B", "C", "D", "G2"], help="Cartan family")
     q.add_argument("--rank", type=int, required=True)
     q.set_defaults(func=cmd_roots)
 
-    q = sub.add_parser("decompose", parents=[common],
+    q = sub.add_parser("decompose", parents=[fmt],
                        help="isotropy decomposition of a flag manifold")
     q.add_argument("manifold", nargs="?",
                    help="manifold name, e.g. F(7;1,2,4) or FD(3;1,2)")
-    q.add_argument("--manifold", dest="manifold_flag", default=None,
-                   help=argparse.SUPPRESS)
     q.add_argument("--family", choices=["A", "B", "C", "D", "G2"])
     q.add_argument("--rank", type=int)
     q.add_argument("--theta", metavar="keep=I,J|remove=I,J",
                    help="simple roots kept in (or removed from) the isotropy")
     q.set_defaults(func=cmd_decompose)
 
-    q = sub.add_parser("acs", parents=[common],
+    q = sub.add_parser("acs", parents=[fmt],
                        help="enumerate or classify invariant almost complex "
                             "structures")
     q.add_argument("action", choices=["list", "classify"])
     q.add_argument("manifold")
     q.set_defaults(func=cmd_acs)
 
-    q = sub.add_parser("chern", parents=[common],
+    q = sub.add_parser("chern", parents=[fmt, oracle],
                        help="Chern numbers of one structure")
     q.add_argument("--manifold", required=True)
     q.add_argument("--acs", default=None, metavar="+,-,+",
@@ -439,18 +426,20 @@ def build_parser() -> _Parser:
                    help="also compute the Todd genus")
     q.set_defaults(func=cmd_chern)
 
-    q = sub.add_parser("table", parents=[common],
+    q = sub.add_parser("table", parents=[fmt, oracle, slow],
                        help="reproduce a reference table and diff it")
     q.add_argument("action", choices=["reproduce", "list"])
     q.add_argument("table_id", nargs="?")
     q.set_defaults(func=cmd_table)
 
-    q = sub.add_parser("groebner", parents=[common],
+    q = sub.add_parser("groebner", parents=[fmt],
                        help="reduced Groebner basis of a named or file ideal")
     q.add_argument("--ideal", required=True, help=_GB_PRESETS)
+    q.add_argument("--order", choices=["lex", "grlex", "grevlex"],
+                   default="lex", help="monomial order (default lex)")
     q.set_defaults(func=cmd_groebner)
 
-    q = sub.add_parser("cohomology", parents=[common],
+    q = sub.add_parser("cohomology", parents=[fmt],
                        help="verify a cohomology presentation case")
     q.add_argument("action", choices=["verify"])
     q.add_argument("--case", required=True,
@@ -458,7 +447,7 @@ def build_parser() -> _Parser:
                         "proj-tangent:2")
     q.set_defaults(func=cmd_cohomology)
 
-    q = sub.add_parser("verify", parents=[common],
+    q = sub.add_parser("verify", parents=[oracle, slow],
                        help="run the verification sweep")
     q.add_argument("scope", nargs="?", default="all",
                    choices=["all", "quick"])
@@ -490,9 +479,6 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_join_acs_value(list(argv)))
-        if getattr(args, "command", None) == "decompose":
-            if args.manifold is None and args.manifold_flag is not None:
-                args.manifold = args.manifold_flag
         if getattr(args, "command", None) == "table":
             if args.action == "reproduce" and not args.table_id:
                 raise UsageError("table reproduce needs a table id "

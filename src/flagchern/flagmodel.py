@@ -7,7 +7,7 @@ invariant almost complex structures as sign vectors on the positive T-roots,
 the integrability test, and classification up to conjugation and equivalence.
 
 Root membership is read off the integer simple-root coordinates of
-``rootsys.root_coefficients``: K-roots have coordinate 0 on every removed
+``RootSystem.coordinates``: K-roots have coordinate 0 on every removed
 simple root, and a summand collects the roots with one coordinate vector on
 the removed simples.  The integrability test reads a per-manifold table of
 root positions saying which summand parts add up to which (the closedness
@@ -26,10 +26,10 @@ from .rootsys import (
     Vector,
     _solve,
     build_root_system,
+    coroots,
     integral_roots,
+    reflect,
     reflection_closure,
-    root_coefficients,
-    vec_dot,
     weyl_order,
 )
 
@@ -73,8 +73,8 @@ class InvariantACS:
 class FixedPoints:
     """The torus-fixed points of G/K, one per coset W_K w of the Weyl group.
 
-    ``roots`` lists every root as an integer vector (G2 coordinates scaled by
-    3, see ``rootsys.integral_roots``) and ``positives`` the positions of the
+    ``roots`` lists every root by its simple-root coordinates, in the order
+    of ``rootsys.integral_roots``, and ``positives`` the positions of the
     positive roots in it.  Each point is (sign(w), images), where images are
     the positions of w^-1(gamma) for the complementary positive roots gamma
     in summand order, followed by those of w^-1(beta) for the K-positive
@@ -92,7 +92,7 @@ class FlagManifold:
     """G/K described by a root system and a subset Theta of the simple roots.
 
     The root data come from the integer simple-root coordinates of
-    ``rootsys.root_coefficients``: the K-roots are the roots whose
+    ``RootSystem.coordinates``: the K-roots are the roots whose
     coordinates on the removed simple roots are all 0.
     """
 
@@ -109,7 +109,7 @@ class FlagManifold:
                                      if a not in span_members)
         self.removed_simples = tuple(rs.simples[i] for i in self.removed_indices)
         self.k_roots = frozenset(
-            r for r, c in root_coefficients(rs).items()
+            r for r, c in rs.coordinates.items()
             if not any(c[i] for i in self.removed_indices))
         self.k_positives = tuple(r for r in rs.positives if r in self.k_roots)
         self.complementary = frozenset(rs.roots - self.k_roots)
@@ -170,29 +170,26 @@ class FlagManifold:
         complementary positive roots, under the simple reflections.  lambda
         is dominant and fixed by exactly W_K, so w^-1(lambda) tells the
         cosets W_K w apart.  Stepping from w to w*s applies s to lambda's
-        image and to every tracked root image, and flips the sign.
+        image and to every tracked root image, and flips the sign.  lambda
+        and its images are held in simple-root coordinates.
         """
         if "fixed_points" in self._cache:
             return self._cache["fixed_points"]
-        roots, scaled, perms = integral_roots(self.rs)
+        roots, coords, perms = integral_roots(self.rs)
         index = {r: i for i, r in enumerate(roots)}
         tracked = [r for s in self.summands() for r in s.roots]
         tracked += self.k_positives
-        simples = [scaled[index[a]] for a in self.rs.simples]
-        norms = [sum(x * x for x in a) for a in simples]
-        lam = tuple(sum(scaled[index[r]][j] for r in self.complementary_pos)
-                    for j in range(self.rs.ambient_dim))
+        simple_coroots = [coroots(self.rs)[a] for a in self.rs.simples]
+        lam = tuple(map(sum, zip(*(coords[index[r]]
+                                   for r in self.complementary_pos))))
         points = {lam: (1, tuple(index[r] for r in tracked))}
         frontier = [lam]
         while frontier:
             nxt = []
             for mu in frontier:
                 sign, images = points[mu]
-                for a, norm, perm in zip(simples, norms, perms):
-                    c = 2 * sum(x * y for x, y in zip(mu, a)) // norm
-                    if c == 0:
-                        continue
-                    nu = tuple(x - c * y for x, y in zip(mu, a))
+                for k, (coroot, perm) in enumerate(zip(simple_coroots, perms)):
+                    nu = reflect(mu, k, coroot)
                     if nu not in points:
                         points[nu] = (-sign, tuple(perm[i] for i in images))
                         nxt.append(nu)
@@ -201,7 +198,7 @@ class FlagManifold:
             raise ArithmeticError(
                 f"{len(points)} fixed points on {self.name()}, expected "
                 f"chi = {self.euler_characteristic()}")
-        fixed = FixedPoints(scaled,
+        fixed = FixedPoints(coords,
                             tuple(index[r] for r in self.rs.positives),
                             tuple(points.values()))
         self._cache["fixed_points"] = fixed
@@ -220,7 +217,7 @@ class FlagManifold:
                 index[s.coeffs] = (i, 1)
                 index[tuple(-c for c in s.coeffs)] = (i, -1)
             self._cache["summand_index"] = index
-        c = root_coefficients(self.rs)[tuple(root)]
+        c = self.rs.coordinates[tuple(root)]
         return self._cache["summand_index"][tuple(c[i] for i in self.removed_indices)]
 
     @functools.cached_property
@@ -246,25 +243,21 @@ class FlagManifold:
         those sums adds two roots of the same part sign; only that one is
         kept.
         """
-        scaled = integral_roots(self.rs)[1]
-        position = {v: pos for pos, v in enumerate(scaled)}
+        coords = integral_roots(self.rs)[1]
+        position = {c: pos for pos, c in enumerate(coords)}
         parts = self.summand_parts
         entries = set()
         for a, part_a in parts.items():
             for b, part_b in parts.items():
                 if a < b and part_a[1] == part_b[1]:
                     c = position.get(tuple(x + y for x, y in
-                                           zip(scaled[a], scaled[b])))
+                                           zip(coords[a], coords[b])))
                     if c in parts:
                         entries.add(min(part_a, part_b) + max(part_a, part_b)
                                     + parts[c])
         return tuple(sorted(entries))
 
     def name(self) -> str:
-        blocks = self._block_string()
-        return blocks
-
-    def _block_string(self) -> str:
         fam = self.rs.family
         if fam == "G2":
             if not self.theta:
@@ -291,10 +284,6 @@ class FlagManifold:
         return f"FlagManifold({self.name()}, complex_dim={self.complex_dim})"
 
 
-def make_flag(rs: RootSystem, theta) -> FlagManifold:
-    return FlagManifold(rs, theta)
-
-
 def t_root_decomposition(flag: FlagManifold) -> tuple[IsotropySummand, ...]:
     """Positive isotropy summands, grouped by equal kappa and canonically ordered.
 
@@ -304,23 +293,27 @@ def t_root_decomposition(flag: FlagManifold) -> tuple[IsotropySummand, ...]:
     summands group the complementary positive roots by those coordinates c.
     The T-root kappa(alpha) = sum_j c_j kappa(alpha_j) is built once per
     summand from the kappa-images of the removed simples alpha_j, which one
-    Gram system over Theta gives.
+    system in the Gram matrix of Theta gives.
 
     The order is by height over the simple T-roots (the kappa-images of the
     removed simple roots), ties broken so that multiples of earlier removed
     simples come first.
     """
-    coeffs = root_coefficients(flag.rs)
+    rs = flag.rs
     groups: dict[tuple[int, ...], list[Vector]] = {}
     for a in flag.complementary_pos:
-        key = tuple(coeffs[a][i] for i in flag.removed_indices)
-        groups.setdefault(key, []).append(a)
+        c = rs.coordinates[a]
+        groups.setdefault(tuple(c[i] for i in flag.removed_indices),
+                          []).append(a)
 
     kappas = flag.removed_simples
-    if flag.theta:
-        gram = [[vec_dot(a, b) for b in flag.theta] for a in flag.theta]
-        proj = _solve(gram, [[vec_dot(t, a) for t in flag.theta] for a in kappas])
-        kappas = [tuple(x - sum(c * t[i] for c, t in zip(cs, flag.theta))
+    kept = [i for i in range(rs.rank) if i not in flag.removed_indices]
+    if kept:
+        # the scale of the Gram matrix (9 for G2) cancels in the projection
+        proj = _solve([[rs.gram[i][j] for j in kept] for i in kept],
+                      [[rs.gram[t][a] for t in kept]
+                       for a in flag.removed_indices])
+        kappas = [tuple(x - sum(c * rs.simples[t][i] for c, t in zip(cs, kept))
                         for i, x in enumerate(a)) for a, cs in zip(kappas, proj)]
     summands = []
     for cvec, roots in groups.items():
@@ -470,11 +463,11 @@ def parse_manifold(name: str) -> FlagManifold:
     upper = text.upper()
     upper = _ALIASES.get(upper, upper)
     if upper == "G2/T":
-        return make_flag(build_root_system("G2", 2), [])
+        return FlagManifold(build_root_system("G2", 2), [])
     if upper in ("G2-LONG", "G2-SHORT"):
         rs = build_root_system("G2", 2)
         kept = rs.simples[0] if upper == "G2-LONG" else rs.simples[1]
-        return make_flag(rs, [kept])
+        return FlagManifold(rs, [kept])
 
     import re
 
@@ -497,4 +490,4 @@ def parse_manifold(name: str) -> FlagManifold:
         cuts.discard(n)
     removed = {i + 1 for i in range(len(rs.simples)) if i + 1 in cuts}
     theta = [s for i, s in enumerate(rs.simples) if i + 1 not in removed]
-    return make_flag(rs, theta)
+    return FlagManifold(rs, theta)

@@ -1,91 +1,58 @@
 """Root systems for families A, B, C, D, G2 and their Weyl groups.
 
-Roots are vectors of rationals in an explicit ambient coordinate space:
-A_n lives in n+1 coordinates (roots e_i - e_j), B/C/D_n in n coordinates,
-and G2 in 3 coordinates on the trace-zero plane (so some coordinates have
-denominator 3).  Per family and rank, the roots are also held in the sorted
-order of ``integral_roots`` as integer vectors and, in ``root_coefficients``,
-as integer coordinates in the basis of simple roots; heights and the
-canonical order of the positive roots read that table.  Weyl group elements
-are permutations of the roots in that order, each carrying its sign
-(-1)^length.
+Only the simple roots are written down, in an explicit ambient coordinate
+space: A_n lives in n+1 coordinates (roots e_i - e_j), B/C/D_n in n
+coordinates, and G2 in 3 coordinates on the trace-zero plane (so some
+coordinates have denominator 3).  Every other root is generated from them in
+integer simple-root coordinates, with Cartan integers from the integer Gram
+matrix of the simple roots, and the ambient vectors follow.  ``_coroot`` is
+the one place a Cartan integer is computed; ``coroots`` holds them for every
+positive root, and every reflection in the package reads them.  Weyl group
+elements are permutations of the roots in the sorted order of
+``integral_roots``, each carrying its sign (-1)^length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import Polynomial
-
 Vector = tuple[Fraction, ...]
+Coroot = tuple[tuple[int, int], ...]
 
 SUPPORTED_FAMILIES = ("A", "B", "C", "D", "G2")
 
 
-def _vec(*entries) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
-def vec_dot(u, v):
-    """Inner product; exact for Fraction and for int vectors alike."""
-    return sum(a * b for a, b in zip(u, v))
-
-
-def vec_neg(v: Vector) -> Vector:
-    return tuple(-a for a in v)
-
-
-def root_form(root: Vector) -> Polynomial:
-    """The root as a degree-1 polynomial on the ambient coordinates."""
-    return Polynomial.linear_form(root)
-
-
 @dataclass(frozen=True)
 class RootSystem:
+    """A root system, one object per family and rank.
+
+    ``coordinates`` maps every root, in sorted order, to its integer
+    coordinates in the basis of ``simples``; ``gram`` is the integer Gram
+    matrix of the simple roots (of their ambient vectors times 3 for G2).
+    """
     family: str
     rank: int
     ambient_dim: int
     roots: frozenset[Vector]
     positives: tuple[Vector, ...]
     simples: tuple[Vector, ...]
+    coordinates: dict = field(repr=False, compare=False)
+    gram: tuple = field(repr=False, compare=False)
 
     @property
     def n_positive(self) -> int:
         return len(self.positives)
 
-    def simple_coefficients(self, root: Vector) -> tuple[int, ...]:
-        """Integer coordinates of a root in the basis of simple roots."""
-        return root_coefficients(self)[root]
-
     def height(self, root: Vector) -> int:
-        return sum(root_coefficients(self)[root])
-
-    def denominator(self) -> int:
-        """Least common denominator of the root coordinates (3 for G2)."""
-        den = 1
-        for r in self.roots:
-            for c in r:
-                den = den * c.denominator // _gcd(den, c.denominator)
-        return den
+        return sum(self.coordinates[root])
 
     def to_json(self) -> dict:
-        den = self.denominator()
+        """The roots as integer vectors over a common denominator (3 for G2),
+        and the positive and simple roots by position among them."""
+        den = math.lcm(*(c.denominator for r in self.roots for c in r))
         ordered = sorted(self.roots)
         index = {r: i for i, r in enumerate(ordered)}
         return {
@@ -97,12 +64,6 @@ class RootSystem:
             "positives": [index[r] for r in self.positives],
             "simples": [index[r] for r in self.simples],
         }
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _solve(matrix, rhs) -> list[list[Fraction]]:
@@ -123,87 +84,101 @@ def _solve(matrix, rhs) -> list[list[Fraction]]:
     return [[m[i][n + k] for i in range(n)] for k in range(len(rhs))]
 
 
+def _coroot(gram, beta: tuple[int, ...]) -> Coroot:
+    """The Cartan integers <alpha_i, beta^vee> = 2 (alpha_i, beta) / (beta,
+    beta) of a root beta, given in simple-root coordinates, over the simple
+    roots alpha_i, as the pairs (i, value) with a nonzero value.
+
+    <c, beta^vee> is then sum(c[i] * value) for any c in simple-root
+    coordinates.
+    """
+    support = [(j, b) for j, b in enumerate(beta) if b]
+    inner = [sum(row[j] * b for j, b in support) for row in gram]
+    norm = sum(inner[j] * b for j, b in support)
+    return tuple((i, 2 * x // norm) for i, x in enumerate(inner) if x)
+
+
+def reflect(c: tuple[int, ...], k: int, coroot: Coroot) -> tuple[int, ...]:
+    """s_k(c) = c - <c, alpha_k^vee> e_k, for c in simple-root coordinates
+    and ``coroot`` the coroot of the simple root alpha_k."""
+    p = sum(c[i] * x for i, x in coroot)
+    if not p:
+        return c
+    out = list(c)
+    out[k] -= p
+    return tuple(out)
+
+
+_ROOT_SYSTEMS: dict = {}
+
+
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Standard realization of the root system of the given family and rank."""
+    """Standard realization of the root system of the given family and rank
+    (one object per family and rank).
+
+    Only the simple roots are written down: e_i - e_{i+1}, ending in
+    e_n - e_{n+1} for A_n, e_n for B_n, 2e_n for C_n and e_{n-1} + e_n for
+    D_n, and for G2 the long x - y and the short projection of y on the
+    trace-zero plane (times 3 below, so every vector is integral).  Every
+    root is W-conjugate to a simple root (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 10.3), so the roots are the closure
+    of the simple roots e_k under the simple reflections ``reflect``; the
+    ambient vector of s_k(c) is that of c minus (c_k - s_k(c)_k) alpha_k.
+    """
     family = family.upper()
     if family not in SUPPORTED_FAMILIES:
         raise ValueError(f"unsupported family {family!r}; expected one of {SUPPORTED_FAMILIES}")
-
-    if family == "A":
-        if rank < 1:
-            raise ValueError("A_n needs rank >= 1")
-        dim = rank + 1
-        e = [_unit(dim, i) for i in range(dim)]
-        positives = [vec_sub(e[i], e[j]) for i in range(dim) for j in range(i + 1, dim)]
-        simples = [vec_sub(e[i], e[i + 1]) for i in range(rank)]
-    elif family in ("B", "C"):
-        if rank < 2:
-            raise ValueError(f"{family}_n needs rank >= 2")
-        dim = rank
-        e = [_unit(dim, i) for i in range(dim)]
-        positives = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                positives.append(vec_sub(e[i], e[j]))
-                positives.append(vec_add(e[i], e[j]))
-        if family == "B":
-            positives.extend(e)
-            simples = [vec_sub(e[i], e[i + 1]) for i in range(rank - 1)] + [e[-1]]
-        else:
-            positives.extend(vec_scale(2, v) for v in e)
-            simples = [vec_sub(e[i], e[i + 1]) for i in range(rank - 1)] + [vec_scale(2, e[-1])]
-    elif family == "D":
-        if rank < 3:
-            raise ValueError("D_n needs rank >= 3")
-        dim = rank
-        e = [_unit(dim, i) for i in range(dim)]
-        positives = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                positives.append(vec_sub(e[i], e[j]))
-                positives.append(vec_add(e[i], e[j]))
-        simples = [vec_sub(e[i], e[i + 1]) for i in range(rank - 1)] + [vec_add(e[-2], e[-1])]
-    else:  # G2
+    key = (family, rank)
+    if key in _ROOT_SYSTEMS:
+        return _ROOT_SYSTEMS[key]
+    if family == "G2":
         if rank != 2:
             raise ValueError("G2 has rank 2")
-        dim = 3
-        # Simple roots: long a1 = projection of x - y, short a2 = projection of y,
-        # on the trace-zero plane of the 3 diagonal coordinates.
-        a1 = _vec(1, -1, 0)
-        a2 = _vec(Fraction(-1, 3), Fraction(2, 3), Fraction(-1, 3))
-        simples = [a1, a2]
-        positives = [
-            a1,
-            a2,
-            vec_add(a1, a2),
-            vec_add(a1, vec_scale(2, a2)),
-            vec_add(a1, vec_scale(3, a2)),
-            vec_add(vec_scale(2, a1), vec_scale(3, a2)),
-        ]
-
-    roots = frozenset(positives) | frozenset(vec_neg(v) for v in positives)
+        den, simples = 3, [(3, -3, 0), (-1, 2, -1)]
+    else:
+        least = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
+        if rank < least:
+            raise ValueError(f"{family}_n needs rank >= {least}")
+        dim = rank + 1 if family == "A" else rank
+        rows = [[int(j == i) - int(j == i + 1) for j in range(dim)]
+                for i in range(rank)]
+        if family != "A":
+            rows[-1][-2:] = {"B": [0, 1], "C": [0, 2], "D": [1, 1]}[family]
+        den, simples = 1, [tuple(a) for a in rows]
+    gram = tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in simples)
+                 for a in simples)
+    units = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+    cartan = [_coroot(gram, e) for e in units]
+    vectors, frontier = dict(zip(units, simples)), units
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for k, coroot in enumerate(cartan):
+                d = reflect(c, k, coroot)
+                if d not in vectors:
+                    p = c[k] - d[k]
+                    vectors[d] = tuple(x - p * y
+                                       for x, y in zip(vectors[c], simples[k]))
+                    nxt.append(d)
+        frontier = nxt
+    # sorting the integer vectors sorts the roots: the scale is positive
+    coordinates = {tuple(Fraction(x, den) for x in v): c
+                   for v, c in sorted((v, c) for c, v in vectors.items())}
+    # canonical order of positives: by height, then by vector (stable sort)
+    positives = sorted((r for r, c in coordinates.items() if sum(c) > 0),
+                       key=lambda r: sum(coordinates[r]))
     rs = RootSystem(
         family=family,
         rank=rank,
-        ambient_dim=dim,
-        roots=roots,
+        ambient_dim=len(simples[0]),
+        roots=frozenset(coordinates),
         positives=tuple(positives),
-        simples=tuple(simples),
+        simples=tuple(tuple(Fraction(x, den) for x in a) for a in simples),
+        coordinates=coordinates,
+        gram=gram,
     )
-    # canonical order of positives: by height, then by coordinates
-    ordered = sorted(rs.positives, key=lambda r: (rs.height(r), r))
-    return RootSystem(
-        family=family,
-        rank=rank,
-        ambient_dim=dim,
-        roots=roots,
-        positives=tuple(ordered),
-        simples=tuple(simples),
-    )
-
-
-def _unit(dim: int, i: int) -> Vector:
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
+    _ROOT_SYSTEMS[key] = rs
+    return rs
 
 
 def weyl_order(rs: RootSystem) -> int:
@@ -225,67 +200,45 @@ _INTEGRAL_ROOTS_CACHE: dict = {}
 def integral_roots(rs: RootSystem) -> tuple[tuple[Vector, ...],
                                             tuple[tuple[int, ...], ...],
                                             tuple[tuple[int, ...], ...]]:
-    """The roots in sorted order, as integer vectors, and the simple
-    reflections as permutations of that order (cached per family and rank).
+    """The roots in sorted order, their simple-root coordinates, and the
+    simple reflections as permutations of that order (cached per family and
+    rank).
 
-    Returns (roots, integer roots, permutations): the integer vectors are the
-    roots times ``rs.denominator()`` (3 for G2, else 1), and permutation ``i``
-    sends the position of a root to the position of its image under the
-    reflection in simple root ``i``.
+    Permutation ``k`` sends the position of a root to the position of its
+    image under the reflection in simple root ``k``.
     """
     key = (rs.family, rs.rank)
     if key in _INTEGRAL_ROOTS_CACHE:
         return _INTEGRAL_ROOTS_CACHE[key]
-    roots = tuple(sorted(rs.roots))
-    den = rs.denominator()
-    scaled = tuple(tuple(int(c * den) for c in r) for r in roots)
-    index = {v: i for i, v in enumerate(scaled)}
-    perms = []  # 2 (v, a) / (a, a) is a Cartan integer, so // is exact
-    for a in (scaled[roots.index(a)] for a in rs.simples):
-        norm = vec_dot(a, a)
-        perms.append(tuple(
-            index[tuple(x - 2 * vec_dot(v, a) // norm * y
-                        for x, y in zip(v, a))]
-            for v in scaled))
-    table = roots, scaled, tuple(perms)
-    _INTEGRAL_ROOTS_CACHE[key] = table
-    return table
+    roots = tuple(rs.coordinates)
+    coords = tuple(rs.coordinates.values())
+    index = {c: i for i, c in enumerate(coords)}
+    simple_coroots = [coroots(rs)[a] for a in rs.simples]
+    perms = tuple(tuple(index[reflect(c, k, coroot)] for c in coords)
+                  for k, coroot in enumerate(simple_coroots))
+    _INTEGRAL_ROOTS_CACHE[key] = roots, coords, perms
+    return _INTEGRAL_ROOTS_CACHE[key]
 
 
-_COEFFICIENTS_CACHE: dict = {}
+_COROOTS_CACHE: dict = {}
 
 
-def root_coefficients(rs: RootSystem) -> dict[Vector, tuple[int, ...]]:
-    """Each root's integer coordinates in the basis of simple roots, in the
-    ``integral_roots`` order (cached per family and rank).
-
-    One Gram system over the simple roots is solved, once, for the dual
-    basis; each root's coordinates are then integer dot products.
-    """
+def coroots(rs: RootSystem) -> dict[Vector, Coroot]:
+    """The coroot of every positive root, keyed in ``rs.positives`` order, as
+    its Cartan integers over the simple roots (see ``_coroot``; cached per
+    family and rank)."""
     key = (rs.family, rs.rank)
-    if key in _COEFFICIENTS_CACHE:
-        return _COEFFICIENTS_CACHE[key]
-    roots, scaled, _ = integral_roots(rs)
-    simples = [scaled[roots.index(a)] for a in rs.simples]
-    n = rs.rank
-    # the rows of the inverse Gram matrix give the dual basis w_k, with
-    # (alpha_i, w_k) = delta_ik, so a root's k-th coordinate is (root, w_k);
-    # the scale factor of the integer vectors cancels in that product
-    inverse = _solve([[vec_dot(a, b) for b in simples] for a in simples],
-                     [[int(i == k) for i in range(n)] for k in range(n)])
-    duals = [[sum(c * a[j] for c, a in zip(row, simples))
-              for j in range(rs.ambient_dim)] for row in inverse]
-    d = math.lcm(*(x.denominator for w in duals for x in w))
-    duals = [[int(x * d) for x in w] for w in duals]
-    table = {}
-    for r, v in zip(roots, scaled):
-        c = [vec_dot(v, w) for w in duals]
-        if any(x % d for x in c):
-            raise ArithmeticError(f"root {r} of {rs.family}{rs.rank} has "
-                                  f"non-integral simple-root coordinates")
-        table[r] = tuple(x // d for x in c)
-    _COEFFICIENTS_CACHE[key] = table
-    return table
+    if key not in _COROOTS_CACHE:
+        _COROOTS_CACHE[key] = {b: _coroot(rs.gram, rs.coordinates[b])
+                               for b in rs.positives}
+    return _COROOTS_CACHE[key]
+
+
+def coroot_pairings(rs: RootSystem, c: Sequence[int]) -> list[int]:
+    """<c, beta^vee> for every positive root beta, in ``rs.positives`` order,
+    for c in simple-root coordinates."""
+    return [sum(c[i] * x for i, x in coroot)
+            for coroot in coroots(rs).values()]
 
 
 def reflection_closure(perms: Sequence[tuple[int, ...]],
@@ -368,21 +321,18 @@ def _cover_table(rs: RootSystem) -> BruhatCovers:
     alpha_i to w(s_beta(alpha_i)), so a target is found without composing
     full permutations.
     """
-    roots, scaled, perms = integral_roots(rs)
-    index = {r: i for i, r in enumerate(roots)}
-    position = {v: i for i, v in enumerate(scaled)}
-    simple_pos = [index[a] for a in rs.simples]
-    positive = [False] * len(roots)
+    roots, coords, perms = integral_roots(rs)
+    position = {c: i for i, c in enumerate(coords)}
+    simple_pos = [position[rs.coordinates[a]] for a in rs.simples]
+    positive = [sum(c) > 0 for c in coords]
     reflections = []  # (position of beta, positions of s_beta(alpha_i))
-    for a in rs.positives:
-        pos = index[a]
-        positive[pos] = True
-        v = scaled[pos]
-        norm = vec_dot(v, v)
-        reflections.append((pos, [
-            position[tuple(x - 2 * vec_dot(scaled[i], v) // norm * y
-                           for x, y in zip(scaled[i], v))]
-            for i in simple_pos]))
+    for a, coroot in coroots(rs).items():
+        beta, pairing = rs.coordinates[a], dict(coroot)
+        # s_beta(alpha_i) = alpha_i - <alpha_i, beta^vee> beta
+        reflections.append((position[beta], [
+            position[tuple(int(i == j) - pairing.get(i, 0) * b
+                           for j, b in enumerate(beta))]
+            for i in range(rs.rank)]))
     offsets, targets, betas = [0], [], []
     level, shorter, first, length = [list(range(len(roots)))], set(), 0, 0
     while True:

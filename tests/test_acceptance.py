@@ -10,8 +10,8 @@ import pytest
 from flagchern.chern import (chern_number, chern_numbers_schubert, format_cmonomial,
                              monomials_of_weighted_degree, parse_cmonomial,
                              todd_genus, todd_polynomial)
-from flagchern.flagmodel import (InvariantACS, classify_acs, enumerate_acs,
-                                 is_integrable, make_flag, parse_manifold)
+from flagchern.flagmodel import (FlagManifold, InvariantACS, classify_acs,
+                                 enumerate_acs, is_integrable, parse_manifold)
 from flagchern.groebner import buchberger, MonomialOrder, quotient_dimension, \
     borel_groebner
 from flagchern.polyring import Polynomial
@@ -288,7 +288,7 @@ def test_criterion_09_euler_characteristics(name, chi):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_criterion_10_projective_space(n):
     rs = build_root_system("A", n)
-    flag = make_flag(rs, rs.simples[1:])
+    flag = FlagManifold(rs, rs.simples[1:])
     assert flag.euler_characteristic() == n + 1
     acs = InvariantACS((1,))
     c1n = (n,) + (0,) * (n - 1)

@@ -18,13 +18,13 @@ from flagchern.flagmodel import InvariantACS, enumerate_acs, is_integrable, \
 from flagchern.groebner import borel_groebner, normal_form
 from flagchern.polyring import Polynomial
 from flagchern.rootsys import build_root_system
-from flagchern.flagmodel import make_flag
+from flagchern.flagmodel import FlagManifold
 
 
 def projective_space(n):
     """CP^n as the A_n flag with all simple roots but the first kept."""
     rs = build_root_system("A", n)
-    return make_flag(rs, rs.simples[1:])
+    return FlagManifold(rs, rs.simples[1:])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -160,16 +160,35 @@ def test_exit_code_mismatch(monkeypatch):
 
 
 def test_exit_code_internal_on_oracle_disagreement(monkeypatch):
-    import flagchern.cli as cli
+    # chern and table share one oracle dispatch, chern.chern_numbers_by
+    import flagchern.chern as chern
 
     def wrong(flag, acs, monos):
         return {m: 10 ** 9 for m in monos}
 
-    monkeypatch.setattr(cli, "chern_numbers_schubert", wrong)
+    monkeypatch.setattr(chern, "chern_numbers_schubert", wrong)
     assert run_cli("chern", "--manifold", "SO(5)/T",
                    "--oracle", "both")[0] == 3
-    monkeypatch.setattr(cli.tables, "chern_numbers_schubert", wrong)
     assert run_cli("table", "reproduce", "so5t", "--oracle", "both")[0] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--family", "A", "--rank", "2", "--order", "grevlex", "--slow"),
+    ("decompose", "F(4)", "--oracle", "weyl"),
+    ("decompose", "--manifold", "F(4)"),
+    ("acs", "list", "F(4)", "--slow"),
+    ("chern", "--manifold", "F(4)", "--order", "lex"),
+    ("cohomology", "verify", "--case", "a-full:2", "--oracle", "weyl"),
+    ("verify", "quick", "--format", "json"),
+])
+def test_options_of_other_subcommands_are_refused(argv, capsys):
+    # an option goes only on the subcommands that read it, so one given to
+    # another subcommand is a usage error, not silently ignored
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: unrecognized arguments: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_groebner_oracle_is_an_alias_of_schubert():

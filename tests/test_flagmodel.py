@@ -49,9 +49,8 @@ def test_fixed_point_count_is_euler_characteristic(name):
     tracked = [r for s in flag.summands() for r in s.roots]
     tracked += flag.k_positives
     assert sign == 1
-    den = flag.rs.denominator()
     assert [fixed.roots[i] for i in images] == [
-        tuple(int(c * den) for c in r) for r in tracked]
+        flag.rs.coordinates[r] for r in tracked]
 
 
 def reference_summand_actions(flag):
@@ -263,7 +262,7 @@ def test_point_manifolds_are_refused():
         parse_manifold("F(3;3)")
     rs = rootsys.build_root_system("B", 3)
     with pytest.raises(ValueError, match="is a point"):
-        flagmodel.make_flag(rs, rs.simples)
+        flagmodel.FlagManifold(rs, rs.simples)
 
 
 # -- reference definitions over Fraction root vectors ------------------------
@@ -318,7 +317,7 @@ def test_k_roots_and_summands_match_projection_and_kappa(name):
         assert list(s.roots) == groups[s.t_root]
         # the coordinates on the removed simples, read off every member
         for r in s.roots:
-            c = flag.rs.simple_coefficients(r)
+            c = flag.rs.coordinates[r]
             assert s.coeffs == tuple(c[i] for i in flag.removed_indices)
 
 
@@ -365,21 +364,29 @@ def test_closure_table_holds_each_violation_once(name):
             for i, p, j, q, k, r in table} == triples
 
 
-@pytest.mark.parametrize("name", ["F(6)", "F(6;1,2,3)"])
-def test_one_gram_solve_per_root_system(monkeypatch, name):
-    # parse, summands and classification share the cached simple-root
-    # coordinates: at most rank Gram solves, counted from a cold cache
+@pytest.mark.parametrize("name", ["F(6)", "F(6;1,2,3)", "FB(3;1,2)",
+                                  "G2-long"])
+def test_rootsys_solves_no_linear_system(monkeypatch, name):
+    # the roots' simple-root coordinates come from generating the roots, so
+    # rootsys solves no system even from cold caches; flagmodel solves one,
+    # over Theta, for the kappa-images of the removed simple roots
+    def unreachable(*args):
+        raise AssertionError("rootsys solved a linear system")
+
     calls = []
-    real = rootsys._solve
+    real = flagmodel._solve
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(rootsys, "_solve", counted)
+    monkeypatch.setattr(rootsys, "_solve", unreachable)
     monkeypatch.setattr(flagmodel, "_solve", counted)
-    monkeypatch.setattr(rootsys, "_COEFFICIENTS_CACHE", {})
+    for cache in ("_ROOT_SYSTEMS", "_INTEGRAL_ROOTS_CACHE", "_COROOTS_CACHE",
+                  "_COVERS_CACHE"):
+        monkeypatch.setattr(rootsys, cache, {})
     flag = parse_manifold(name)
     flag.summands()
     classify_acs(flag)
-    assert 1 <= len(calls) <= flag.rs.rank
+    rootsys.bruhat_covers(flag.rs)
+    assert len(calls) == (1 if flag.theta else 0)

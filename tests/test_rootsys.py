@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -6,9 +7,8 @@ from hypothesis import strategies as st
 
 from flagchern import rootsys
 from flagchern.rootsys import (MAX_BRUHAT_ORDER, build_root_system,
-                               bruhat_covers, integral_roots,
-                               root_coefficients, vec_dot, weyl_group,
-                               weyl_order)
+                               bruhat_covers, coroot_pairings, integral_roots,
+                               weyl_group, weyl_order)
 
 ORDERS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
@@ -19,6 +19,49 @@ ORDERS = {
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+def gram(vectors):
+    """Inner products of the ambient root vectors, in Fractions."""
+    return [[dot(u, v) for v in vectors] for u in vectors]
+
+
+def textbook_positives(family, rank):
+    """The positive roots as textbooks list them: e_i - e_j (i < j) for A;
+    e_i - e_j and e_i + e_j, with e_i for B, 2e_i for C and nothing more for
+    D; for G2 in the trace-zero plane of R^3, the long roots e_i - e_j and
+    the short roots +-(e_i - c), c = (1, 1, 1)/3, on the side of the simple
+    roots e_1 - e_2 and e_2 - c."""
+    dim = {"A": rank + 1, "G2": 3}.get(family, rank)
+    e = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+    pairs = [(e[i], e[j]) for i in range(dim) for j in range(i + 1, dim)]
+    out = {tuple(x - y for x, y in zip(u, v)) for u, v in pairs}
+    if family in ("B", "C", "D"):
+        out |= {tuple(x + y for x, y in zip(u, v)) for u, v in pairs}
+    if family in ("B", "C"):
+        out |= {tuple((1 if family == "B" else 2) * x for x in u) for u in e}
+    if family == "G2":
+        c = Fraction(1, 3)
+        out |= {tuple(x - c for x in e[0]), tuple(x - c for x in e[1]),
+                tuple(c - x for x in e[2])}
+    return out
+
+
+TEXTBOOK_TYPES = ([("A", n) for n in range(1, 9)]
+                  + [(f, n) for f in "BC" for n in range(2, 8)]
+                  + [("D", n) for n in range(3, 8)] + [("G2", 2)])
+
+
+@pytest.mark.parametrize("family,rank", TEXTBOOK_TYPES)
+def test_generated_roots_are_the_textbook_roots(family, rank):
+    rs = build_root_system(family, rank)
+    positives = textbook_positives(family, rank)
+    assert set(rs.positives) == positives
+    assert rs.roots == positives | {tuple(-x for x in r) for r in positives}
+    assert len(rs.positives) == len(positives)
+    assert list(rs.positives) == sorted(rs.positives,
+                                        key=lambda r: (rs.height(r), r))
+    assert build_root_system(family.lower(), rank) is rs
 
 
 @pytest.mark.parametrize("family,rank", sorted(ORDERS))
@@ -39,18 +82,28 @@ def test_closed_form_weyl_order(family, rank):
 @pytest.mark.parametrize("family,rank", sorted(ORDERS))
 def test_integral_roots_and_simple_reflections(family, rank):
     rs = build_root_system(family, rank)
-    roots, scaled, perms = integral_roots(rs)
-    assert set(roots) == set(rs.roots) and len(perms) == rank
+    roots, coords, perms = integral_roots(rs)
+    assert roots == tuple(sorted(rs.roots)) and len(perms) == rank
+    assert coords == tuple(rs.coordinates[r] for r in roots)
     assert integral_roots(rs) is integral_roots(build_root_system(family,
                                                                   rank))
-    scale = 3 if family == "G2" else 1
-    assert scaled == tuple(tuple(int(scale * c) for c in r) for r in roots)
+    # s_a(x) = x - 2 (x, a) / (a, a) a, over Fractions
     for alpha, perm in zip(rs.simples, perms):
-        c = 2 / vec_dot(alpha, alpha)
+        c = 2 / dot(alpha, alpha)
         for i, r in enumerate(roots):
-            image = tuple(x - c * vec_dot(r, alpha) * a
+            image = tuple(x - c * dot(r, alpha) * a
                           for x, a in zip(r, alpha))
             assert roots[perm[i]] == image
+
+
+@pytest.mark.parametrize("family,rank", sorted(ORDERS))
+def test_coroot_pairings_are_cartan_integers(family, rank):
+    # <alpha, beta^vee> = 2 (alpha, beta) / (beta, beta) on the ambient
+    # vectors, for every root alpha and positive root beta
+    rs = build_root_system(family, rank)
+    for alpha in rs.roots:
+        assert coroot_pairings(rs, rs.coordinates[alpha]) == [
+            2 * dot(alpha, beta) / dot(beta, beta) for beta in rs.positives]
 
 
 @pytest.mark.parametrize("family,rank,n_pos", [
@@ -71,7 +124,7 @@ def test_simples_are_positive_and_heights_integral(family, rank):
     for root in rs.positives:
         h = rs.height(root)
         assert h == int(h) and h >= 1
-        coeffs = rs.simple_coefficients(root)
+        coeffs = rs.coordinates[root]
         assert all(c >= 0 for c in coeffs)
         assert sum(coeffs) == h
 
@@ -81,8 +134,9 @@ def test_weyl_preserves_root_set(family, rank):
     # each element permutes the roots, commutes with negation and keeps the
     # inner products, as the orthogonal map it stands for does
     rs = build_root_system(family, rank)
-    roots, scaled, _ = integral_roots(rs)
+    roots, _, _ = integral_roots(rs)
     n = len(roots)
+    inner = gram(roots)
     index = {r: i for i, r in enumerate(roots)}
     neg = [index[tuple(-x for x in r)] for r in roots]
     group = weyl_group(rs)
@@ -91,8 +145,7 @@ def test_weyl_preserves_root_set(family, rank):
     for _, w in group:
         assert sorted(w) == list(range(n))
         assert all(w[neg[i]] == neg[w[i]] for i in range(n))
-        assert all(dot(scaled[w[i]], scaled[w[j]])
-                   == dot(scaled[i], scaled[j])
+        assert all(inner[w[i]][w[j]] == inner[i][j]
                    for i in range(n) for j in range(i, n))
 
 
@@ -109,14 +162,14 @@ def test_sign_is_negated_positive_parity(family, rank):
 
 def test_reflection_is_involutive_isometry():
     for family, rank in sorted(ORDERS):
-        _, scaled, perms = integral_roots(build_root_system(family, rank))
-        n = len(scaled)
+        roots, _, perms = integral_roots(build_root_system(family, rank))
+        n = len(roots)
+        inner = gram(roots)
         for perm in perms:
             assert sorted(perm) == list(range(n))
             assert all(perm[perm[i]] == i for i in range(n))
             assert any(perm[i] != i for i in range(n))
-            assert all(dot(scaled[perm[i]], scaled[perm[j]])
-                       == dot(scaled[i], scaled[j])
+            assert all(inner[perm[i]][perm[j]] == inner[i][j]
                        for i in range(n) for j in range(i, n))
 
 
@@ -149,11 +202,10 @@ def test_a_family_order_formula():
 def test_simple_coefficients_rebuild_every_root(family, rank):
     # sum_i c_i alpha_i == root, with integer c_i, for every root
     rs = build_root_system(family, rank)
-    coeffs = root_coefficients(rs)
-    assert list(coeffs) == list(integral_roots(rs)[0])
+    assert list(rs.coordinates) == list(integral_roots(rs)[0])
     for root in rs.roots:
-        c = rs.simple_coefficients(root)
-        assert c == coeffs[root] and len(c) == rank
+        c = rs.coordinates[root]
+        assert len(c) == rank
         assert all(type(x) is int for x in c)
         rebuilt = tuple(sum(ci * a[j] for ci, a in zip(c, rs.simples))
                         for j in range(rs.ambient_dim))
