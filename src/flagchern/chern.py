@@ -105,7 +105,7 @@ def signed_root_forms(flag: FlagManifold, acs: InvariantACS) -> list[Polynomial]
     for i, summand in enumerate(flag.summands()):
         s = acs.signs[i]
         for r in summand.roots:
-            forms.append(Polynomial.linear_form(r) * s)
+            forms.append(Polynomial.linear_form(flag.rs.vectors[r]) * s)
     return forms
 
 
@@ -142,8 +142,8 @@ def _schubert_top(rs, covers: BruhatCovers) -> int:
     key = (rs.family, rs.rank)
     if key not in _SCHUBERT_TOP_CACHE:
         state = {0: 1}
-        for b in rs.positives:
-            state = _chevalley(state, coroot_pairings(rs, rs.coordinates[b]),
+        for b in rs.positive:
+            state = _chevalley(state, coroot_pairings(rs, rs.coords[b]),
                                covers, {})
         top = state.get(covers.top, 0)
         # the Euler class of G/B integrates to chi(G/B) = |W|
@@ -172,7 +172,7 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
     monos = [_top_monomial(flag, m) for m in monomials]
     rs = flag.rs
     covers = bruhat_covers(rs)
-    forms = [[s * p for p in coroot_pairings(rs, rs.coordinates[r])]
+    forms = [[s * p for p in coroot_pairings(rs, rs.coords[r])]
              for s, summand in zip(acs.signs, flag.summands())
              for r in summand.roots]
     c1 = [sum(col) for col in zip(*forms)]
@@ -217,7 +217,7 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
 
     state = {0: 1}
     for b in flag.k_positives:
-        state = _chevalley(state, coroot_pairings(rs, rs.coordinates[b]),
+        state = _chevalley(state, coroot_pairings(rs, rs.coords[b]),
                            covers, {})
     walk(state, trie, ())
     chi = flag.euler_characteristic()
@@ -262,15 +262,16 @@ def chern_numbers(flag: FlagManifold, acs: InvariantACS,
     monos = [_top_monomial(flag, m) for m in monomials]
     flag.check_fixed_point_bound()
     fixed = flag.fixed_points()
+    roots = flag.rs.coords
     n = flag.complex_dim
     signs = [acs.signs[i] for i, s in enumerate(flag.summands()) for _ in s.roots]
     factors = {m: [(k + 1, e) for k, e in enumerate(m) if e] for m in monos}
     kmax = max((k for fs in factors.values() for k, _ in fs), default=0)
     per_point = []
-    for pt in _generic_points(fixed.roots):
-        val = [sum(a * b for a, b in zip(r, pt)) for r in fixed.roots]
+    for pt in _generic_points(roots):
+        val = [sum(a * b for a, b in zip(r, pt)) for r in roots]
         acc = dict.fromkeys(factors, 0)
-        for sign, images in fixed.points:
+        for sign, images in fixed:
             e = elementary_symmetric_values(
                 [s * val[i] for s, i in zip(signs, images)], kmax)
             base = sign
@@ -281,7 +282,7 @@ def chern_numbers(flag: FlagManifold, acs: InvariantACS,
                 for k, exp in fs:
                     v *= e[k] ** exp
                 acc[m] += v
-        denominator = math.prod(val[i] for i in fixed.positives)
+        denominator = math.prod(val[i] for i in flag.rs.positive)
         per_point.append({m: Fraction(acc[m], denominator) for m in factors})
     out: dict[tuple[int, ...], int] = {}
     for m in factors:

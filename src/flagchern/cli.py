@@ -125,8 +125,8 @@ def cmd_roots(args, out) -> int:
     rows = [[f"alpha_{i+1}", _vec_str(a)] for i, a in enumerate(rs.simples)]
     _emit_table(args.format, f"Simple roots of {rs.family}{rs.rank}",
                 ["simple root", "coordinates"], rows, out)
-    rows = [[str(i + 1), _vec_str(a), str(rs.height(a))]
-            for i, a in enumerate(rs.positives)]
+    rows = [[str(i + 1), _vec_str(rs.vectors[p]), str(sum(rs.coords[p]))]
+            for i, p in enumerate(rs.positive)]
     _emit_table(args.format, "Positive roots",
                 ["#", "coordinates", "height"], rows, out)
     if args.format == "md":
@@ -151,7 +151,8 @@ def cmd_decompose(args, out) -> int:
         meta["summands"] = [
             {"index": i + 1, "t_root": [str(x) for x in m.t_root],
              "dim_complex": m.dim_complex, "height": str(m.height),
-             "roots": [[str(x) for x in r] for r in m.roots]}
+             "roots": [[str(x) for x in flag.rs.vectors[p]]
+                       for p in m.roots]}
             for i, m in enumerate(summands)]
         _dump_json(meta, out)
         return EXIT_OK
@@ -277,8 +278,10 @@ def _load_ideal(spec: str):
     except OSError as exc:
         raise UsageError(f"--ideal: not a preset ({_GB_PRESETS}) and not a "
                          f"readable file: {exc}")
-    nvars = data["nvars"]
-    return [Polynomial.from_json(nvars, g) for g in data["generators"]]
+    if not isinstance(data, dict) or not {"nvars", "generators"} <= set(data):
+        raise UsageError(f"--ideal: {spec} needs the keys 'nvars' and "
+                         f"'generators'")
+    return [Polynomial.from_json(data["nvars"], g) for g in data["generators"]]
 
 
 def cmd_groebner(args, out) -> int:
@@ -486,11 +489,6 @@ def main(argv=None) -> int:
         return args.func(args, sys.stdout)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:
-        # str(KeyError) quotes its message; print the message itself
-        print(f"usage error: {exc.args[0] if exc.args else exc}",
-              file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

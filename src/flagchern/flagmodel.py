@@ -6,18 +6,20 @@ simple roots generating K, the complementary roots, the isotropy summands
 invariant almost complex structures as sign vectors on the positive T-roots,
 the integrability test, and classification up to conjugation and equivalence.
 
-Root membership is read off the integer simple-root coordinates of
-``RootSystem.coordinates``: K-roots have coordinate 0 on every removed
-simple root, and a summand collects the roots with one coordinate vector on
-the removed simples.  The integrability test reads a per-manifold table of
-root positions saying which summand parts add up to which (the closedness
-criterion of Borel and Hirzebruch).
+Root membership is read off the integer simple-root coordinates
+``RootSystem.coords``, and every root is named by its position in them:
+K-roots have coordinate 0 on every removed simple root, and a summand
+collects the roots with one coordinate vector on the removed simples.  The
+integrability test reads a per-manifold table of root positions saying which
+summand parts add up to which (the closedness criterion of Borel and
+Hirzebruch).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +28,7 @@ from .rootsys import (
     Vector,
     _solve,
     build_root_system,
-    coroots,
-    integral_roots,
+    check_rank,
     reflect,
     reflection_closure,
     weyl_order,
@@ -42,7 +43,7 @@ MAX_FIXED_POINTS = 100_000
 @dataclass(frozen=True)
 class IsotropySummand:
     t_root: Vector
-    roots: tuple[Vector, ...]  # the positive complementary roots of the summand
+    roots: tuple[int, ...]  # positions of the positive complementary roots
     coeffs: tuple[int, ...]  # t_root over the kappa-images of removed simples
 
     @property
@@ -69,53 +70,31 @@ class InvariantACS:
         return "(" + ",".join("+" if s == 1 else "-" for s in self.signs) + ")"
 
 
-@dataclass(frozen=True)
-class FixedPoints:
-    """The torus-fixed points of G/K, one per coset W_K w of the Weyl group.
-
-    ``roots`` lists every root by its simple-root coordinates, in the order
-    of ``rootsys.integral_roots``, and ``positives`` the positions of the
-    positive roots in it.  Each point is (sign(w), images), where images are
-    the positions of w^-1(gamma) for the complementary positive roots gamma
-    in summand order, followed by those of w^-1(beta) for the K-positive
-    roots beta.
-    """
-    roots: tuple[tuple[int, ...], ...]
-    positives: tuple[int, ...]
-    points: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 class FlagManifold:
-    """G/K described by a root system and a subset Theta of the simple roots.
+    """G/K described by a root system and a subset Theta of the simple roots,
+    given by their ambient vectors.
 
-    The root data come from the integer simple-root coordinates of
-    ``RootSystem.coordinates``: the K-roots are the roots whose
-    coordinates on the removed simple roots are all 0.
+    The K-roots are the roots whose simple-root coordinates on the removed
+    simple roots are all 0; roots are held by their positions in the tables
+    of ``rs``.
     """
 
     def __init__(self, rs: RootSystem, theta):
         theta = tuple(theta)
-        simples = set(rs.simples)
+        simples = rs.simples
         for t in theta:
             if tuple(t) not in simples:
                 raise ValueError(f"{t} is not a simple root of {rs.family}{rs.rank}")
+        kept = {tuple(t) for t in theta}
         self.rs = rs
-        self.theta = theta
-        span_members = set(theta)
-        self.removed_indices = tuple(i for i, a in enumerate(rs.simples)
-                                     if a not in span_members)
-        self.removed_simples = tuple(rs.simples[i] for i in self.removed_indices)
+        self.removed_indices = tuple(i for i, a in enumerate(simples)
+                                     if a not in kept)
         self.k_roots = frozenset(
-            r for r, c in rs.coordinates.items()
+            p for p, c in enumerate(rs.coords)
             if not any(c[i] for i in self.removed_indices))
-        self.k_positives = tuple(r for r in rs.positives if r in self.k_roots)
-        self.complementary = frozenset(rs.roots - self.k_roots)
-        self.complementary_pos = tuple(
-            r for r in rs.positives if r not in self.k_roots
-        )
+        self.k_positives = tuple(p for p in rs.positive if p in self.k_roots)
+        self.complementary_pos = tuple(p for p in rs.positive
+                                       if p not in self.k_roots)
         self.complex_dim = len(self.complementary_pos)
         if not self.complex_dim:
             raise ValueError(
@@ -129,11 +108,10 @@ class FlagManifold:
     @functools.cached_property
     def w_k(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """W_K as (sign, root permutation) pairs, built on first use."""
-        roots, _, perms = integral_roots(self.rs)
-        theta = set(self.theta)
         return reflection_closure(
-            [p for a, p in zip(self.rs.simples, perms) if a in theta],
-            len(roots))
+            [perm for i, perm in enumerate(self.rs.reflections)
+             if i not in self.removed_indices],
+            len(self.rs.coords))
 
     def euler_characteristic(self) -> int:
         """chi = |W| / |W_K|, both orders in closed form.
@@ -146,7 +124,7 @@ class FlagManifold:
         if "chi" not in self._cache:
             num = den = 1
             for b in self.k_positives:
-                h = self.rs.height(b)
+                h = sum(self.rs.coords[b])
                 num *= h + 1
                 den *= h
             order_k, rest = divmod(num, den)
@@ -163,8 +141,13 @@ class FlagManifold:
             raise ValueError(f"{self.name()} has chi = {chi} fixed points, "
                              f"above the bound {MAX_FIXED_POINTS}")
 
-    def fixed_points(self) -> FixedPoints:
-        """The torus-fixed points, enumerated on first use without building W.
+    def fixed_points(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The torus-fixed points, one per coset W_K w of the Weyl group,
+        enumerated on first use without building W.
+
+        Each point is (sign(w), images), where images are the root positions
+        of w^-1(gamma) for the complementary positive roots gamma in summand
+        order, followed by those of w^-1(beta) for the K-positive roots beta.
 
         Breadth-first search over the orbit of lambda, the sum of the
         complementary positive roots, under the simple reflections.  lambda
@@ -175,20 +158,19 @@ class FlagManifold:
         """
         if "fixed_points" in self._cache:
             return self._cache["fixed_points"]
-        roots, coords, perms = integral_roots(self.rs)
-        index = {r: i for i, r in enumerate(roots)}
-        tracked = [r for s in self.summands() for r in s.roots]
+        rs = self.rs
+        tracked = [p for s in self.summands() for p in s.roots]
         tracked += self.k_positives
-        simple_coroots = [coroots(self.rs)[a] for a in self.rs.simples]
-        lam = tuple(map(sum, zip(*(coords[index[r]]
-                                   for r in self.complementary_pos))))
-        points = {lam: (1, tuple(index[r] for r in tracked))}
+        lam = tuple(map(sum, zip(*(rs.coords[p]
+                                   for p in self.complementary_pos))))
+        points = {lam: (1, tuple(tracked))}
+        steps = tuple(enumerate(zip(rs.cartan, rs.reflections)))
         frontier = [lam]
         while frontier:
             nxt = []
             for mu in frontier:
                 sign, images = points[mu]
-                for k, (coroot, perm) in enumerate(zip(simple_coroots, perms)):
+                for k, (coroot, perm) in steps:
                     nu = reflect(mu, k, coroot)
                     if nu not in points:
                         points[nu] = (-sign, tuple(perm[i] for i in images))
@@ -198,35 +180,25 @@ class FlagManifold:
             raise ArithmeticError(
                 f"{len(points)} fixed points on {self.name()}, expected "
                 f"chi = {self.euler_characteristic()}")
-        fixed = FixedPoints(coords,
-                            tuple(index[r] for r in self.rs.positives),
-                            tuple(points.values()))
-        self._cache["fixed_points"] = fixed
-        return fixed
+        self._cache["fixed_points"] = tuple(points.values())
+        return self._cache["fixed_points"]
 
     def summands(self) -> tuple[IsotropySummand, ...]:
         if self._summands is None:
             self._summands = t_root_decomposition(self)
         return self._summands
 
-    def summand_index(self, root: Vector) -> tuple[int, int]:
-        """(summand position, +1/-1 for positive/negative part) of a complementary root."""
-        if "summand_index" not in self._cache:
-            index = {}
-            for i, s in enumerate(self.summands()):
-                index[s.coeffs] = (i, 1)
-                index[tuple(-c for c in s.coeffs)] = (i, -1)
-            self._cache["summand_index"] = index
-        c = self.rs.coordinates[tuple(root)]
-        return self._cache["summand_index"][tuple(c[i] for i in self.removed_indices)]
-
     @functools.cached_property
     def summand_parts(self) -> dict[int, tuple[int, int]]:
-        """``summand_index`` of every complementary root, keyed by the root's
-        position in the ``integral_roots`` order."""
-        roots = integral_roots(self.rs)[0]
-        return {pos: self.summand_index(r) for pos, r in enumerate(roots)
-                if r in self.complementary}
+        """(summand position, +1/-1 for the positive/negative part) of every
+        complementary root, keyed by the root's position."""
+        coords, index = self.rs.coords, self.rs.index
+        parts = {}
+        for i, s in enumerate(self.summands()):
+            for p in s.roots:
+                parts[p] = (i, 1)
+                parts[index[tuple(-x for x in coords[p])]] = (i, -1)
+        return parts
 
     @functools.cached_property
     def closure_table(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
@@ -243,15 +215,14 @@ class FlagManifold:
         those sums adds two roots of the same part sign; only that one is
         kept.
         """
-        coords = integral_roots(self.rs)[1]
-        position = {c: pos for pos, c in enumerate(coords)}
+        coords, index = self.rs.coords, self.rs.index
         parts = self.summand_parts
         entries = set()
         for a, part_a in parts.items():
             for b, part_b in parts.items():
                 if a < b and part_a[1] == part_b[1]:
-                    c = position.get(tuple(x + y for x, y in
-                                           zip(coords[a], coords[b])))
+                    c = index.get(tuple(x + y for x, y in
+                                        zip(coords[a], coords[b])))
                     if c in parts:
                         entries.add(min(part_a, part_b) + max(part_a, part_b)
                                     + parts[c])
@@ -260,15 +231,8 @@ class FlagManifold:
     def name(self) -> str:
         fam = self.rs.family
         if fam == "G2":
-            if not self.theta:
-                return "G2/T"
-            kept = [i + 1 for i, s in enumerate(self.rs.simples)
-                    if s in self.theta]
-            if kept == [1]:
-                return "G2-long"
-            if kept == [2]:
-                return "G2-short"
-            return "G2(theta=" + ",".join(str(list(t)) for t in self.theta) + ")"
+            return {(0, 1): "G2/T", (1,): "G2-long",
+                    (0,): "G2-short"}[self.removed_indices]
         tag = {"A": "F", "B": "FB", "C": "FC", "D": "FD"}[fam]
         n = self.rs.rank + 1 if fam == "A" else self.rs.rank
         bounds = [i + 1 for i in self.removed_indices] + ([n] if fam == "A" else [])
@@ -293,32 +257,40 @@ def t_root_decomposition(flag: FlagManifold) -> tuple[IsotropySummand, ...]:
     summands group the complementary positive roots by those coordinates c.
     The T-root kappa(alpha) = sum_j c_j kappa(alpha_j) is built once per
     summand from the kappa-images of the removed simples alpha_j, which one
-    system in the Gram matrix of Theta gives.
+    system in the Gram matrix of Theta gives; they are summed as integer
+    vectors over a common denominator.
 
     The order is by height over the simple T-roots (the kappa-images of the
     removed simple roots), ties broken so that multiples of earlier removed
     simples come first.
     """
     rs = flag.rs
-    groups: dict[tuple[int, ...], list[Vector]] = {}
-    for a in flag.complementary_pos:
-        c = rs.coordinates[a]
-        groups.setdefault(tuple(c[i] for i in flag.removed_indices),
-                          []).append(a)
+    removed = flag.removed_indices
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for p in flag.complementary_pos:
+        c = rs.coords[p]
+        groups.setdefault(tuple(c[i] for i in removed), []).append(p)
 
-    kappas = flag.removed_simples
-    kept = [i for i in range(rs.rank) if i not in flag.removed_indices]
+    simples = rs.simples
+    kappas = [simples[i] for i in removed]
+    kept = [i for i in range(rs.rank) if i not in removed]
     if kept:
         # the scale of the Gram matrix (9 for G2) cancels in the projection
         proj = _solve([[rs.gram[i][j] for j in kept] for i in kept],
-                      [[rs.gram[t][a] for t in kept]
-                       for a in flag.removed_indices])
-        kappas = [tuple(x - sum(c * rs.simples[t][i] for c, t in zip(cs, kept))
+                      [[rs.gram[t][a] for t in kept] for a in removed])
+        kappas = [tuple(x - sum(c * simples[t][i] for c, t in zip(cs, kept))
                         for i, x in enumerate(a)) for a, cs in zip(kappas, proj)]
+    den = math.lcm(*(x.denominator for k in kappas for x in k))
+    # each kappa-image as its nonzero entries (i, den * x)
+    sparse = [[(i, int(x * den)) for i, x in enumerate(k) if x] for k in kappas]
     summands = []
     for cvec, roots in groups.items():
-        t_root = tuple(sum((c * k[i] for c, k in zip(cvec, kappas)), Fraction(0))
-                       for i in range(flag.rs.ambient_dim))
+        total = [0] * rs.ambient_dim
+        for c, k in zip(cvec, sparse):
+            if c:
+                for i, x in k:
+                    total[i] += c * x
+        t_root = tuple(Fraction(x, den) for x in total)
         summands.append(IsotropySummand(t_root, tuple(roots), cvec))
     summands.sort(key=lambda s: (s.height, tuple(-c for c in s.coeffs)))
     return tuple(summands)
@@ -360,7 +332,7 @@ def inner_summand_actions(flag: FlagManifold) -> list[tuple[tuple[int, ...], tup
     sizes = [s.dim_complex for s in flag.summands()]
     n = flag.complex_dim
     actions = set()
-    for _, images in flag.fixed_points().points:
+    for _, images in flag.fixed_points():
         if any(i in where for i in images[n:]):
             continue
         targets, orients = [], []
@@ -477,17 +449,15 @@ def parse_manifold(name: str) -> FlagManifold:
     tag, n_text, blocks_text = m.groups()
     n = int(n_text)
     family = {"F": "A", "FB": "B", "FC": "C", "FD": "D"}[tag]
+    rank = n - 1 if family == "A" else n
+    check_rank(rank)
     if blocks_text is None:
         blocks = [1] * n
     else:
         blocks = [int(b) for b in blocks_text.split(",")]
     if sum(blocks) != n or any(b < 1 for b in blocks):
         raise ValueError(f"block sizes {blocks} must be positive and sum to {n}")
-    rank = n - 1 if family == "A" else n
     rs = build_root_system(family, rank)
     cuts = set(itertools.accumulate(blocks))
-    if family == "A":
-        cuts.discard(n)
-    removed = {i + 1 for i in range(len(rs.simples)) if i + 1 in cuts}
-    theta = [s for i, s in enumerate(rs.simples) if i + 1 not in removed]
+    theta = [s for i, s in enumerate(rs.simples) if i + 1 not in cuts]
     return FlagManifold(rs, theta)

@@ -5,15 +5,18 @@ space: A_n lives in n+1 coordinates (roots e_i - e_j), B/C/D_n in n
 coordinates, and G2 in 3 coordinates on the trace-zero plane (so some
 coordinates have denominator 3).  Every other root is generated from them in
 integer simple-root coordinates, with Cartan integers from the integer Gram
-matrix of the simple roots, and the ambient vectors follow.  ``_coroot`` is
-the one place a Cartan integer is computed; ``coroots`` holds them for every
+matrix of the simple roots, and the ambient vectors follow.  A root is named
+by its position in the sorted order of the ambient vectors, and every table
+of ``RootSystem`` is indexed by that position.  ``_coroot`` is the one place
+a Cartan integer is computed; ``RootSystem.coroots`` holds them for every
 positive root, and every reflection in the package reads them.  Weyl group
-elements are permutations of the roots in the sorted order of
-``integral_roots``, each carrying its sign (-1)^length.
+elements are permutations of the root positions, each carrying its sign
+(-1)^length.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,46 +26,81 @@ Vector = tuple[Fraction, ...]
 Coroot = tuple[tuple[int, int], ...]
 
 SUPPORTED_FAMILIES = ("A", "B", "C", "D", "G2")
+# ranks above this are refused before any root is generated: D_60 has 7080
+# roots, and `roots --family D --rank 60 --format json` takes 3.6 s and
+# 52 MiB (2 vCPUs, Python 3.11.7); decompose "F(40)" takes 0.6 s
+MAX_RANK = 60
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     """A root system, one object per family and rank.
 
-    ``coordinates`` maps every root, in sorted order, to its integer
-    coordinates in the basis of ``simples``; ``gram`` is the integer Gram
-    matrix of the simple roots (of their ambient vectors times 3 for G2).
+    Every root is named by its position p in the sorted order of the ambient
+    vectors: ``vectors[p]`` is its ambient vector, ``coords[p]`` its integer
+    coordinates in the basis of the simple roots, and ``index`` maps those
+    coordinates back to p.  ``positive`` lists the positive roots by height,
+    then by vector; ``simple`` the simple roots alpha_1..alpha_n.
+    ``cartan[k]`` is the coroot of alpha_k (see ``_coroot``), and ``gram``
+    the integer Gram matrix of the simple roots (of their ambient vectors
+    times 3 for G2).
     """
     family: str
     rank: int
-    ambient_dim: int
-    roots: frozenset[Vector]
-    positives: tuple[Vector, ...]
-    simples: tuple[Vector, ...]
-    coordinates: dict = field(repr=False, compare=False)
-    gram: tuple = field(repr=False, compare=False)
+    vectors: tuple[Vector, ...] = field(repr=False)
+    coords: tuple[tuple[int, ...], ...] = field(repr=False)
+    index: dict = field(repr=False)
+    positive: tuple[int, ...] = field(repr=False)
+    simple: tuple[int, ...] = field(repr=False)
+    cartan: tuple[Coroot, ...] = field(repr=False)
+    gram: tuple = field(repr=False)
+
+    @property
+    def roots(self) -> frozenset[Vector]:
+        return frozenset(self.vectors)
+
+    @property
+    def positives(self) -> tuple[Vector, ...]:
+        return tuple(self.vectors[p] for p in self.positive)
+
+    @property
+    def simples(self) -> tuple[Vector, ...]:
+        return tuple(self.vectors[p] for p in self.simple)
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.vectors[0])
 
     @property
     def n_positive(self) -> int:
-        return len(self.positives)
+        return len(self.positive)
 
-    def height(self, root: Vector) -> int:
-        return sum(self.coordinates[root])
+    @functools.cached_property
+    def reflections(self) -> tuple[tuple[int, ...], ...]:
+        """The simple reflections as permutations of the root positions:
+        ``reflections[k][p]`` is the position of s_k applied to root p."""
+        return tuple(tuple(self.index[reflect(c, k, coroot)]
+                           for c in self.coords)
+                     for k, coroot in enumerate(self.cartan))
+
+    @functools.cached_property
+    def coroots(self) -> tuple[Coroot, ...]:
+        """The coroot of every positive root, in ``positive`` order (see
+        ``_coroot``)."""
+        return tuple(_coroot(self.gram, self.coords[p]) for p in self.positive)
 
     def to_json(self) -> dict:
         """The roots as integer vectors over a common denominator (3 for G2),
         and the positive and simple roots by position among them."""
-        den = math.lcm(*(c.denominator for r in self.roots for c in r))
-        ordered = sorted(self.roots)
-        index = {r: i for i, r in enumerate(ordered)}
+        den = math.lcm(*(c.denominator for r in self.vectors for c in r))
         return {
             "family": self.family,
             "rank": self.rank,
             "ambient_dim": self.ambient_dim,
             "denominator": den,
-            "roots": [[int(c * den) for c in r] for r in ordered],
-            "positives": [index[r] for r in self.positives],
-            "simples": [index[r] for r in self.simples],
+            "roots": [[int(c * den) for c in r] for r in self.vectors],
+            "positives": list(self.positive),
+            "simples": list(self.simple),
         }
 
 
@@ -112,6 +150,12 @@ def reflect(c: tuple[int, ...], k: int, coroot: Coroot) -> tuple[int, ...]:
 _ROOT_SYSTEMS: dict = {}
 
 
+def check_rank(rank: int) -> None:
+    """Refuse (ValueError) a rank above ``MAX_RANK``."""
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} is above the bound {MAX_RANK}")
+
+
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Standard realization of the root system of the given family and rank
     (one object per family and rank).
@@ -131,6 +175,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     key = (family, rank)
     if key in _ROOT_SYSTEMS:
         return _ROOT_SYSTEMS[key]
+    check_rank(rank)
     if family == "G2":
         if rank != 2:
             raise ValueError("G2 has rank 2")
@@ -148,7 +193,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     gram = tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in simples)
                  for a in simples)
     units = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
-    cartan = [_coroot(gram, e) for e in units]
+    cartan = tuple(_coroot(gram, e) for e in units)
     vectors, frontier = dict(zip(units, simples)), units
     while frontier:
         nxt = []
@@ -162,19 +207,21 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                     nxt.append(d)
         frontier = nxt
     # sorting the integer vectors sorts the roots: the scale is positive
-    coordinates = {tuple(Fraction(x, den) for x in v): c
-                   for v, c in sorted((v, c) for c, v in vectors.items())}
+    ordered = sorted((v, c) for c, v in vectors.items())
+    coords = tuple(c for _, c in ordered)
+    index = {c: p for p, c in enumerate(coords)}
     # canonical order of positives: by height, then by vector (stable sort)
-    positives = sorted((r for r, c in coordinates.items() if sum(c) > 0),
-                       key=lambda r: sum(coordinates[r]))
+    positive = sorted((p for p, c in enumerate(coords) if sum(c) > 0),
+                      key=lambda p: sum(coords[p]))
     rs = RootSystem(
         family=family,
         rank=rank,
-        ambient_dim=len(simples[0]),
-        roots=frozenset(coordinates),
-        positives=tuple(positives),
-        simples=tuple(tuple(Fraction(x, den) for x in a) for a in simples),
-        coordinates=coordinates,
+        vectors=tuple(tuple(Fraction(x, den) for x in v) for v, _ in ordered),
+        coords=coords,
+        index=index,
+        positive=tuple(positive),
+        simple=tuple(index[e] for e in units),
+        cartan=cartan,
         gram=gram,
     )
     _ROOT_SYSTEMS[key] = rs
@@ -194,51 +241,10 @@ def weyl_order(rs: RootSystem) -> int:
     return 12
 
 
-_INTEGRAL_ROOTS_CACHE: dict = {}
-
-
-def integral_roots(rs: RootSystem) -> tuple[tuple[Vector, ...],
-                                            tuple[tuple[int, ...], ...],
-                                            tuple[tuple[int, ...], ...]]:
-    """The roots in sorted order, their simple-root coordinates, and the
-    simple reflections as permutations of that order (cached per family and
-    rank).
-
-    Permutation ``k`` sends the position of a root to the position of its
-    image under the reflection in simple root ``k``.
-    """
-    key = (rs.family, rs.rank)
-    if key in _INTEGRAL_ROOTS_CACHE:
-        return _INTEGRAL_ROOTS_CACHE[key]
-    roots = tuple(rs.coordinates)
-    coords = tuple(rs.coordinates.values())
-    index = {c: i for i, c in enumerate(coords)}
-    simple_coroots = [coroots(rs)[a] for a in rs.simples]
-    perms = tuple(tuple(index[reflect(c, k, coroot)] for c in coords)
-                  for k, coroot in enumerate(simple_coroots))
-    _INTEGRAL_ROOTS_CACHE[key] = roots, coords, perms
-    return _INTEGRAL_ROOTS_CACHE[key]
-
-
-_COROOTS_CACHE: dict = {}
-
-
-def coroots(rs: RootSystem) -> dict[Vector, Coroot]:
-    """The coroot of every positive root, keyed in ``rs.positives`` order, as
-    its Cartan integers over the simple roots (see ``_coroot``; cached per
-    family and rank)."""
-    key = (rs.family, rs.rank)
-    if key not in _COROOTS_CACHE:
-        _COROOTS_CACHE[key] = {b: _coroot(rs.gram, rs.coordinates[b])
-                               for b in rs.positives}
-    return _COROOTS_CACHE[key]
-
-
 def coroot_pairings(rs: RootSystem, c: Sequence[int]) -> list[int]:
-    """<c, beta^vee> for every positive root beta, in ``rs.positives`` order,
+    """<c, beta^vee> for every positive root beta, in ``rs.positive`` order,
     for c in simple-root coordinates."""
-    return [sum(c[i] * x for i, x in coroot)
-            for coroot in coroots(rs).values()]
+    return [sum(c[i] * x for i, x in coroot) for coroot in rs.coroots]
 
 
 def reflection_closure(perms: Sequence[tuple[int, ...]],
@@ -263,10 +269,9 @@ def reflection_closure(perms: Sequence[tuple[int, ...]],
 
 
 def weyl_group(rs: RootSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The full Weyl group as (sign, permutation of the ``integral_roots``
-    order) pairs."""
-    roots, _, perms = integral_roots(rs)
-    return reflection_closure(perms, len(roots))
+    """The full Weyl group as (sign, permutation of the root positions)
+    pairs."""
+    return reflection_closure(rs.reflections, len(rs.coords))
 
 
 # |W(B6)| = |W(C6)|: every A_n up to A7, B/C up to rank 6 and D up to D6
@@ -280,7 +285,7 @@ class BruhatCovers:
     Elements are numbered in ``weyl_group`` order (0 is the identity, ``top``
     the longest element w0).  The covers of element w are the entries
     ``offsets[w]`` to ``offsets[w + 1]`` of ``targets`` (the index of
-    w s_beta) and ``roots`` (the index of beta in ``rs.positives``).
+    w s_beta) and ``roots`` (the index of beta in ``rs.positive``).
     """
     offsets: list
     targets: list
@@ -321,32 +326,31 @@ def _cover_table(rs: RootSystem) -> BruhatCovers:
     alpha_i to w(s_beta(alpha_i)), so a target is found without composing
     full permutations.
     """
-    roots, coords, perms = integral_roots(rs)
-    position = {c: i for i, c in enumerate(coords)}
-    simple_pos = [position[rs.coordinates[a]] for a in rs.simples]
+    coords, index, simple = rs.coords, rs.index, rs.simple
+    perms = rs.reflections
     positive = [sum(c) > 0 for c in coords]
     reflections = []  # (position of beta, positions of s_beta(alpha_i))
-    for a, coroot in coroots(rs).items():
-        beta, pairing = rs.coordinates[a], dict(coroot)
+    for pos, coroot in zip(rs.positive, rs.coroots):
+        beta, pairing = coords[pos], dict(coroot)
         # s_beta(alpha_i) = alpha_i - <alpha_i, beta^vee> beta
-        reflections.append((position[beta], [
-            position[tuple(int(i == j) - pairing.get(i, 0) * b
-                           for j, b in enumerate(beta))]
+        reflections.append((pos, [
+            index[tuple(int(i == j) - pairing.get(i, 0) * b
+                        for j, b in enumerate(beta))]
             for i in range(rs.rank)]))
     offsets, targets, betas = [0], [], []
-    level, shorter, first, length = [list(range(len(roots)))], set(), 0, 0
+    level, shorter, first, length = [list(range(len(coords)))], set(), 0, 0
     while True:
-        keys = {tuple(w[i] for i in simple_pos) for w in level}
+        keys = {tuple(w[i] for i in simple) for w in level}
         longer = {}  # g w for simple g has length +-1; keep the longer
         for w in level:
             for g in perms:
                 u = [g[i] for i in w]
-                k = tuple(u[i] for i in simple_pos)
+                k = tuple(u[i] for i in simple)
                 if k not in shorter:
                     longer[k] = u
         longer = sorted(longer.values())
         after = first + len(level)
-        element = {tuple(u[i] for i in simple_pos): after + k
+        element = {tuple(u[i] for i in simple): after + k
                    for k, u in enumerate(longer)}
         for w in level:
             for b, (pos, image) in enumerate(reflections):

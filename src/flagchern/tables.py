@@ -51,7 +51,7 @@ def resolve(table_id: str) -> list[str]:
     if table_id in reg["groups"]:
         return list(reg["groups"][table_id])
     if table_id not in reg["tables"]:
-        raise KeyError(f"unknown table id {table_id!r}; "
+        raise ValueError(f"unknown table id {table_id!r}; "
                        f"known ids: {', '.join(table_ids())}")
     return [table_id]
 

@@ -321,18 +321,63 @@ def test_point_manifold_is_a_usage_error(argv, capsys):
 
 
 def test_key_error_message_is_printed_without_quotes(monkeypatch, capsys):
+    # an unknown table id is a usage error; a KeyError from inside a command
+    # is a bug in a lookup, so it is an internal error
     import flagchern.cli as cli
 
     assert main(["table", "reproduce", "nosuch"]) == 1
-    assert capsys.readouterr().err.startswith(
-        "usage error: unknown table id 'nosuch'; known ids: ")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unknown table id 'nosuch'; known ids: ")
+    assert err.count("\n") == 1
 
     def lookup_fails(args, out):
         raise KeyError("no entry 'x' here")
 
     monkeypatch.setattr(cli, "cmd_roots", lookup_fails)
-    assert main(["roots", "--family", "A", "--rank", "2"]) == 1
-    assert capsys.readouterr().err == "usage error: no entry 'x' here\n"
+    assert main(["roots", "--family", "A", "--rank", "2"]) == 3
+    assert capsys.readouterr().err \
+        == "internal error: KeyError: \"no entry 'x' here\"\n"
+
+
+@pytest.mark.parametrize("content", ['{"generators": []}', '{"nvars": 2}',
+                                     '[1, 2]'])
+def test_ideal_file_without_its_keys_is_a_usage_error(tmp_path, capsys,
+                                                      content):
+    path = tmp_path / "ideal.json"
+    path.write_text(content)
+    assert main(["groebner", "--ideal", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"usage error: --ideal: {path} needs the keys 'nvars' "
+                   f"and 'generators'\n")
+
+
+def test_huge_ranks_are_refused_before_any_root_is_built(monkeypatch,
+                                                         capsys):
+    # a rank just above the bound would build its roots if the check were
+    # missing, and reflect would then fail; the refusal allocates nothing
+    import flagchern.rootsys as rootsys
+
+    def unreachable(*args):
+        raise AssertionError("a root was generated")
+
+    monkeypatch.setattr(rootsys, "reflect", unreachable)
+    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
+    top = rootsys.MAX_RANK
+    for argv in (["decompose", f"F({top + 2})"],
+                 ["decompose", f"F({top + 2};1,{top + 1})"],
+                 ["decompose", f"FB({top + 1})"],
+                 ["acs", "classify", f"FD({top + 1};1,{top})"],
+                 ["chern", "--manifold", f"FC({top + 1})"],
+                 ["decompose", "--family", "D", "--rank", str(top + 1)],
+                 ["roots", "--family", "A", "--rank", str(top + 1)]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: rank {top + 1} is above the "
+                                f"bound {top}\n")
+    # the bound itself passes the check and goes on to generate the roots
+    assert main(["decompose", f"F({top + 1})"]) == 3
+    assert "a root was generated" in capsys.readouterr().err
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):

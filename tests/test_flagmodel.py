@@ -11,7 +11,7 @@ from flagchern.flagmodel import (InvariantACS, classify_acs, enumerate_acs,
                                  inner_summand_actions, is_integrable,
                                  parse_manifold)
 from flagchern import rootsys
-from flagchern.rootsys import integral_roots, weyl_group, weyl_order
+from flagchern.rootsys import weyl_group, weyl_order
 from flagchern.tables import load_registry
 
 EULER = {
@@ -43,30 +43,27 @@ def test_fixed_point_count_is_euler_characteristic(name):
     assert flag.fixed_points() is fixed  # enumerated once per manifold
     # distinct cosets W_K w carry distinct sets w^-1(complementary roots)
     n = flag.complex_dim
-    assert len({frozenset(images[:n]) for _, images in fixed.points}) == chi
+    assert len({frozenset(images[:n]) for _, images in fixed}) == chi
     # the identity coset comes first, with the roots themselves
-    sign, images = fixed.points[0]
-    tracked = [r for s in flag.summands() for r in s.roots]
+    sign, images = fixed[0]
+    tracked = [p for s in flag.summands() for p in s.roots]
     tracked += flag.k_positives
     assert sign == 1
-    assert [fixed.roots[i] for i in images] == [
-        flag.rs.coordinates[r] for r in tracked]
+    assert list(images) == tracked
 
 
 def reference_summand_actions(flag):
     """Actions on the summands of every element of W that stabilizes the
     K-roots, read off the whole Weyl group."""
-    roots, _, _ = integral_roots(flag.rs)
-    index = {r: i for i, r in enumerate(roots)}
-    k_roots = {index[r] for r in flag.k_roots}
+    parts = reference_parts(flag)
+    k_roots = flag.k_roots
     actions = set()
     for _, w in weyl_group(flag.rs):
-        if any(w[i] not in k_roots for i in k_roots):
+        if any(w[p] not in k_roots for p in k_roots):
             continue
         targets, orients = [], []
         for s in flag.summands():
-            (target, part), = {flag.summand_index(roots[w[index[r]]])
-                               for r in s.roots}
+            (target, part), = {parts[w[p]] for p in s.roots}
             targets.append(target)
             orients.append(part)
         actions.add((tuple(targets), tuple(orients)))
@@ -270,7 +267,9 @@ def test_point_manifolds_are_refused():
 def theta_projection(flag, v):
     """Orthogonal projection of v onto span(Theta), by Gram-Schmidt."""
     basis = []
-    for t in flag.theta:
+    theta = [a for i, a in enumerate(flag.rs.simples)
+             if i not in flag.removed_indices]
+    for t in theta:
         u = tuple(t)
         for b in basis:
             c = sum(x * y for x, y in zip(u, b)) / sum(x * x for x in b)
@@ -288,37 +287,56 @@ def reference_kappa(flag, v):
 
 
 def reference_k_roots(flag):
-    return {r for r in flag.rs.roots if theta_projection(flag, r) == r}
+    return {r for r in flag.rs.vectors if theta_projection(flag, r) == r}
+
+
+def reference_parts(flag):
+    """(summand, +1/-1) of every complementary root, keyed by its position:
+    kappa of the root is the summand's T-root or its negative."""
+    t_roots = {}
+    for i, s in enumerate(flag.summands()):
+        t_roots[s.t_root] = (i, 1)
+        t_roots[tuple(-x for x in s.t_root)] = (i, -1)
+    k_roots = reference_k_roots(flag)
+    return {p: t_roots[reference_kappa(flag, r)]
+            for p, r in enumerate(flag.rs.vectors) if r not in k_roots}
 
 
 def reference_is_integrable(flag, k_roots, signs):
     """The K-roots and the +1 roots form a closed subset of the roots."""
+    roots = flag.rs.roots
     plus = set(k_roots)
     for s, summand in zip(signs, flag.summands()):
-        plus.update(r if s == 1 else tuple(-x for x in r)
-                    for r in summand.roots)
-    return all(tuple(x + y for x, y in zip(a, b)) not in flag.rs.roots
+        plus.update(tuple(s * x for x in flag.rs.vectors[p])
+                    for p in summand.roots)
+    return all(tuple(x + y for x, y in zip(a, b)) not in roots
                or tuple(x + y for x, y in zip(a, b)) in plus
                for a in plus for b in plus)
 
 
-@pytest.mark.parametrize("name", registry_manifolds())
+@pytest.mark.parametrize("name", registry_manifolds() + [
+    "FB(7;3,4)", "FC(6;2,2,2)", "FD(7;2,5)", "F(12;3,4,5)"])
 def test_k_roots_and_summands_match_projection_and_kappa(name):
     flag = parse_manifold(name)
+    rs = flag.rs
     k_roots = reference_k_roots(flag)
-    assert flag.k_roots == k_roots
-    assert set(flag.complementary_pos) == set(flag.rs.positives) - k_roots
+    assert {rs.vectors[p] for p in flag.k_roots} == k_roots
+    assert {rs.vectors[p] for p in flag.k_positives} \
+        == set(rs.positives) & k_roots
+    assert {rs.vectors[p] for p in flag.complementary_pos} \
+        == set(rs.positives) - k_roots
     groups = {}
-    for a in flag.complementary_pos:
-        groups.setdefault(reference_kappa(flag, a), []).append(a)
+    for p in flag.complementary_pos:
+        groups.setdefault(reference_kappa(flag, rs.vectors[p]), []).append(p)
     summands = flag.summands()
     assert len(summands) == len(groups)
     for s in summands:
         assert list(s.roots) == groups[s.t_root]
         # the coordinates on the removed simples, read off every member
-        for r in s.roots:
-            c = flag.rs.coordinates[r]
+        for p in s.roots:
+            c = rs.coords[p]
             assert s.coeffs == tuple(c[i] for i in flag.removed_indices)
+    assert flag.summand_parts == reference_parts(flag)
 
 
 @pytest.mark.parametrize("name", [
@@ -342,21 +360,14 @@ def test_closure_table_holds_each_violation_once(name):
     # violated triple {a, b, -c} of summand parts: the table holds one
     # entry per triple, and each adds two roots of the same part sign
     flag = parse_manifold(name)
-    roots = set(flag.rs.roots)
-
-    def part(r):
-        return flag.summand_index(r)
-
-    def negated(r):
-        return tuple(-x for x in r)
-
+    part = {flag.rs.vectors[p]: v for p, v in reference_parts(flag).items()}
     triples = set()
-    for a in flag.complementary:
-        for b in flag.complementary:
+    for a in part:
+        for b in part:
             c = tuple(x + y for x, y in zip(a, b))
-            if c in roots and c in flag.complementary:
-                i, p = part(negated(c))
-                triples.add(frozenset([part(a), part(b), (i, p)]))
+            if c in part:
+                triples.add(frozenset([part[a], part[b],
+                                       part[tuple(-x for x in c)]]))
     table = flag.closure_table
     assert all(p == q for _, p, _, q, _, _ in table)
     assert len(table) == len(triples)
@@ -382,11 +393,11 @@ def test_rootsys_solves_no_linear_system(monkeypatch, name):
 
     monkeypatch.setattr(rootsys, "_solve", unreachable)
     monkeypatch.setattr(flagmodel, "_solve", counted)
-    for cache in ("_ROOT_SYSTEMS", "_INTEGRAL_ROOTS_CACHE", "_COROOTS_CACHE",
-                  "_COVERS_CACHE"):
+    for cache in ("_ROOT_SYSTEMS", "_COVERS_CACHE"):
         monkeypatch.setattr(rootsys, cache, {})
     flag = parse_manifold(name)
     flag.summands()
     classify_acs(flag)
     rootsys.bruhat_covers(flag.rs)
-    assert len(calls) == (1 if flag.theta else 0)
+    theta = flag.rs.rank - len(flag.removed_indices)
+    assert len(calls) == (1 if theta else 0)

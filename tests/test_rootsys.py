@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagchern import rootsys
-from flagchern.rootsys import (MAX_BRUHAT_ORDER, build_root_system,
-                               bruhat_covers, coroot_pairings, integral_roots,
-                               weyl_group, weyl_order)
+from flagchern.rootsys import (MAX_BRUHAT_ORDER, MAX_RANK,
+                               build_root_system, bruhat_covers,
+                               coroot_pairings, weyl_group, weyl_order)
 
 ORDERS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
@@ -56,11 +56,14 @@ TEXTBOOK_TYPES = ([("A", n) for n in range(1, 9)]
 def test_generated_roots_are_the_textbook_roots(family, rank):
     rs = build_root_system(family, rank)
     positives = textbook_positives(family, rank)
-    assert set(rs.positives) == positives
-    assert rs.roots == positives | {tuple(-x for x in r) for r in positives}
-    assert len(rs.positives) == len(positives)
-    assert list(rs.positives) == sorted(rs.positives,
-                                        key=lambda r: (rs.height(r), r))
+    assert {rs.vectors[p] for p in rs.positive} == positives
+    assert set(rs.vectors) \
+        == positives | {tuple(-x for x in r) for r in positives}
+    assert list(rs.vectors) == sorted(rs.vectors)
+    assert len(rs.positive) == len(positives)
+    # positives by height, then by vector
+    assert list(rs.positive) == sorted(
+        rs.positive, key=lambda p: (sum(rs.coords[p]), rs.vectors[p]))
     assert build_root_system(family.lower(), rank) is rs
 
 
@@ -82,11 +85,9 @@ def test_closed_form_weyl_order(family, rank):
 @pytest.mark.parametrize("family,rank", sorted(ORDERS))
 def test_integral_roots_and_simple_reflections(family, rank):
     rs = build_root_system(family, rank)
-    roots, coords, perms = integral_roots(rs)
-    assert roots == tuple(sorted(rs.roots)) and len(perms) == rank
-    assert coords == tuple(rs.coordinates[r] for r in roots)
-    assert integral_roots(rs) is integral_roots(build_root_system(family,
-                                                                  rank))
+    roots, perms = rs.vectors, rs.reflections
+    assert len(perms) == rank
+    assert all(rs.index[c] == p for p, c in enumerate(rs.coords))
     # s_a(x) = x - 2 (x, a) / (a, a) a, over Fractions
     for alpha, perm in zip(rs.simples, perms):
         c = 2 / dot(alpha, alpha)
@@ -96,14 +97,35 @@ def test_integral_roots_and_simple_reflections(family, rank):
             assert roots[perm[i]] == image
 
 
+def test_reflections_and_coroots_are_built_on_first_use(monkeypatch):
+    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
+    rs = build_root_system("B", 4)
+    assert "reflections" not in vars(rs) and "coroots" not in vars(rs)
+    calls = []
+    real = rootsys._coroot
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rootsys, "_coroot", counted)
+    coroots = rs.coroots
+    assert rs.coroots is coroots and len(calls) == rs.n_positive == 16
+    assert "reflections" not in vars(rs)
+    reflections = rs.reflections
+    assert rs.reflections is reflections and len(reflections) == 4
+    assert build_root_system("B", 4) is rs and len(calls) == 16
+
+
 @pytest.mark.parametrize("family,rank", sorted(ORDERS))
 def test_coroot_pairings_are_cartan_integers(family, rank):
     # <alpha, beta^vee> = 2 (alpha, beta) / (beta, beta) on the ambient
     # vectors, for every root alpha and positive root beta
     rs = build_root_system(family, rank)
-    for alpha in rs.roots:
-        assert coroot_pairings(rs, rs.coordinates[alpha]) == [
-            2 * dot(alpha, beta) / dot(beta, beta) for beta in rs.positives]
+    positives = rs.positives
+    for alpha, c in zip(rs.vectors, rs.coords):
+        assert coroot_pairings(rs, c) == [
+            2 * dot(alpha, beta) / dot(beta, beta) for beta in positives]
 
 
 @pytest.mark.parametrize("family,rank,n_pos", [
@@ -119,14 +141,15 @@ def test_positive_root_count(family, rank, n_pos):
 @pytest.mark.parametrize("family,rank", sorted(ORDERS))
 def test_simples_are_positive_and_heights_integral(family, rank):
     rs = build_root_system(family, rank)
-    pos = set(rs.positives)
-    assert set(rs.simples) <= pos
-    for root in rs.positives:
-        h = rs.height(root)
-        assert h == int(h) and h >= 1
-        coeffs = rs.coordinates[root]
-        assert all(c >= 0 for c in coeffs)
-        assert sum(coeffs) == h
+    assert set(rs.simple) <= set(rs.positive)
+    # the simple roots have the unit coordinate vectors, in order
+    assert [rs.coords[p] for p in rs.simple] == [
+        tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+    for p, coeffs in enumerate(rs.coords):
+        assert all(type(c) is int for c in coeffs)
+        # every root is positive or negative: one sign throughout
+        assert (p in rs.positive) == all(c >= 0 for c in coeffs)
+        assert (p in rs.positive) == (sum(coeffs) >= 1)
 
 
 @pytest.mark.parametrize("family,rank", sorted(ORDERS))
@@ -134,11 +157,10 @@ def test_weyl_preserves_root_set(family, rank):
     # each element permutes the roots, commutes with negation and keeps the
     # inner products, as the orthogonal map it stands for does
     rs = build_root_system(family, rank)
-    roots, _, _ = integral_roots(rs)
+    roots = rs.vectors
     n = len(roots)
     inner = gram(roots)
-    index = {r: i for i, r in enumerate(roots)}
-    neg = [index[tuple(-x for x in r)] for r in roots]
+    neg = [roots.index(tuple(-x for x in r)) for r in roots]
     group = weyl_group(rs)
     assert len({w for _, w in group}) == len(group)
     assert group[0] == (1, tuple(range(n)))
@@ -152,9 +174,7 @@ def test_weyl_preserves_root_set(family, rank):
 @pytest.mark.parametrize("family,rank", sorted(ORDERS))
 def test_sign_is_negated_positive_parity(family, rank):
     rs = build_root_system(family, rank)
-    roots, _, _ = integral_roots(rs)
-    index = {r: i for i, r in enumerate(roots)}
-    positives = {index[r] for r in rs.positives}
+    positives = set(rs.positive)
     for sign, w in weyl_group(rs):
         negated = sum(1 for i in positives if w[i] not in positives)
         assert sign == (-1) ** negated
@@ -162,7 +182,8 @@ def test_sign_is_negated_positive_parity(family, rank):
 
 def test_reflection_is_involutive_isometry():
     for family, rank in sorted(ORDERS):
-        roots, _, perms = integral_roots(build_root_system(family, rank))
+        rs = build_root_system(family, rank)
+        roots, perms = rs.vectors, rs.reflections
         n = len(roots)
         inner = gram(roots)
         for perm in perms:
@@ -202,15 +223,14 @@ def test_a_family_order_formula():
 def test_simple_coefficients_rebuild_every_root(family, rank):
     # sum_i c_i alpha_i == root, with integer c_i, for every root
     rs = build_root_system(family, rank)
-    assert list(rs.coordinates) == list(integral_roots(rs)[0])
-    for root in rs.roots:
-        c = rs.coordinates[root]
+    assert len(rs.coords) == len(rs.vectors)
+    simples = rs.simples
+    for root, c in zip(rs.vectors, rs.coords):
         assert len(c) == rank
         assert all(type(x) is int for x in c)
-        rebuilt = tuple(sum(ci * a[j] for ci, a in zip(c, rs.simples))
+        rebuilt = tuple(sum(ci * a[j] for ci, a in zip(c, simples))
                         for j in range(rs.ambient_dim))
         assert rebuilt == root
-        assert rs.height(root) == sum(c)
 
 
 # the degrees of the basic invariants of W

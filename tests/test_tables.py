@@ -26,7 +26,7 @@ def test_registry_ids_and_aliases():
     assert resolve("sp3t") == ["tabsp31"]
     assert resolve("f5-all") == ["tabf51", "tabf54"]
     assert "f5-all" in table_ids() and "sp3t" in table_ids()
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown table id 'no-such-table'"):
         resolve("no-such-table")
 
 
