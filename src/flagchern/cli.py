@@ -281,13 +281,34 @@ def _load_ideal(spec: str):
     if not isinstance(data, dict) or not {"nvars", "generators"} <= set(data):
         raise UsageError(f"--ideal: {spec} needs the keys 'nvars' and "
                          f"'generators'")
-    return [Polynomial.from_json(data["nvars"], g) for g in data["generators"]]
+    nvars, gens = data["nvars"], data["generators"]
+    if not (isinstance(nvars, int) and nvars > 0 and isinstance(gens, list)
+            and gens):
+        raise UsageError(f"--ideal: {spec} needs a positive 'nvars' and a "
+                         f"nonempty list of 'generators'")
+    malformed = UsageError(f"--ideal: {spec}: each generator must be a list "
+                           f"of [exponents, numerator, denominator] terms "
+                           f"with {nvars} exponents each")
+    if not all(isinstance(g, list) and all(_is_term(t, nvars) for t in g)
+               for g in gens):
+        raise malformed
+    try:
+        return [Polynomial.from_json(nvars, g) for g in gens]
+    except (ValueError, ZeroDivisionError):  # "x" as a number, 0 below
+        raise malformed from None
+
+
+def _is_term(term, nvars: int) -> bool:
+    return (isinstance(term, list) and len(term) == 3
+            and isinstance(term[0], list) and len(term[0]) == nvars
+            and all(isinstance(e, int) and e >= 0 for e in term[0])
+            and all(isinstance(v, (int, str)) for v in term[1:]))
 
 
 def cmd_groebner(args, out) -> int:
     gens = _load_ideal(args.ideal)
     nvars = gens[0].nvars
-    order = MonomialOrder(args.order, tuple(range(nvars)))
+    order = MonomialOrder(args.order)
     gb = buchberger(gens, order)
     try:
         qdim = quotient_dimension(gb, nvars)

@@ -12,11 +12,11 @@ scalar relating the claimed top class to the canonical top normal monomial
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .groebner import (GroebnerBasis, MonomialOrder, _complete_homogeneous,
+from .groebner import (GroebnerBasis, _complete_homogeneous,
                        borel_generators, buchberger, normal_form,
                        quotient_dimension, staircase_monomials)
 from .polyring import Polynomial, exact_divide
@@ -38,21 +38,17 @@ class PresentationCase:
     # ambient full-flag ring)
     extra_factors: tuple[Polynomial, ...] = ()
     expected_quotient_dim: int | None = None
-    order: MonomialOrder = field(default=None)  # type: ignore[assignment]
     # claimed reduced Groebner basis, when the reference prints one
     claimed_basis: tuple[Polynomial, ...] = ()
 
     def __post_init__(self):
-        if self.order is None:
-            object.__setattr__(self, "order",
-                               MonomialOrder("lex", tuple(range(self.nvars))))
         for r in self.relations:
             if not r.is_homogeneous():
                 raise ValueError(f"case {self.name}: claimed relation {r} "
                                  f"is not homogeneous")
 
     def groebner(self) -> GroebnerBasis:
-        return buchberger(self.generators, self.order)
+        return buchberger(self.generators)
 
 
 # -- relation families --------------------------------------------------------

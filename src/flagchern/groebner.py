@@ -22,20 +22,17 @@ ORDER_KINDS = ("lex", "grlex", "grevlex")
 @dataclass(frozen=True)
 class MonomialOrder:
     kind: str = "lex"
-    priority: tuple[int, ...] | None = None  # most significant variable first
 
     def __post_init__(self):
         if self.kind not in ORDER_KINDS:
             raise ValueError(f"unknown monomial order {self.kind!r}")
 
     def key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.priority if self.priority is not None else range(len(exps))
-        pe = tuple(exps[i] for i in p)
         if self.kind == "lex":
-            return pe
+            return exps
         if self.kind == "grlex":
-            return (sum(exps),) + pe
-        return (sum(exps),) + tuple(-e for e in reversed(pe))
+            return (sum(exps),) + exps
+        return (sum(exps),) + tuple(-e for e in reversed(exps))
 
     def negkey(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(-v for v in self.key(exps))
@@ -49,7 +46,6 @@ class MonomialOrder:
 class GroebnerBasis:
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = True
 
     def leading_terms(self) -> list[tuple[int, ...]]:
         return [self.order.leading(g)[0] for g in self.generators]
@@ -171,7 +167,7 @@ def buchberger(generators: Sequence[Polynomial],
         _, lc = order.leading(r)
         reduced.append(r * (1 / lc))
     reduced.sort(key=lambda g: order.key(order.leading(g)[0]))
-    return GroebnerBasis(tuple(reduced), order, True)
+    return GroebnerBasis(tuple(reduced), order)
 
 
 def staircase_monomials(gb: GroebnerBasis, nvars: int) -> list[tuple[int, ...]]:

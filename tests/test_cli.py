@@ -351,6 +351,25 @@ def test_ideal_file_without_its_keys_is_a_usage_error(tmp_path, capsys,
                    f"and 'generators'\n")
 
 
+NOT_TERMS = (": each generator must be a list of [exponents, numerator, "
+             "denominator] terms with 2 exponents each")
+
+
+@pytest.mark.parametrize("generators,tail", [
+    ([], " needs a positive 'nvars' and a nonempty list of 'generators'"),
+    ([3], NOT_TERMS),
+    ([[[[1, 0], "1"]]], NOT_TERMS),
+    ([[[[1, 0], 1.5, 1]]], NOT_TERMS),
+    ([[[[1, 0], "1", 0]]], NOT_TERMS),
+])
+def test_malformed_ideal_file_is_a_usage_error(tmp_path, capsys, generators,
+                                               tail):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"nvars": 2, "generators": generators}))
+    assert main(["groebner", "--ideal", str(path)]) == 1
+    assert capsys.readouterr().err == f"usage error: --ideal: {path}{tail}\n"
+
+
 def test_huge_ranks_are_refused_before_any_root_is_built(monkeypatch,
                                                          capsys):
     # a rank just above the bound would build its roots if the check were

@@ -17,7 +17,7 @@ def _vars(n):
 
 
 def lex3():
-    return MonomialOrder("lex", (0, 1, 2))
+    return MonomialOrder("lex")
 
 
 def test_d3_borel_basis_is_the_recorded_one():
@@ -85,12 +85,12 @@ def test_normal_form_is_linear_and_multiplicative_mod_ideal(p, q):
 
 def test_buchberger_result_independent_of_generator_order():
     gens = borel_generators("B", 3)
-    gb0 = buchberger(gens, MonomialOrder("lex", (0, 1, 2)))
+    gb0 = buchberger(gens, MonomialOrder("lex"))
     rng = random.Random(7)
     for _ in range(3):
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        gb = buchberger(shuffled, MonomialOrder("lex", (0, 1, 2)))
+        gb = buchberger(shuffled, MonomialOrder("lex"))
         assert set(gb.generators) == set(gb0.generators)
 
 
@@ -123,7 +123,7 @@ def test_s_polynomial_reduces_to_zero_in_basis():
 @pytest.mark.parametrize("kind", ["lex", "grlex", "grevlex"])
 def test_quotient_dimension_order_independent(kind):
     gens = borel_generators("A", 3)
-    gb = buchberger(gens, MonomialOrder(kind, (0, 1, 2, 3)))
+    gb = buchberger(gens, MonomialOrder(kind))
     assert quotient_dimension(gb, 4) == 24
 
 

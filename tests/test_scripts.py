@@ -1,16 +1,22 @@
 """Smoke tests: the scripts in ``scripts/`` run and print what the package
 computes."""
 
+import copy
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from flagchern.chern import todd_polynomial
 from flagchern.flagmodel import classify_acs, enumerate_acs, parse_manifold
+from flagchern.tables import load_registry
 
 REPO = Path(__file__).resolve().parent.parent
+BUILD = REPO / "scripts" / "build_expected_tables.py"
 
 
 def run_script(*argv):
@@ -49,3 +55,34 @@ def test_classify_structures_script():
         assert int(n_census) == len(enumerate_acs(flag))
         assert int(n_classes) == len(classes)
     assert out.count("  class ") == sum(int(h[3]) for h in heads)
+
+
+def test_build_script_regenerates_the_packaged_registry(tmp_path):
+    out = tmp_path / "expected_tables.json"
+    run_script(BUILD, out)
+    packaged = REPO / "src" / "flagchern" / "data" / "expected_tables.json"
+    assert out.read_bytes() == packaged.read_bytes()
+
+
+# a modified copy of one packaged table, and the message naming its cell
+@pytest.mark.parametrize("tid,modify,message", [
+    ("tab2", lambda t: t["sections"][1]["columns"][3]["annotations"].clear(),
+     "tab2 F(8;1,2,5) J4 = (-,+,-) c1^17: unexpected mismatch"),
+    ("tab3", lambda t: t["columns"][0]["annotations"].append(
+        {"row": "c8", "printed": "30", "recomputed": "30", "note": "x"}),
+     "tab3 F(5;1,2,2) J1 = (+,+,+) c8: annotated but matches"),
+    ("so5t", lambda t: t["columns"][0]["signs"].append(1),
+     "so5t SO(5)/T J = (+,+,+,+): 5 signs for 4 summands"),
+    ("so5t", lambda t: t.update(rows=["c1^3"] + t["rows"][1:]),
+     "so5t SO(5)/T J = (+,+,+,+): monomial c1^3 has weighted degree 3, "
+     "expected 4"),
+    ("so5t", lambda t: t["columns"][0]["printed"].pop(),
+     "so5t SO(5)/T J = (+,+,+,+): 4 printed values for 5 rows"),
+])
+def test_rebuild_names_the_cell_it_cannot_explain(tid, modify, message):
+    rebuild = runpy.run_path(str(BUILD))["rebuild"]
+    data = {"tables": {tid: copy.deepcopy(load_registry()["tables"][tid])}}
+    assert rebuild(data) == data
+    modify(data["tables"][tid])
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        rebuild(data)

@@ -1,7 +1,4 @@
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -119,12 +116,3 @@ def test_f8_sections_reproduce_with_slow_enabled(reproduce_cached):
     assert cells == [("F(8;1,2,5)", cells[0][1], "c1^17",
                       1250749500000000, 12507495000000000)]
 
-
-def test_build_script_regenerates_the_packaged_registry(tmp_path):
-    repo = Path(__file__).resolve().parent.parent
-    out = tmp_path / "expected_tables.json"
-    script = repo / "scripts" / "build_expected_tables.py"
-    subprocess.run([sys.executable, str(script), str(out)], check=True,
-                   capture_output=True)
-    packaged = repo / "src" / "flagchern" / "data" / "expected_tables.json"
-    assert out.read_bytes() == packaged.read_bytes()
