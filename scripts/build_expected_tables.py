@@ -6,8 +6,10 @@ the fixed-point oracle, and each annotation keeps its note while its printed
 and recomputed values are rewritten.  The rebuild stops, naming the table,
 manifold, column and row, on a difference with no annotation, an annotation
 on a matching cell, a row that is not a Chern monomial of weighted degree N,
-or a sign vector whose length is not the summand count.  It also rechecks the
-recorded Chern classes against their normal forms in the Borel quotient.
+or a column that ``tables.check_column`` refuses (a sign vector that is not
+one sign per summand, or a printed list that is not one value per row).  It
+also rechecks the recorded Chern classes against their normal forms in the
+Borel quotient.
 
 Usage: PYTHONPATH=src python3 scripts/build_expected_tables.py [output.json]
 """
@@ -21,6 +23,7 @@ from pathlib import Path
 from flagchern.chern import chern_classes, chern_numbers, parse_cmonomial
 from flagchern.flagmodel import InvariantACS, parse_manifold
 from flagchern.groebner import borel_groebner, normal_form
+from flagchern.tables import check_column
 
 REGISTRY = (Path(__file__).resolve().parent.parent / "src" / "flagchern"
             / "data" / "expected_tables.json")
@@ -31,15 +34,11 @@ flag_of = functools.cache(parse_manifold)
 def rebuild_column(where: str, flag, rows: list[str], col: dict) -> None:
     """Recompute one column and rewrite its annotations in row order."""
     where = f"{where} {col['label']}"
-    n_summands = len(flag.summands())
-    if len(col["signs"]) != n_summands:
-        raise SystemExit(f"{where}: {len(col['signs'])} signs for "
-                         f"{n_summands} summands")
-    if len(col["printed"]) != len(rows):
-        raise SystemExit(f"{where}: {len(col['printed'])} printed values "
-                         f"for {len(rows)} rows")
     try:
+        check_column(where, flag, rows, col)
         values = chern_numbers(flag, InvariantACS(tuple(col["signs"])), rows)
+    except AssertionError as exc:
+        raise SystemExit(str(exc))
     except ValueError as exc:  # a row that is not a monomial of degree N
         raise SystemExit(f"{where}: {exc}")
     notes = {a["row"]: a["note"] for a in col["annotations"]}

@@ -11,30 +11,29 @@ Subpackages compute, over exact rational arithmetic:
   * reproduction of the reference Chern-number tables (``tables``).
 """
 
-from .polyring import Polynomial, elementary_symmetric_values, exact_divide
+from .polyring import Polynomial, elementary_symmetric_values
 from .rootsys import RootSystem, build_root_system, bruhat_covers, weyl_group
 from .groebner import (MonomialOrder, GroebnerBasis, buchberger, normal_form,
                        quotient_dimension, borel_generators, borel_groebner)
 from .flagmodel import (FlagManifold, IsotropySummand, InvariantACS, ACSClass,
                         parse_manifold, t_root_decomposition,
                         enumerate_acs, is_integrable, classify_acs)
-from .chern import (chern_classes, chern_numbers, chern_number,
-                    chern_numbers_schubert, todd_polynomial,
-                    todd_genus, bernoulli, parse_cmonomial, format_cmonomial,
-                    monomials_of_weighted_degree)
+from .chern import (chern_classes, chern_numbers, chern_numbers_schubert,
+                    todd_polynomial, todd_genus, parse_cmonomial,
+                    format_cmonomial, monomials_of_weighted_degree)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Polynomial", "elementary_symmetric_values", "exact_divide",
+    "Polynomial", "elementary_symmetric_values",
     "RootSystem", "build_root_system", "bruhat_covers", "weyl_group",
     "MonomialOrder", "GroebnerBasis", "buchberger", "normal_form",
     "quotient_dimension", "borel_generators", "borel_groebner",
     "FlagManifold", "IsotropySummand", "InvariantACS", "ACSClass",
     "parse_manifold", "t_root_decomposition", "enumerate_acs",
     "is_integrable", "classify_acs",
-    "chern_classes", "chern_numbers", "chern_number", "chern_numbers_schubert",
-    "todd_polynomial", "todd_genus", "bernoulli",
+    "chern_classes", "chern_numbers", "chern_numbers_schubert",
+    "todd_polynomial", "todd_genus",
     "parse_cmonomial", "format_cmonomial", "monomials_of_weighted_degree",
     "__version__",
 ]

@@ -99,19 +99,13 @@ def monomials_of_weighted_degree(n_classes: int, degree: int) -> list[tuple[int,
 
 # -- Chern classes ----------------------------------------------------------
 
-def signed_root_forms(flag: FlagManifold, acs: InvariantACS) -> list[Polynomial]:
-    """Linear forms eps_alpha * alpha over the complementary positive roots."""
-    forms = []
-    for i, summand in enumerate(flag.summands()):
-        s = acs.signs[i]
-        for r in summand.roots:
-            forms.append(Polynomial.linear_form(flag.rs.vectors[r]) * s)
-    return forms
-
-
 def chern_classes(flag: FlagManifold, acs: InvariantACS) -> list[Polynomial]:
-    """c_1..c_N as polynomials on the ambient coordinates (N = complex dim)."""
-    forms = signed_root_forms(flag, acs)
+    """c_1..c_N as polynomials on the ambient coordinates (N = complex dim):
+    the elementary symmetric functions of the linear forms eps_alpha * alpha
+    over the complementary positive roots."""
+    forms = [Polynomial.linear_form(flag.rs.vectors[r]) * s
+             for s, summand in zip(acs.signs, flag.summands())
+             for r in summand.roots]
     return elementary_symmetric_values(forms, len(forms))[1:]
 
 
@@ -317,26 +311,7 @@ def chern_numbers_by(flag: FlagManifold, acs: InvariantACS, monos: list,
     return weyl
 
 
-def chern_number(flag: FlagManifold, acs: InvariantACS, c_monomial) -> int:
-    m = _top_monomial(flag, c_monomial)
-    return chern_numbers(flag, acs, [m])[m]
-
-
 # -- Todd polynomials and the Todd genus ------------------------------------
-
-_BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
-
-
-def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2) via the standard recurrence."""
-    while len(_BERNOULLI_CACHE) <= n:
-        m = len(_BERNOULLI_CACHE)
-        total = Fraction(0)
-        for k in range(m):
-            total += math.comb(m + 1, k) * _BERNOULLI_CACHE[k]
-        _BERNOULLI_CACHE.append(-total / (m + 1))
-    return _BERNOULLI_CACHE[n]
-
 
 def _todd_series(order: int) -> list[Fraction]:
     """Coefficients of x/(1 - e^{-x}) up to x^order."""
@@ -437,7 +412,7 @@ def todd_genus(flag: FlagManifold, acs: InvariantACS,
     """Integral of the top Todd polynomial of the tangent bundle.
 
     Evaluated against the fundamental class oriented by the structure itself
-    (not the fixed all-plus orientation used by ``chern_number``), so every
+    (not the fixed all-plus orientation used by ``chern_numbers``), so every
     integrable structure has genus exactly 1.  ``numbers`` may hold Chern
     numbers already computed for at least the Todd polynomial's monomials;
     otherwise they are computed here.

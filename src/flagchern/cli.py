@@ -103,11 +103,9 @@ def _flag_from_args(args) -> "FlagManifold":
             if not 1 <= i <= args.rank:
                 raise UsageError(f"simple-root index {i} out of range 1..{args.rank}")
         if mode == "keep":
-            theta = [rs.simples[i - 1] for i in range(1, args.rank + 1)
-                     if i in idx]
+            theta = [i - 1 for i in idx]
         elif mode == "remove":
-            theta = [rs.simples[i - 1] for i in range(1, args.rank + 1)
-                     if i not in idx]
+            theta = [i for i in range(args.rank) if i + 1 not in idx]
         else:
             raise UsageError("--theta must look like keep=1,2 or remove=1,3")
     return FlagManifold(rs, theta)
@@ -382,8 +380,7 @@ def cmd_verify(args, out) -> int:
         check(f"todd genus 1 on {name}", g == 1)
     # projective-space sanity oracle
     for n in range(1, 5):
-        rs = build_root_system("A", n)
-        flag = FlagManifold(rs, rs.simples[1:])
+        flag = FlagManifold(build_root_system("A", n), range(1, n))
         v = chern_numbers(flag, InvariantACS((1,)), [(n,) + (0,) * (n - 1)])
         ok = (list(v.values())[0] == (n + 1) ** n
               and flag.euler_characteristic() == n + 1)

@@ -72,7 +72,7 @@ class InvariantACS:
 
 class FlagManifold:
     """G/K described by a root system and a subset Theta of the simple roots,
-    given by their ambient vectors.
+    given by their indices 0..rank-1 in ``rs.simple``.
 
     The K-roots are the roots whose simple-root coordinates on the removed
     simple roots are all 0; roots are held by their positions in the tables
@@ -81,14 +81,13 @@ class FlagManifold:
 
     def __init__(self, rs: RootSystem, theta):
         theta = tuple(theta)
-        simples = rs.simples
         for t in theta:
-            if tuple(t) not in simples:
-                raise ValueError(f"{t} is not a simple root of {rs.family}{rs.rank}")
-        kept = {tuple(t) for t in theta}
+            if not (isinstance(t, int) and 0 <= t < rs.rank):
+                raise ValueError(f"{t!r} is not a simple-root index "
+                                 f"0..{rs.rank - 1} of {rs.family}{rs.rank}")
         self.rs = rs
-        self.removed_indices = tuple(i for i, a in enumerate(simples)
-                                     if a not in kept)
+        self.removed_indices = tuple(i for i in range(rs.rank)
+                                     if i not in theta)
         self.k_roots = frozenset(
             p for p, c in enumerate(rs.coords)
             if not any(c[i] for i in self.removed_indices))
@@ -437,9 +436,9 @@ def parse_manifold(name: str) -> FlagManifold:
     if upper == "G2/T":
         return FlagManifold(build_root_system("G2", 2), [])
     if upper in ("G2-LONG", "G2-SHORT"):
-        rs = build_root_system("G2", 2)
-        kept = rs.simples[0] if upper == "G2-LONG" else rs.simples[1]
-        return FlagManifold(rs, [kept])
+        # G2-long keeps the long simple root alpha_1
+        return FlagManifold(build_root_system("G2", 2),
+                            [0 if upper == "G2-LONG" else 1])
 
     import re
 
@@ -457,7 +456,6 @@ def parse_manifold(name: str) -> FlagManifold:
         blocks = [int(b) for b in blocks_text.split(",")]
     if sum(blocks) != n or any(b < 1 for b in blocks):
         raise ValueError(f"block sizes {blocks} must be positive and sum to {n}")
-    rs = build_root_system(family, rank)
     cuts = set(itertools.accumulate(blocks))
-    theta = [s for i, s in enumerate(rs.simples) if i + 1 not in cuts]
-    return FlagManifold(rs, theta)
+    return FlagManifold(build_root_system(family, rank),
+                        [i for i in range(rank) if i + 1 not in cuts])

@@ -2,8 +2,8 @@
 
 Polynomials are immutable values: a fixed number of variables, terms stored
 as a map from dense exponent tuples to ``Fraction`` coefficients with no zero
-coefficients kept.  The canonical term order used for printing, leading terms
-and serialization is graded lexicographic (higher total degree first, ties
+coefficients kept.  The canonical term order used for printing and
+serialization is graded lexicographic (higher total degree first, ties
 broken by the exponent tuple).  ``elementary_symmetric_values`` expands the
 elementary symmetric functions of numbers or of polynomials alike.
 """
@@ -12,18 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-
-class ExactDivisionError(ArithmeticError):
-    """Raised when a division that must be exact leaves a remainder."""
-
-    def __init__(self, remainder: "Polynomial"):
-        self.remainder = remainder
-        super().__init__(f"division is not exact; remainder {remainder}")
-
-
-def _grlex_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
 
 
 class Polynomial:
@@ -85,16 +73,6 @@ class Polynomial:
         if len(degrees) != 1:
             return False
         return degree is None or degrees == {degree}
-
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        """Leading (exponents, coefficient) under graded lex."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
-
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -200,7 +178,8 @@ class Polynomial:
     # -- printing and serialization ------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]),
+                      reverse=True)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -264,27 +243,3 @@ def elementary_symmetric_values(values: Sequence, k_max: int) -> list:
             e[j] = e[j] + v * e[j - 1]
     return e
 
-
-def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact quotient p/q; raises ExactDivisionError if the remainder is nonzero."""
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    quotient = Polynomial.zero(p.nvars)
-    remainder = Polynomial.zero(p.nvars)
-    r = p
-    q_exps, q_coeff = q.leading()
-    while not r.is_zero():
-        r_exps, r_coeff = r.leading()
-        diff = tuple(a - b for a, b in zip(r_exps, q_exps))
-        if any(d < 0 for d in diff):
-            # move the leading term to the remainder and keep going
-            t = Polynomial(p.nvars, {r_exps: r_coeff})
-            remainder = remainder + t
-            r = r - t
-            continue
-        t = Polynomial(p.nvars, {diff: r_coeff / q_coeff})
-        quotient = quotient + t
-        r = r - t * q
-    if not remainder.is_zero():
-        raise ExactDivisionError(remainder)
-    return quotient

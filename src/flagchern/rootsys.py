@@ -56,14 +56,6 @@ class RootSystem:
     gram: tuple = field(repr=False)
 
     @property
-    def roots(self) -> frozenset[Vector]:
-        return frozenset(self.vectors)
-
-    @property
-    def positives(self) -> tuple[Vector, ...]:
-        return tuple(self.vectors[p] for p in self.positive)
-
-    @property
     def simples(self) -> tuple[Vector, ...]:
         return tuple(self.vectors[p] for p in self.simple)
 

@@ -71,10 +71,21 @@ class ColumnResult:
     signs: tuple[int, ...]
     global_sign: int
     printed: list[int]
-    recomputed: list[int] | None  # None when skipped (slow column)
+    recomputed: list[int] | None = None  # None while skipped (slow column)
     diffs: list[CellDiff] = field(default_factory=list)
     note: str | None = None
-    skipped: bool = False
+
+    @classmethod
+    def from_spec(cls, spec: dict) -> "ColumnResult":
+        """A registry column, not recomputed yet."""
+        return cls(label=spec["label"], signs=tuple(spec["signs"]),
+                   global_sign=spec["global_sign"],
+                   printed=[int(v) for v in spec["printed"]],
+                   note=spec.get("note"))
+
+    @property
+    def skipped(self) -> bool:
+        return self.recomputed is None
 
     @property
     def unexplained(self) -> list[CellDiff]:
@@ -91,7 +102,10 @@ class SectionResult:
     rows: list[str]
     columns: list[ColumnResult]
     label_note: str | None = None
-    skipped: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        return all(c.skipped for c in self.columns)
 
 
 @dataclass
@@ -113,17 +127,28 @@ class TableResult:
                    for d in c.diffs if d.annotated)
 
 
+def check_column(where: str, flag: FlagManifold, rows, spec: dict) -> None:
+    """Refuse (AssertionError, naming ``where``) a registry column that does
+    not hold one sign per isotropy summand of ``flag`` and one printed value
+    per row; pairing the values with the rows would drop cells silently."""
+    n = len(flag.summands())
+    if len(spec["signs"]) != n:
+        raise AssertionError(f"{where}: {len(spec['signs'])} signs for {n} "
+                             f"summands")
+    if len(spec["printed"]) != len(rows):
+        raise AssertionError(f"{where}: {len(spec['printed'])} printed values "
+                             f"for {len(rows)} rows")
+
+
 def _reproduce_column(flag: FlagManifold, rows, spec: dict,
                       oracle: str) -> ColumnResult:
-    printed = [int(v) for v in spec["printed"]]
-    col = ColumnResult(label=spec["label"], signs=tuple(spec["signs"]),
-                       global_sign=spec["global_sign"], printed=printed,
-                       recomputed=None, note=spec.get("note"))
+    check_column(f"{flag.name()} {spec['label']}", flag, rows, spec)
+    col = ColumnResult.from_spec(spec)
     monos = [parse_cmonomial(r, flag.complex_dim) for r in rows]
     values = chern_numbers_by(flag, InvariantACS(col.signs), monos, oracle)
     col.recomputed = [col.global_sign * values[m] for m in monos]
     annotations = {a["row"]: a for a in spec.get("annotations", [])}
-    for row, p, r in zip(rows, printed, col.recomputed):
+    for row, p, r in zip(rows, col.printed, col.recomputed):
         if p == r:
             continue
         ann = annotations.get(row)
@@ -159,17 +184,10 @@ def reproduce(table_id: str, oracle: str = "weyl",
         sections = []
         for sec in raw_sections:
             if sec.get("slow") and not slow:
-                cols = [ColumnResult(label=c["label"],
-                                     signs=tuple(c["signs"]),
-                                     global_sign=c["global_sign"],
-                                     printed=[int(v) for v in c["printed"]],
-                                     recomputed=None, note=c.get("note"),
-                                     skipped=True)
-                        for c in sec["columns"]]
                 sections.append(SectionResult(
                     manifold=sec["manifold"], rows=sec["rows"],
-                    columns=cols, label_note=sec.get("label_note"),
-                    skipped=True))
+                    columns=[ColumnResult.from_spec(c) for c in sec["columns"]],
+                    label_note=sec.get("label_note")))
                 continue
             flag = parse_manifold(sec["manifold"])
             cols = [_reproduce_column(flag, sec["rows"], c, oracle)
@@ -213,7 +231,7 @@ def to_markdown(results: list[TableResult]) -> str:
             for i, row in enumerate(sec.rows):
                 cells = [row]
                 for col in sec.columns:
-                    if col.skipped or col.recomputed is None:
+                    if col.skipped:
                         cells.append(f"{col.printed[i]} (printed)")
                     else:
                         cells.append(f"{col.recomputed[i]}"
@@ -239,7 +257,7 @@ def to_csv(results: list[TableResult]) -> str:
             for col in sec.columns:
                 sig = ",".join("+" if s > 0 else "-" for s in col.signs)
                 for i, row in enumerate(sec.rows):
-                    if col.skipped or col.recomputed is None:
+                    if col.skipped:
                         status, rec = "skipped", ""
                     else:
                         rec = str(col.recomputed[i])

@@ -320,6 +320,41 @@ def test_point_manifold_is_a_usage_error(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("modify,message", [
+    (lambda col: col["signs"].append(1), "5 signs for 4 summands"),
+    (lambda col: col["printed"].pop(), "4 printed values for 5 rows"),
+    (lambda col: col["printed"].append("0"), "6 printed values for 5 rows"),
+])
+def test_malformed_registry_column_is_an_internal_error(monkeypatch, capsys,
+                                                        modify, message):
+    import copy
+
+    import flagchern.tables as tables
+
+    registry = copy.deepcopy(tables.load_registry())
+    modify(registry["tables"]["so5t"]["columns"][0])
+    monkeypatch.setattr(tables, "_REGISTRY", registry)
+    for argv in (["table", "reproduce", "so5t"], ["verify", "quick"]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("internal invariant violation: ")
+        assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("groebner", "--ideal", "borel:B:0"),
+    ("groebner", "--ideal", "borel:A:-2"),
+    ("groebner", "--ideal", "borel:G2:1"),
+    ("cohomology", "verify", "--case", "a-full:8"),
+])
+def test_borel_presets_outside_their_ranks_are_usage_errors(argv, capsys):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: no Borel presentation for ")
+    assert captured.err.count("\n") == 1
+
+
 def test_key_error_message_is_printed_without_quotes(monkeypatch, capsys):
     # an unknown table id is a usage error; a KeyError from inside a command
     # is a bug in a lookup, so it is an internal error

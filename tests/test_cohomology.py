@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from flagchern.cohomology import (CASE_EXAMPLES, CertificateError,
-                                  chern_recursion_identity, presentation_case,
+                                  presentation_case,
                                   staircase_monomials, top_class_certificate,
                                   top_normal_monomial, verify_case,
                                   verify_claimed_basis, verify_relations)
@@ -86,7 +86,11 @@ def test_staircase_count_equals_quotient_dimension():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_chern_recursion_identity(n):
-    assert chern_recursion_identity(n)
+    # r2 is ((x+y)^{n+2} - x^{n+2})/y, written out by the binomial theorem
+    r1, r2 = presentation_case(f"proj-tangent:{n}").generators
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    assert r1 == x ** (n + 2)
+    assert r2 * y == (x + y) ** (n + 2) - x ** (n + 2)
 
 
 def test_proj_tangent_top_class():
@@ -98,7 +102,8 @@ def test_proj_tangent_top_class():
 
 
 def test_unknown_case_rejected():
-    with pytest.raises(ValueError):
-        presentation_case("z-full:3")
+    for tag in ("z-full:3", "bc-full:3"):
+        with pytest.raises(ValueError):
+            presentation_case(tag)
     with pytest.raises(ValueError):
         presentation_case("a-full")

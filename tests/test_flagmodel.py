@@ -259,7 +259,15 @@ def test_point_manifolds_are_refused():
         parse_manifold("F(3;3)")
     rs = rootsys.build_root_system("B", 3)
     with pytest.raises(ValueError, match="is a point"):
-        flagmodel.FlagManifold(rs, rs.simples)
+        flagmodel.FlagManifold(rs, range(rs.rank))
+
+
+def test_theta_is_given_by_simple_root_indices():
+    rs = rootsys.build_root_system("B", 3)
+    assert flagmodel.FlagManifold(rs, [1]).name() == "FB(3;1,2)"
+    for theta in ([rs.rank], [-1], [rs.simples[0]]):
+        with pytest.raises(ValueError, match="is not a simple-root index"):
+            flagmodel.FlagManifold(rs, theta)
 
 
 # -- reference definitions over Fraction root vectors ------------------------
@@ -304,7 +312,7 @@ def reference_parts(flag):
 
 def reference_is_integrable(flag, k_roots, signs):
     """The K-roots and the +1 roots form a closed subset of the roots."""
-    roots = flag.rs.roots
+    roots = set(flag.rs.vectors)
     plus = set(k_roots)
     for s, summand in zip(signs, flag.summands()):
         plus.update(tuple(s * x for x in flag.rs.vectors[p])
@@ -321,10 +329,10 @@ def test_k_roots_and_summands_match_projection_and_kappa(name):
     rs = flag.rs
     k_roots = reference_k_roots(flag)
     assert {rs.vectors[p] for p in flag.k_roots} == k_roots
-    assert {rs.vectors[p] for p in flag.k_positives} \
-        == set(rs.positives) & k_roots
+    positives = {rs.vectors[p] for p in rs.positive}
+    assert {rs.vectors[p] for p in flag.k_positives} == positives & k_roots
     assert {rs.vectors[p] for p in flag.complementary_pos} \
-        == set(rs.positives) - k_roots
+        == positives - k_roots
     groups = {}
     for p in flag.complementary_pos:
         groups.setdefault(reference_kappa(flag, rs.vectors[p]), []).append(p)

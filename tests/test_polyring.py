@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagchern.polyring import (Polynomial, elementary_symmetric_values,
-                                exact_divide, ExactDivisionError)
+from flagchern.polyring import Polynomial, elementary_symmetric_values
 
 
 def poly_strategy(nvars=3, max_deg=3, max_terms=5):
@@ -84,13 +83,3 @@ def test_elementary_symmetric_matches_value_version():
     assert polys[1] == 3 * x + 3 * y - 4 * z
     assert polys[4] == forms[0] * forms[1] * forms[2] * forms[3]
     assert elementary_symmetric_values([], 0) == [1]
-
-
-def test_exact_divide_and_remainder_error():
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    p = (x + y) * (x - y)
-    assert exact_divide(p, x + y) == x - y
-    with pytest.raises(ExactDivisionError):
-        exact_divide(x * x + y, x)
-
