@@ -5,11 +5,11 @@ and notes.  Every column, the slow F(8) sections included, is recomputed with
 the fixed-point oracle, and each annotation keeps its note while its printed
 and recomputed values are rewritten.  The rebuild stops, naming the table,
 manifold, column and row, on a difference with no annotation, an annotation
-on a matching cell, a row that is not a Chern monomial of weighted degree N,
-or a column that ``tables.check_column`` refuses (a sign vector that is not
-one sign per summand, or a printed list that is not one value per row).  It
-also rechecks the recorded Chern classes against their normal forms in the
-Borel quotient.
+on a matching cell, or a column that ``tables.check_column`` refuses (a sign
+vector that is not one sign per summand, a printed list that is not one
+value per row, or a row that is not a Chern monomial of weighted degree N).
+It also rechecks the recorded Chern classes against their normal forms in
+the Borel quotient.
 
 Usage: PYTHONPATH=src python3 scripts/build_expected_tables.py [output.json]
 """
@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from flagchern.chern import chern_classes, chern_numbers, parse_cmonomial
+from flagchern.chern import chern_classes, chern_numbers
 from flagchern.flagmodel import InvariantACS, parse_manifold
 from flagchern.groebner import borel_groebner, normal_form
 from flagchern.tables import check_column
@@ -35,16 +35,13 @@ def rebuild_column(where: str, flag, rows: list[str], col: dict) -> None:
     """Recompute one column and rewrite its annotations in row order."""
     where = f"{where} {col['label']}"
     try:
-        check_column(where, flag, rows, col)
-        values = chern_numbers(flag, InvariantACS(tuple(col["signs"])), rows)
+        monos = check_column(where, flag, rows, col)
+        values = chern_numbers(flag, InvariantACS(tuple(col["signs"])), monos)
     except AssertionError as exc:
         raise SystemExit(str(exc))
-    except ValueError as exc:  # a row that is not a monomial of degree N
-        raise SystemExit(f"{where}: {exc}")
     notes = {a["row"]: a["note"] for a in col["annotations"]}
     col["annotations"] = []
-    for row, printed in zip(rows, col["printed"]):
-        m = parse_cmonomial(row, flag.complex_dim)
+    for row, m, printed in zip(rows, monos, col["printed"]):
         recomputed = col["global_sign"] * values[m]
         note = notes.pop(row, None)
         if int(printed) == recomputed and note is not None:

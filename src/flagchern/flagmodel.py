@@ -428,7 +428,8 @@ def parse_manifold(name: str) -> FlagManifold:
     """Build a flag manifold from its textual name.
 
     Grammar: F(n;n1,...,nk) for type A block flags (F(n) = full flag),
-    FB/FC/FD(n;n1,...,nk) for types B/C/D, and G2/T, G2-long, G2-short.
+    FB/FC/FD(n;n1,...,nk) for types B/C/D, whose blocks may stop short of n
+    to keep the last simple roots in K, and G2/T, G2-long, G2-short.
     """
     text = name.strip()
     upper = text.upper()
@@ -454,8 +455,10 @@ def parse_manifold(name: str) -> FlagManifold:
         blocks = [1] * n
     else:
         blocks = [int(b) for b in blocks_text.split(",")]
-    if sum(blocks) != n or any(b < 1 for b in blocks):
-        raise ValueError(f"block sizes {blocks} must be positive and sum to {n}")
+    exact = family == "A"
+    if sum(blocks) > n or exact and sum(blocks) < n or min(blocks) < 1:
+        raise ValueError(f"block sizes {blocks} must be positive and sum to "
+                         f"{'' if exact else 'at most '}{n}")
     cuts = set(itertools.accumulate(blocks))
     return FlagManifold(build_root_system(family, rank),
                         [i for i in range(rank) if i + 1 not in cuts])

@@ -253,13 +253,11 @@ def borel_generators(family: str, rank: int) -> list[Polynomial]:
 _BOREL_GB_CACHE: dict = {}
 
 
-def borel_groebner(family: str, rank: int,
-                   order: MonomialOrder | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the full-flag Borel ideal (cached)."""
-    if order is None:
-        order = MonomialOrder("lex")
-    key = (family.upper(), rank, order)
+def borel_groebner(family: str, rank: int) -> GroebnerBasis:
+    """Reduced lex Groebner basis of the full-flag Borel ideal (cached per
+    family and rank)."""
+    key = (family.upper(), rank)
     if key not in _BOREL_GB_CACHE:
         _BOREL_GB_CACHE[key] = buchberger(borel_generators(family, rank),
-                                          order)
+                                          MonomialOrder("lex"))
     return _BOREL_GB_CACHE[key]

@@ -9,9 +9,9 @@ matrix of the simple roots, and the ambient vectors follow.  A root is named
 by its position in the sorted order of the ambient vectors, and every table
 of ``RootSystem`` is indexed by that position.  ``_coroot`` is the one place
 a Cartan integer is computed; ``RootSystem.coroots`` holds them for every
-positive root, and every reflection in the package reads them.  Weyl group
-elements are permutations of the root positions, each carrying its sign
-(-1)^length.
+positive root, and every reflection in the package reads them.
+``weyl_group`` lists W as permutations of the root positions with signs
+(-1)^length; the Bruhat cover table names w by w^-1(2 rho) instead.
 """
 
 from __future__ import annotations
@@ -274,10 +274,11 @@ MAX_BRUHAT_ORDER = 46080
 class BruhatCovers:
     """The Bruhat covers w < w s_beta of a Weyl group, in compressed rows.
 
-    Elements are numbered in ``weyl_group`` order (0 is the identity, ``top``
-    the longest element w0).  The covers of element w are the entries
-    ``offsets[w]`` to ``offsets[w + 1]`` of ``targets`` (the index of
-    w s_beta) and ``roots`` (the index of beta in ``rs.positive``).
+    Elements are numbered by length, then by their name w^-1(2 rho) (see
+    ``_cover_table``): 0 is the identity, ``top`` the longest element w0.
+    The covers of element w are the entries ``offsets[w]`` to
+    ``offsets[w + 1]`` of ``targets`` (the index of w s_beta) and ``roots``
+    (the index of beta in ``rs.positive``).
     """
     offsets: list
     targets: list
@@ -310,52 +311,45 @@ def bruhat_covers(rs: RootSystem) -> BruhatCovers:
 def _cover_table(rs: RootSystem) -> BruhatCovers:
     """Build the Bruhat cover table of W.
 
-    W is walked breadth-first by length, as in ``reflection_closure``, with
-    only two lengths of root permutations alive at a time.  w -> w s_beta
-    raises the length exactly when w(beta) > 0, and is a cover when w s_beta
-    has the next length.  The elements of one length are keyed by the
-    images of the simple roots, which determine them, and w s_beta sends
-    alpha_i to w(s_beta(alpha_i)), so a target is found without composing
-    full permutations.
+    An element w is named by mu = w^-1(2 rho) in simple-root coordinates, as
+    ``FlagManifold.fixed_points`` names a coset by an orbit point.  2 rho
+    pairs positively with every positive coroot, so w s_beta is longer than
+    w exactly when p = <mu, beta^vee> > 0; its name is s_beta(mu) =
+    mu - p beta, and it is a cover when that name has the next length.  W
+    is walked breadth-first by length through the simple roots (the first
+    ``rank`` positive roots), two lengths alive at a time, and each name
+    carries its pairings <mu, beta^vee>: those of s_beta(mu) subtract p times
+    those of beta.
     """
-    coords, index, simple = rs.coords, rs.index, rs.simple
-    perms = rs.reflections
-    positive = [sum(c) > 0 for c in coords]
-    reflections = []  # (position of beta, positions of s_beta(alpha_i))
-    for pos, coroot in zip(rs.positive, rs.coroots):
-        beta, pairing = coords[pos], dict(coroot)
-        # s_beta(alpha_i) = alpha_i - <alpha_i, beta^vee> beta
-        reflections.append((pos, [
-            index[tuple(int(i == j) - pairing.get(i, 0) * b
-                        for j, b in enumerate(beta))]
-            for i in range(rs.rank)]))
-    offsets, targets, betas = [0], [], []
-    level, shorter, first, length = [list(range(len(coords)))], set(), 0, 0
+    betas = [rs.coords[p] for p in rs.positive]
+    simple = [(b, coroot_pairings(rs, betas[b])) for b in range(rs.rank)]
+    two_rho = tuple(map(sum, zip(*betas)))
+    level = {two_rho: coroot_pairings(rs, two_rho)}
+    offsets, targets, roots, first, length = [0], [], [], 0, 0
     while True:
-        keys = {tuple(w[i] for i in simple) for w in level}
-        longer = {}  # g w for simple g has length +-1; keep the longer
-        for w in level:
-            for g in perms:
-                u = [g[i] for i in w]
-                k = tuple(u[i] for i in simple)
-                if k not in shorter:
-                    longer[k] = u
-        longer = sorted(longer.values())
+        longer = {}
+        for mu, pairs in level.items():
+            for b, col in simple:
+                p = pairs[b]
+                if p > 0:
+                    nu = tuple([m - p * x for m, x in zip(mu, betas[b])])
+                    if nu not in longer:
+                        longer[nu] = [x - p * y for x, y in zip(pairs, col)]
+        longer = dict(sorted(longer.items()))
         after = first + len(level)
-        element = {tuple(u[i] for i in simple): after + k
-                   for k, u in enumerate(longer)}
-        for w in level:
-            for b, (pos, image) in enumerate(reflections):
-                if positive[w[pos]]:
-                    t = element.get(tuple(w[i] for i in image))
+        index = {nu: after + i for i, nu in enumerate(longer)}
+        for mu, pairs in level.items():
+            for b, (p, beta) in enumerate(zip(pairs, betas)):
+                if p > 0:
+                    t = index.get(tuple([m - p * x for m, x in zip(mu, beta)]))
                     if t is not None:
                         targets.append(t)
-                        betas.append(b)
+                        roots.append(b)
             offsets.append(len(targets))
         if not longer:
             break
-        level, shorter, first, length = longer, keys, after, length + 1
+        level, first, length = longer, after, length + 1
     if after != weyl_order(rs) or len(level) != 1 or length != rs.n_positive:
         raise AssertionError(f"W({rs.family}{rs.rank}) has {after} elements "
                              f"and {len(level)} of the top length {length}")
-    return BruhatCovers(offsets, targets, betas, first)
+    return BruhatCovers(offsets, targets, roots, first)

@@ -24,7 +24,7 @@ from importlib import resources
 
 # chern_numbers is not called here, but perfbench/tests/test_bench_tracing.py
 # checks that the tracer rebinds it in this module too
-from .chern import chern_numbers, chern_numbers_by, parse_cmonomial  # noqa: F401
+from .chern import _top_monomial, chern_numbers, chern_numbers_by  # noqa: F401
 from .flagmodel import FlagManifold, InvariantACS, parse_manifold
 
 _REGISTRY: dict | None = None
@@ -127,10 +127,11 @@ class TableResult:
                    for d in c.diffs if d.annotated)
 
 
-def check_column(where: str, flag: FlagManifold, rows, spec: dict) -> None:
-    """Refuse (AssertionError, naming ``where``) a registry column that does
-    not hold one sign per isotropy summand of ``flag`` and one printed value
-    per row; pairing the values with the rows would drop cells silently."""
+def check_column(where: str, flag: FlagManifold, rows, spec: dict) -> list:
+    """The rows as exponent tuples.  Refuses (AssertionError, naming ``where``)
+    a column without one sign per isotropy summand of ``flag`` and one printed
+    value per row, or with a row that is not a Chern monomial of weighted
+    degree N; pairing values with rows would drop cells silently."""
     n = len(flag.summands())
     if len(spec["signs"]) != n:
         raise AssertionError(f"{where}: {len(spec['signs'])} signs for {n} "
@@ -138,13 +139,16 @@ def check_column(where: str, flag: FlagManifold, rows, spec: dict) -> None:
     if len(spec["printed"]) != len(rows):
         raise AssertionError(f"{where}: {len(spec['printed'])} printed values "
                              f"for {len(rows)} rows")
+    try:
+        return [_top_monomial(flag, row) for row in rows]
+    except ValueError as exc:
+        raise AssertionError(f"{where}: {exc}") from None
 
 
 def _reproduce_column(flag: FlagManifold, rows, spec: dict,
                       oracle: str) -> ColumnResult:
-    check_column(f"{flag.name()} {spec['label']}", flag, rows, spec)
+    monos = check_column(f"{flag.name()} {spec['label']}", flag, rows, spec)
     col = ColumnResult.from_spec(spec)
-    monos = [parse_cmonomial(r, flag.complex_dim) for r in rows]
     values = chern_numbers_by(flag, InvariantACS(col.signs), monos, oracle)
     col.recomputed = [col.global_sign * values[m] for m in monos]
     annotations = {a["row"]: a for a in spec.get("annotations", [])}

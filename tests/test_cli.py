@@ -321,9 +321,13 @@ def test_point_manifold_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("modify,message", [
-    (lambda col: col["signs"].append(1), "5 signs for 4 summands"),
-    (lambda col: col["printed"].pop(), "4 printed values for 5 rows"),
-    (lambda col: col["printed"].append("0"), "6 printed values for 5 rows"),
+    (lambda t: t["columns"][0]["signs"].append(1), "5 signs for 4 summands"),
+    (lambda t: t["columns"][0]["printed"].pop(),
+     "4 printed values for 5 rows"),
+    (lambda t: t["columns"][0]["printed"].append("0"),
+     "6 printed values for 5 rows"),
+    (lambda t: t.update(rows=["c1^3"] + t["rows"][1:]),
+     "monomial c1^3 has weighted degree 3, expected 4"),
 ])
 def test_malformed_registry_column_is_an_internal_error(monkeypatch, capsys,
                                                         modify, message):
@@ -332,7 +336,7 @@ def test_malformed_registry_column_is_an_internal_error(monkeypatch, capsys,
     import flagchern.tables as tables
 
     registry = copy.deepcopy(tables.load_registry())
-    modify(registry["tables"]["so5t"]["columns"][0])
+    modify(registry["tables"]["so5t"])
     monkeypatch.setattr(tables, "_REGISTRY", registry)
     for argv in (["table", "reproduce", "so5t"], ["verify", "quick"]):
         assert main(argv) == 3, argv

@@ -245,6 +245,23 @@ def test_parse_manifold_aliases_and_errors():
         parse_manifold("E8/T")
     with pytest.raises(ValueError):
         parse_manifold("F(5;1,2)")  # blocks must sum to n
+    with pytest.raises(ValueError, match="sum to at most 3"):
+        parse_manifold("FB(3;2,2)")
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("C", 3),
+    ("C", 4), ("D", 3), ("D", 4), ("D", 5), ("D", 6), ("G2", 2),
+])
+def test_every_name_parses_back(family, rank):
+    # every proper Theta, those keeping the last simple roots of B/C/D too
+    rs = rootsys.build_root_system(family, rank)
+    for size in range(rank):
+        for theta in itertools.combinations(range(rank), size):
+            flag = flagmodel.FlagManifold(rs, theta)
+            back = parse_manifold(flag.name())
+            assert back.rs is rs, flag.name()
+            assert back.removed_indices == flag.removed_indices, flag.name()
 
 
 def test_acs_sign_validation():

@@ -266,7 +266,7 @@ def test_bruhat_cover_table_lengths(family, rank):
     # lengths by breadth-first search over the covers from the identity:
     # every cover raises the length by exactly one
     length = {0: 0}
-    for w in range(n):  # weyl_group order is by length
+    for w in range(n):  # the table numbers elements by length
         for t in covers.targets[covers.offsets[w]:covers.offsets[w + 1]]:
             assert length.setdefault(t, length[w] + 1) == length[w] + 1
     assert len(length) == n
@@ -281,6 +281,47 @@ def test_bruhat_cover_table_lengths(family, rank):
     assert [w for w in range(n)
             if covers.offsets[w] == covers.offsets[w + 1]] == [covers.top]
     assert set(covers.roots) <= set(range(rs.n_positive))
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
+    ("D", 4), ("G2", 2),
+])
+def test_bruhat_cover_table_holds_exactly_the_covers(family, rank):
+    # the covers by definition, over weyl_group: w < w s_beta with
+    # l(w s_beta) = l(w) + 1, where l(w) = #{beta > 0 : w(beta) < 0}
+    rs = build_root_system(family, rank)
+    coords, index = rs.coords, rs.index
+    s_beta = []  # s_beta as a permutation of the root positions
+    for p, coroot in zip(rs.positive, rs.coroots):
+        s_beta.append(tuple(
+            index[tuple(x - sum(c[i] * y for i, y in coroot) * b
+                        for x, b in zip(c, coords[p]))]
+            for c in coords))
+
+    def length(w):
+        return sum(sum(coords[w[p]]) < 0 for p in rs.positive)
+
+    def times(w, b):  # the permutation of w s_beta
+        return tuple(w[i] for i in s_beta[b])
+
+    elements = [w for _, w in weyl_group(rs)]
+    lengths = {w: length(w) for w in elements}
+    expected = {(w, times(w, b), b) for w in elements
+                for b in range(rs.n_positive)
+                if lengths[times(w, b)] == lengths[w] + 1}
+    # label the table from its identity along its covers
+    covers = bruhat_covers(rs)
+    label, got = {0: tuple(range(len(coords)))}, set()
+    for w in range(len(covers.offsets) - 1):  # every cover raises the index
+        lo, hi = covers.offsets[w], covers.offsets[w + 1]
+        for t, b in zip(covers.targets[lo:hi], covers.roots[lo:hi]):
+            u = times(label[w], b)
+            assert label.setdefault(t, u) == u
+            got.add((label[w], u, b))
+    assert sorted(label) == list(range(len(elements)))
+    assert set(label.values()) == set(elements)
+    assert got == expected
 
 
 def test_bruhat_covers_refuse_large_groups(monkeypatch):
