@@ -254,7 +254,6 @@ def chern_numbers(flag: FlagManifold, acs: InvariantACS,
     and every term is an integer.
     """
     monos = [_top_monomial(flag, m) for m in monomials]
-    flag.check_fixed_point_bound()
     fixed = flag.fixed_points()
     roots = flag.rs.coords
     n = flag.complex_dim
@@ -408,17 +407,15 @@ def orientation_sign(flag: FlagManifold, acs: InvariantACS) -> int:
 
 
 def todd_genus(flag: FlagManifold, acs: InvariantACS,
-               numbers: Mapping[tuple[int, ...], int] | None = None) -> Fraction:
+               numbers: Mapping[tuple[int, ...], int]) -> Fraction:
     """Integral of the top Todd polynomial of the tangent bundle.
 
     Evaluated against the fundamental class oriented by the structure itself
     (not the fixed all-plus orientation used by ``chern_numbers``), so every
-    integrable structure has genus exactly 1.  ``numbers`` may hold Chern
-    numbers already computed for at least the Todd polynomial's monomials;
-    otherwise they are computed here.
+    integrable structure has genus exactly 1.  ``numbers`` holds the Chern
+    numbers, in that all-plus orientation, of at least the Todd polynomial's
+    monomials, from either oracle.
     """
     td = todd_polynomial(flag.complex_dim)
-    if numbers is None:
-        numbers = chern_numbers(flag, acs, list(td.coefficients))
     total = sum((c * numbers[m] for m, c in td.coefficients.items()), Fraction(0))
     return orientation_sign(flag, acs) * total

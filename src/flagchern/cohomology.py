@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .groebner import (GroebnerBasis, _complete_homogeneous,
+from .groebner import (GroebnerBasis, MonomialOrder, _complete_homogeneous,
                        borel_generators, buchberger, normal_form,
-                       quotient_dimension, staircase_monomials)
+                       staircase_monomials)
 from .polyring import Polynomial
 
 
@@ -32,12 +32,12 @@ class PresentationCase:
     nvars: int
     generators: tuple[Polynomial, ...]
     relations: tuple[Polynomial, ...]
-    top_class: Polynomial | None
+    top_class: Polynomial
+    expected_quotient_dim: int
     # extra linear forms multiplied in before reduction (positive roots of
     # the isotropy group, for partial-flag quotients presented inside the
     # ambient full-flag ring)
     extra_factors: tuple[Polynomial, ...] = ()
-    expected_quotient_dim: int | None = None
     # claimed reduced Groebner basis, when the reference prints one
     claimed_basis: tuple[Polynomial, ...] = ()
 
@@ -48,7 +48,7 @@ class PresentationCase:
                                  f"is not homogeneous")
 
     def groebner(self) -> GroebnerBasis:
-        return buchberger(self.generators)
+        return buchberger(self.generators, MonomialOrder("lex"))
 
 
 # -- relation families --------------------------------------------------------
@@ -158,27 +158,21 @@ CASE_EXAMPLES = ["a-full:2", "a-full:4", "b-full:2", "b-full:3", "c-full:3",
 
 # -- verification -------------------------------------------------------------
 
-def verify_relations(case: PresentationCase,
-                     gb: GroebnerBasis | None = None) -> bool:
-    """True iff every claimed relation has normal form 0 mod the case ideal."""
-    if gb is None:
-        gb = case.groebner()
+def verify_relations(case: PresentationCase, gb: GroebnerBasis) -> bool:
+    """True iff every claimed relation has normal form 0 mod the case ideal,
+    whose Groebner basis is ``gb``."""
     return all(normal_form(r, gb).is_zero() for r in case.relations)
 
 
-def verify_claimed_basis(case: PresentationCase,
-                         gb: GroebnerBasis | None = None) -> bool:
-    """True iff the computed reduced basis equals the claimed one as a set."""
-    if not case.claimed_basis:
-        raise ValueError(f"case {case.name} records no claimed basis")
-    if gb is None:
-        gb = case.groebner()
+def verify_claimed_basis(case: PresentationCase, gb: GroebnerBasis) -> bool:
+    """True iff the computed reduced basis ``gb`` equals the case's claimed
+    one as a set."""
     return set(gb.generators) == set(case.claimed_basis)
 
 
-def top_normal_monomial(gb: GroebnerBasis, nvars: int) -> tuple[int, ...]:
-    """The unique staircase monomial of maximal total degree."""
-    mons = staircase_monomials(gb, nvars)
+def top_normal_monomial(mons: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The unique monomial of maximal total degree among the staircase
+    monomials ``mons``."""
     top_deg = max(sum(m) for m in mons)
     tops = [m for m in mons if sum(m) == top_deg]
     if len(tops) != 1:
@@ -187,21 +181,14 @@ def top_normal_monomial(gb: GroebnerBasis, nvars: int) -> tuple[int, ...]:
     return tops[0]
 
 
-def top_class_certificate(case: PresentationCase,
-                          top_class: Polynomial | None = None,
-                          gb: GroebnerBasis | None = None) -> Fraction:
-    """The scalar lambda with NF(class * extra_factors) = lambda * (canonical
-    top normal monomial).  lambda = 0 raises :class:`CertificateError`."""
-    if top_class is None:
-        top_class = case.top_class
-    if top_class is None:
-        raise ValueError(f"case {case.name} has no claimed top class")
-    if gb is None:
-        gb = case.groebner()
-    r = normal_form(top_class, gb)
+def top_class_certificate(case: PresentationCase, gb: GroebnerBasis,
+                          mono: tuple[int, ...]) -> Fraction:
+    """The scalar lambda with NF(top_class * extra_factors) = lambda * mono,
+    the canonical top normal monomial of ``gb``.  lambda = 0 raises
+    :class:`CertificateError`."""
+    r = normal_form(case.top_class, gb)
     for f in case.extra_factors:
         r = normal_form(r * f, gb)
-    mono = top_normal_monomial(gb, case.nvars)
     if r.is_zero():
         raise CertificateError(
             f"case {case.name}: claimed top class reduces to 0 — it does "
@@ -216,21 +203,19 @@ def top_class_certificate(case: PresentationCase,
 def verify_case(case: PresentationCase) -> dict:
     """Run every check the case supports; returns a summary dict."""
     gb = case.groebner()
-    out = {"case": case.name, "relations_ok": verify_relations(case, gb)}
-    if case.expected_quotient_dim is not None:
-        dim = quotient_dimension(gb, case.nvars)
-        out["quotient_dim"] = dim
-        out["quotient_dim_ok"] = dim == case.expected_quotient_dim
+    mons = staircase_monomials(gb, case.nvars)
+    out = {"case": case.name, "relations_ok": verify_relations(case, gb),
+           "quotient_dim": len(mons),
+           "quotient_dim_ok": len(mons) == case.expected_quotient_dim}
     if case.claimed_basis:
         out["claimed_basis_ok"] = verify_claimed_basis(case, gb)
-    if case.top_class is not None:
-        try:
-            lam = top_class_certificate(case, gb=gb)
-            out["certificate"] = lam
-            out["certificate_ok"] = True
-        except CertificateError as exc:
-            out["certificate"] = Fraction(0)
-            out["certificate_ok"] = False
-            out["certificate_error"] = str(exc)
+    try:
+        lam = top_class_certificate(case, gb, top_normal_monomial(mons))
+        out["certificate"] = lam
+        out["certificate_ok"] = True
+    except CertificateError as exc:
+        out["certificate"] = Fraction(0)
+        out["certificate_ok"] = False
+        out["certificate_error"] = str(exc)
     out["ok"] = all(v for k, v in out.items() if k.endswith("_ok"))
     return out

@@ -132,17 +132,11 @@ class FlagManifold:
             self._cache["chi"] = total // order_k
         return self._cache["chi"]
 
-    def check_fixed_point_bound(self) -> None:
-        """Refuse (ValueError) a manifold with more than ``MAX_FIXED_POINTS``
-        fixed points; call it before ``fixed_points``."""
-        chi = self.euler_characteristic()
-        if chi > MAX_FIXED_POINTS:
-            raise ValueError(f"{self.name()} has chi = {chi} fixed points, "
-                             f"above the bound {MAX_FIXED_POINTS}")
-
     def fixed_points(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """The torus-fixed points, one per coset W_K w of the Weyl group,
-        enumerated on first use without building W.
+        enumerated on first use without building W.  A manifold with more
+        than ``MAX_FIXED_POINTS`` of them is refused (ValueError) before any
+        is enumerated.
 
         Each point is (sign(w), images), where images are the root positions
         of w^-1(gamma) for the complementary positive roots gamma in summand
@@ -157,6 +151,10 @@ class FlagManifold:
         """
         if "fixed_points" in self._cache:
             return self._cache["fixed_points"]
+        chi = self.euler_characteristic()
+        if chi > MAX_FIXED_POINTS:
+            raise ValueError(f"{self.name()} has chi = {chi} fixed points, "
+                             f"above the bound {MAX_FIXED_POINTS}")
         rs = self.rs
         tracked = [p for s in self.summands() for p in s.roots]
         tracked += self.k_positives
@@ -175,10 +173,9 @@ class FlagManifold:
                         points[nu] = (-sign, tuple(perm[i] for i in images))
                         nxt.append(nu)
             frontier = nxt
-        if len(points) != self.euler_characteristic():
-            raise ArithmeticError(
-                f"{len(points)} fixed points on {self.name()}, expected "
-                f"chi = {self.euler_characteristic()}")
+        if len(points) != chi:
+            raise ArithmeticError(f"{len(points)} fixed points on "
+                                  f"{self.name()}, expected chi = {chi}")
         self._cache["fixed_points"] = tuple(points.values())
         return self._cache["fixed_points"]
 
@@ -326,7 +323,6 @@ def inner_summand_actions(flag: FlagManifold) -> list[tuple[tuple[int, ...], tup
     The fixed points supply those elements with the images of the tracked
     roots already computed.
     """
-    flag.check_fixed_point_bound()
     where = flag.summand_parts
     sizes = [s.dim_complex for s in flag.summands()]
     n = flag.complex_dim

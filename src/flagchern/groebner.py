@@ -21,7 +21,7 @@ ORDER_KINDS = ("lex", "grlex", "grevlex")
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    kind: str = "lex"
+    kind: str
 
     def __post_init__(self):
         if self.kind not in ORDER_KINDS:
@@ -59,18 +59,11 @@ def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis | Sequence[Polynomial],
-                order: MonomialOrder | None = None) -> Polynomial:
+def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of p under multivariate division by the basis."""
-    if isinstance(gb, GroebnerBasis):
-        gens = gb.generators
-        order = gb.order
-    else:
-        gens = tuple(gb)
-        if order is None:
-            order = MonomialOrder("lex")
+    order = gb.order
     table = []
-    for g in gens:
+    for g in gb.generators:
         if g.is_zero():
             continue
         lt, lc = order.leading(g)
@@ -114,11 +107,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
 
 def buchberger(generators: Sequence[Polynomial],
-               order: MonomialOrder | None = None) -> GroebnerBasis:
+               order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis via Buchberger with the normal selection strategy
     and both classical pair-skipping criteria."""
-    if order is None:
-        order = MonomialOrder("lex")
     basis = [g for g in generators if not g.is_zero()]
     if not basis:
         raise ValueError("need at least one nonzero generator")
@@ -147,7 +138,8 @@ def buchberger(generators: Sequence[Polynomial],
                 break
         if skip:
             continue
-        h = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        h = normal_form(s_polynomial(basis[i], basis[j], order),
+                        GroebnerBasis(tuple(basis), order))
         if not h.is_zero():
             basis.append(h)
             lts.append(order.leading(h)[0])
@@ -162,8 +154,9 @@ def buchberger(generators: Sequence[Polynomial],
     # interreduce and normalize to monic
     reduced: list[Polynomial] = []
     for i in minimal:
-        others = [basis[j] for j in minimal if j != i]
-        r = normal_form(basis[i], others, order)
+        others = GroebnerBasis(tuple(basis[j] for j in minimal if j != i),
+                               order)
+        r = normal_form(basis[i], others)
         _, lc = order.leading(r)
         reduced.append(r * (1 / lc))
     reduced.sort(key=lambda g: order.key(order.leading(g)[0]))

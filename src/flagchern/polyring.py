@@ -66,13 +66,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        if not self.terms:
-            return True
-        degrees = {sum(e) for e in self.terms}
-        if len(degrees) != 1:
-            return False
-        return degree is None or degrees == {degree}
+    def is_homogeneous(self) -> bool:
+        return len({sum(e) for e in self.terms}) <= 1
 
     # -- arithmetic ---------------------------------------------------
 

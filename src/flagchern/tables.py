@@ -172,8 +172,7 @@ def _reproduce_column(flag: FlagManifold, rows, spec: dict,
     return col
 
 
-def reproduce(table_id: str, oracle: str = "weyl",
-              slow: bool = False) -> list[TableResult]:
+def reproduce(table_id: str, oracle: str, slow: bool) -> list[TableResult]:
     """Recompute the named table(s) and diff against the printed values."""
     reg = load_registry()
     results = []

@@ -15,3 +15,15 @@ def reproduce_cached():
         return _REPRODUCED[key]
 
     return run
+
+
+@pytest.fixture
+def weyl_todd_genus():
+    """The Todd genus from one fixed-point batch of its monomials."""
+    from flagchern.chern import chern_numbers, todd_genus, todd_polynomial
+
+    def genus(flag, acs):
+        monos = list(todd_polynomial(flag.complex_dim).coefficients)
+        return todd_genus(flag, acs, chern_numbers(flag, acs, monos))
+
+    return genus

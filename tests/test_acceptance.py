@@ -9,7 +9,7 @@ import pytest
 
 from flagchern.chern import (chern_numbers, chern_numbers_schubert, format_cmonomial,
                              monomials_of_weighted_degree, parse_cmonomial,
-                             todd_genus, todd_polynomial)
+                             todd_polynomial)
 from flagchern.flagmodel import (FlagManifold, InvariantACS, classify_acs,
                                  enumerate_acs, is_integrable, parse_manifold)
 from flagchern.groebner import buchberger, MonomialOrder, quotient_dimension, \
@@ -174,19 +174,19 @@ GENUS_MANIFOLDS = ["F(3;1,1,1)", "F(4)", "F(5)", "F(5;1,2,2)", "F(6;1,2,3)",
 
 
 @pytest.mark.parametrize("name", GENUS_MANIFOLDS)
-def test_criterion_06_todd_genus_one_canonical(name):
+def test_criterion_06_todd_genus_one_canonical(name, weyl_todd_genus):
     flag = parse_manifold(name)
-    g = todd_genus(flag, InvariantACS((1,) * len(flag.summands())))
+    g = weyl_todd_genus(flag, InvariantACS((1,) * len(flag.summands())))
     assert g == Fraction(1)
 
 
 @pytest.mark.parametrize("name", ["F(5;1,2,2)", "FD(3;1,2)", "G2-long",
                                   "SO(5)/T"])
-def test_criterion_06_todd_genus_one_all_integrable(name):
+def test_criterion_06_todd_genus_one_all_integrable(name, weyl_todd_genus):
     flag = parse_manifold(name)
     for acs in enumerate_acs(flag):
         if is_integrable(flag, acs):
-            assert todd_genus(flag, acs) == 1
+            assert weyl_todd_genus(flag, acs) == 1
 
 
 def test_criterion_06_todd_identity_denominators():

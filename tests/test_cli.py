@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -120,11 +121,39 @@ def test_cohomology_verify():
     assert json.loads(out)["status"] == "PASS"
 
 
+def test_cohomology_verify_csv_holds_the_markdown_items():
+    code, out = run_cli("cohomology", "verify", "--case", "so6-groebner",
+                        "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert rows[1:3] == [["status", "PASS"], ["case", "so6-groebner"]]
+    code, md = run_cli("cohomology", "verify", "--case", "so6-groebner")
+    assert md.splitlines()[1:] == [f"  {k}: {v}" for k, v in rows[3:]]
+    assert dict(rows[1:])["certificate"] == "-2"
+
+
 def test_verify_quick_sweep():
     code, out = run_cli("verify", "quick", "--oracle", "weyl")
     assert code == 0
     assert "0 failure(s)" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("scope", ["quick", "all"])
+def test_verify_schubert_runs_no_fixed_point_sum(monkeypatch, scope):
+    # the Todd genus and CP^n checks take their Chern numbers from --oracle
+    # too, so the Schubert sweep never reaches the fixed-point kernel
+    import flagchern.chern as chern
+    import flagchern.cli as cli
+    import flagchern.tables as tables
+
+    for module in (chern, cli, tables):
+        monkeypatch.setattr(module, "chern_numbers", _refuse_calls)
+    code, out = run_cli("verify", scope, "--oracle", "schubert")
+    assert code == 0, out
+    assert out.endswith("\n0 failure(s)\n")
+    assert "todd genus 1 on G2-short" in out and "CP^4" in out
 
 
 # -- exit codes ---------------------------------------------------------------
@@ -215,13 +244,29 @@ def _refuse_calls(*_args, **_kwargs):
     raise AssertionError("the refused input reached the enumeration")
 
 
+def test_closed_stdout_exits_141_without_a_message():
+    # the reader takes one line of a 0.3 MB document, more than a pipe
+    # buffers, and closes the pipe as `| head -1` does; the exit status is
+    # cat's, 128 + SIGPIPE
+    proc = subprocess.Popen([sys.executable, "-m", "flagchern", "decompose",
+                             "F(30)", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_src_env())
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def test_huge_fixed_point_count_is_refused_before_enumeration(monkeypatch,
                                                               capsys):
     # F(10) has 10! fixed points; chi is closed-form, so the kernel refuses
     # it without walking them
-    from flagchern.flagmodel import FlagManifold
+    import flagchern.flagmodel as flagmodel
 
-    monkeypatch.setattr(FlagManifold, "fixed_points", _refuse_calls)
+    monkeypatch.setattr(flagmodel, "reflect", _refuse_calls)
     code, out = run_cli("chern", "--manifold", "F(10)", "--oracle", "weyl")
     err = capsys.readouterr().err
     assert code == 1 and out == ""
@@ -263,16 +308,22 @@ def _declared_script(name):
         return tomllib.load(fh)["project"]["scripts"][name]
 
 
+def _src_env():
+    """The environment with the repo's ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _run(cmd):
     """Run ``cmd`` with the repo's ``src`` first on ``PYTHONPATH``.
 
     stdout stays bytes so outputs compare byte for byte; stderr is decoded
     for assertion messages.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+    proc = subprocess.run(cmd, capture_output=True, env=_src_env(),
+                          timeout=120)
     proc.stderr = proc.stderr.decode(errors="replace")
     return proc
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ def test_named_cases_verify(tag):
 
 def test_a_full_rank6_relations_reduce_to_zero():
     case = presentation_case("a-full:6")
-    assert verify_relations(case)
+    assert verify_relations(case, case.groebner())
 
 
 @pytest.mark.parametrize("tag,dim", [
@@ -35,19 +36,21 @@ def test_quotient_dimensions(tag, dim):
 
 def test_so6_claimed_basis_is_the_computed_reduced_basis():
     case = presentation_case("so6-groebner")
-    assert verify_claimed_basis(case)
-    lam = top_class_certificate(case)
-    assert lam != 0 and lam == Fraction(-2)
     gb = case.groebner()
-    assert top_normal_monomial(gb, 3) == (0, 2, 4)
+    assert verify_claimed_basis(case, gb)
+    mono = top_normal_monomial(staircase_monomials(gb, 3))
+    assert mono == (0, 2, 4)
+    lam = top_class_certificate(case, gb, mono)
+    assert lam != 0 and lam == Fraction(-2)
 
 
 def test_certificate_rejects_zero_class():
     case = presentation_case("so6-groebner")
     gb = case.groebner()
     zero_class = case.generators[0]  # an ideal member reduces to 0
+    mono = top_normal_monomial(staircase_monomials(gb, 3))
     with pytest.raises(CertificateError):
-        top_class_certificate(case, top_class=zero_class, gb=gb)
+        top_class_certificate(replace(case, top_class=zero_class), gb, mono)
 
 
 def test_certificate_independent_of_monomial_order():
@@ -73,7 +76,7 @@ def test_su3_full_flag_products():
     assert normal_form(x1 ** 3, gb).is_zero()
     top = normal_form(x1 * x2 ** 2, gb)
     assert not top.is_zero()
-    assert set(top.terms) == {top_normal_monomial(gb, 3)}
+    assert set(top.terms) == {top_normal_monomial(staircase_monomials(gb, 3))}
 
 
 def test_staircase_count_equals_quotient_dimension():
@@ -97,8 +100,9 @@ def test_proj_tangent_top_class():
     case = presentation_case("proj-tangent:3")
     gb = case.groebner()
     # the unique top staircase monomial has the full degree 2n+1 = 7
-    assert sum(top_normal_monomial(gb, 2)) == 7
-    assert top_class_certificate(case, gb=gb) != 0
+    mono = top_normal_monomial(staircase_monomials(gb, 2))
+    assert sum(mono) == 7
+    assert top_class_certificate(case, gb, mono) != 0
 
 
 def test_unknown_case_rejected():

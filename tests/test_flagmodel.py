@@ -127,13 +127,23 @@ def test_classify_checks_summand_bound_first(monkeypatch):
 def test_classify_refuses_huge_fixed_point_counts(monkeypatch):
     # 15 summands pass the T-root bound, but chi = 16!/11! = 524160 fixed
     # points would be enumerated
-    def unreachable(self):
-        raise AssertionError("fixed_points called")
-    monkeypatch.setattr(flagmodel.FlagManifold, "fixed_points", unreachable)
+    def unreachable(*args):
+        raise AssertionError("a fixed point was enumerated")
+    monkeypatch.setattr(flagmodel, "reflect", unreachable)
     flag = parse_manifold("F(16;1,1,1,1,1,11)")
     assert len(flag.summands()) == 15
     with pytest.raises(ValueError, match="chi = 524160 fixed points, above"):
         classify_acs(flag)
+
+
+def test_fixed_points_refuse_a_huge_count_before_enumerating(monkeypatch):
+    # the bound holds for every caller of fixed_points: F(9) has 9! of them
+    def unreachable(*args):
+        raise AssertionError("a fixed point was enumerated")
+    monkeypatch.setattr(flagmodel, "reflect", unreachable)
+    flag = flagmodel.FlagManifold(rootsys.build_root_system("A", 8), [])
+    with pytest.raises(ValueError, match="chi = 362880 fixed points, above"):
+        flag.fixed_points()
 
 
 @pytest.mark.parametrize("name,dims", [

@@ -79,7 +79,8 @@ def test_elementary_symmetric_matches_value_version():
     assert polys[0] == 1
     for k in range(1, len(forms) + 1):
         assert polys[k] == _subset_sum(forms, k, Polynomial.zero(3))
-        assert polys[k].is_homogeneous(k)
+        assert polys[k].is_homogeneous()
+        assert {sum(e) for e in polys[k].terms} == {k}
     assert polys[1] == 3 * x + 3 * y - 4 * z
     assert polys[4] == forms[0] * forms[1] * forms[2] * forms[3]
     assert elementary_symmetric_values([], 0) == [1]

@@ -102,7 +102,7 @@ def test_renderers(reproduce_cached):
 
 
 def test_dual_oracle_on_a_table():
-    res = reproduce("so5t", oracle="both")[0]
+    res = reproduce("so5t", oracle="both", slow=False)[0]
     assert res.ok
 
 
