@@ -211,8 +211,9 @@ def cmd_chern(args, out) -> int:
     s = len(flag.summands())
     acs = _parse_signs(args.acs, s) if args.acs else InvariantACS((1,) * s)
     if args.numbers:
-        monos = [parse_cmonomial(m.strip(), flag.complex_dim)
-                 for m in args.numbers.split(",")]
+        # a repeated monomial is printed once, at its first place
+        monos = list(dict.fromkeys(parse_cmonomial(m.strip(), flag.complex_dim)
+                                   for m in args.numbers.split(",")))
     else:
         top = [0] * (flag.complex_dim - 1) + [1]
         monos = [tuple(top)]
@@ -231,6 +232,8 @@ def cmd_chern(args, out) -> int:
             data["todd_genus"] = str(genus)
         _dump_json(data, out)
         return EXIT_OK
+    if genus is not None and args.format == "csv":
+        rows.append(["todd_genus", str(genus)])
     _emit_table(args.format,
                 f"Chern numbers on {flag.name()}, structure {acs.label()}",
                 ["monomial", "value"], rows, out)

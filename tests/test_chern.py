@@ -193,6 +193,61 @@ def test_dual_oracles_agree_on_every_structure(name):
             == chern_numbers_schubert(flag, acs, batch), acs.label()
 
 
+@pytest.mark.parametrize("name", ["FD(4;1,3)", "F(5;1,2,2)", "SO(7)/U(3)",
+                                  "G2/T"])
+def test_chunked_kernel_agrees_with_schubert(name, monkeypatch):
+    # chunks of 7 fixed points: many chunks and a partial last one
+    monkeypatch.setattr(chern_module, "FIXED_POINT_CHUNK", 7)
+    flag = parse_manifold(name)
+    assert flag.euler_characteristic() % 7
+    n = flag.complex_dim
+    monos = monomials_of_weighted_degree(n, n)
+    structures = enumerate_acs(flag, up_to_conjugation=False)
+    assert InvariantACS((-1,) * len(flag.summands())) in structures
+    for acs in structures[::max(1, len(structures) // 8)] + structures[-1:]:
+        assert chern_numbers(flag, acs, monos) \
+            == chern_numbers_schubert(flag, acs, monos), acs.label()
+
+
+def test_kernel_over_more_than_one_chunk():
+    # F(6) has chi = 720 fixed points; c1^N = N! 2^N on a full flag
+    flag = parse_manifold("F(6)")
+    assert flag.euler_characteristic() > chern_module.FIXED_POINT_CHUNK
+    n = flag.complex_dim
+    acs = InvariantACS((1,) * len(flag.summands()))
+    top = tuple(1 if k == n - 1 else 0 for k in range(n))
+    c1n = (n,) + (0,) * (n - 1)
+    assert chern_numbers(flag, acs, [top, c1n]) \
+        == {top: 720, c1n: factorial(15) * 2**15}
+
+
+def test_kernel_batch_keeps_input_order_and_duplicates():
+    flag = parse_manifold("F(4)")
+    acs = InvariantACS((1, -1, 1, 1, -1, 1))
+    batch = [parse_cmonomial(m, 6)
+             for m in ("c6", "c1^6", "c2c4", "c1^6", "c3^2", "c1c2c3", "c6")]
+    single = {m: chern_numbers(flag, acs, [m])[m] for m in batch}
+    result = chern_numbers(flag, acs, batch)
+    assert list(result) == list(dict.fromkeys(batch))
+    assert result == single == chern_numbers_schubert(flag, acs, batch)
+
+
+def test_kernel_guards_refuse_a_missing_fixed_point(monkeypatch):
+    # one fixed point short, the sum is no longer a polynomial's integral:
+    # the two sample points disagree, and one point alone gives a fraction
+    flag = parse_manifold("F(4)")
+    acs = InvariantACS((1,) * 6)
+    short = flag.fixed_points()[1:]
+    monkeypatch.setattr(flag, "fixed_points", lambda: short)
+    with pytest.raises(ArithmeticError, match="sample points"):
+        chern_numbers(flag, acs, [(6, 0, 0, 0, 0, 0)])
+    first = chern_module._generic_points(flag.rs.coords)[0]
+    monkeypatch.setattr(chern_module, "_generic_points",
+                        lambda roots: [first, first])
+    with pytest.raises(ArithmeticError, match="c1\\^6 is not an integer"):
+        chern_numbers(flag, acs, [(6, 0, 0, 0, 0, 0)])
+
+
 def test_schubert_batch_builds_the_cover_table_once(monkeypatch):
     # one cover table per (family, rank), however many manifolds,
     # structures and monomials use it

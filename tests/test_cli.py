@@ -77,6 +77,29 @@ def test_chern_explicit_monomials_with_signs():
     assert all(int(v) is not None for v in nums.values())
 
 
+def test_chern_csv_reports_the_todd_genus():
+    code, out = run_cli("chern", "--manifold", "F(3)", "--todd",
+                        "--oracle", "weyl", "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) \
+        == [["monomial", "value"], ["c3", "6"], ["todd_genus", "1"]]
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_chern_repeated_numbers_print_once(fmt):
+    code, out = run_cli("chern", "--manifold", "F(3)", "--oracle", "weyl",
+                        "--numbers", "c1^3,c3,c1^3", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        names = list(json.loads(out)["numbers"])
+    elif fmt == "csv":
+        names = [row[0] for row in csv.reader(io.StringIO(out))][1:]
+    else:
+        names = [line.split(" | ")[0][2:] for line in out.splitlines()
+                 if line.startswith("| c")]
+    assert names == ["c1^3", "c3"]
+
+
 def test_chern_determinism_across_runs():
     args = ("chern", "--manifold", "F(4)", "--numbers", "c1^6,c2^3,c6",
             "--todd", "--format", "json")
