@@ -5,13 +5,18 @@ Riemann-Roch theorem turns into constraints among Chern numbers."""
 
 import argparse
 
-from flagchern.chern import format_cmonomial, todd_polynomial, weighted_degree
+from flagchern.chern import (MAX_TODD_DEGREE, format_cmonomial,
+                             todd_polynomial, weighted_degree)
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-degree", type=int, default=10)
+    ap.add_argument("--max-degree", type=int, default=10,
+                    help=f"at most {MAX_TODD_DEGREE}")
     args = ap.parse_args()
+    if args.max_degree > MAX_TODD_DEGREE:
+        ap.error(f"--max-degree {args.max_degree} is above the Todd-polynomial "
+                 f"degree bound {MAX_TODD_DEGREE}")
 
     for n in range(1, args.max_degree + 1):
         td = todd_polynomial(n)

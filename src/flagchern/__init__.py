@@ -1,7 +1,7 @@
 """Exact invariant almost complex geometry on generalized flag manifolds.
 
 Subpackages compute, over exact rational arithmetic:
-  * root systems and Weyl groups (``rootsys``),
+  * root systems, Weyl group orders and Bruhat covers (``rootsys``),
   * multivariate polynomial arithmetic (``polyring``),
   * Groebner bases and Borel presentations (``groebner``),
   * flag manifolds, isotropy decompositions, and invariant almost complex
@@ -12,7 +12,7 @@ Subpackages compute, over exact rational arithmetic:
 """
 
 from .polyring import Polynomial, elementary_symmetric_values
-from .rootsys import RootSystem, build_root_system, bruhat_covers, weyl_group
+from .rootsys import RootSystem, build_root_system, bruhat_covers
 from .groebner import (MonomialOrder, GroebnerBasis, buchberger, normal_form,
                        quotient_dimension, borel_generators, borel_groebner)
 from .flagmodel import (FlagManifold, IsotropySummand, InvariantACS, ACSClass,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Polynomial", "elementary_symmetric_values",
-    "RootSystem", "build_root_system", "bruhat_covers", "weyl_group",
+    "RootSystem", "build_root_system", "bruhat_covers",
     "MonomialOrder", "GroebnerBasis", "buchberger", "normal_form",
     "quotient_dimension", "borel_generators", "borel_groebner",
     "FlagManifold", "IsotropySummand", "InvariantACS", "ACSClass",

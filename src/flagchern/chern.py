@@ -418,6 +418,11 @@ class ToddExpansion:
 
 
 _TODD_CACHE: dict[int, ToddExpansion] = {}
+# largest degree of ``todd_polynomial``: it has one term per partition of the
+# degree, and builds them in 0.6 s at degree 20, 2.3 s at 24 (1575 terms) and
+# 3.4 s at 25, while `chern --manifold "F(12;6,6)" --todd` (degree 36) runs
+# for minutes (2 vCPUs, Python 3.11.7)
+MAX_TODD_DEGREE = 24
 
 
 def todd_polynomial(degree: int) -> ToddExpansion:
@@ -427,10 +432,12 @@ def todd_polynomial(degree: int) -> ToddExpansion:
     coefficients of log(x / (1 - e^{-x})) and p_k the power sums in the
     Chern classes.  The graded pieces of td follow from td' = L' td:
     T_0 = 1 and m T_m = sum_{k=1}^m k L_k T_{m-k}, each product already of
-    weighted degree m.
+    weighted degree m.  A degree outside 1..``MAX_TODD_DEGREE`` is refused
+    (ValueError) before anything is built.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    if not 1 <= degree <= MAX_TODD_DEGREE:
+        raise ValueError(f"the Todd polynomial of degree {degree} is not "
+                         f"built; the degree must be in 1..{MAX_TODD_DEGREE}")
     if degree in _TODD_CACHE:
         return _TODD_CACHE[degree]
     n = degree

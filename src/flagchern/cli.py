@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: roots, decompose, acs, chern, table, groebner, cohomology,
-verify.  Output formats: markdown (default), CSV, JSON (big integers as
-decimal strings).  Exit codes: 0 ok, 1 usage error, 2 verification mismatch,
-3 internal invariant violation or any other internal error, 141 when the
-reader closes stdout early; every error is one line on stderr.
+verify.  Output formats: markdown (default), CSV, JSON (Chern numbers and
+table values as decimal strings; counts such as chi, n_acs_up_to_conjugation
+and weyl_order as JSON integers, however many digits).  Exit codes: 0 ok,
+1 usage error, 2 verification mismatch, 3 internal invariant violation or
+any other internal error, 141 when the reader closes stdout early; every
+error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -353,7 +355,7 @@ def cmd_cohomology(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    """Run the end-to-end verification sweep (non-slow tables by default)."""
+    """Run the end-to-end verification sweep over every registry table."""
     failures = []
 
     def check(name, ok):
@@ -361,28 +363,16 @@ def cmd_verify(args, out) -> int:
         if not ok:
             failures.append(name)
 
-    scope = args.scope
-    if scope not in ("all", "quick"):
-        raise UsageError("verify scope must be 'all' or 'quick'")
-    quick_tables = ["tab5", "tabso1", "tabg21", "tabg22", "so5t", "sp2t",
-                    "g2t", "so8u4", "so7u3"]
-    table_list = tables.table_ids() if scope == "all" else quick_tables
-    # drop aliases/groups so each table runs once
-    reg = tables.load_registry()
-    table_list = [t for t in table_list if t in reg["tables"]]
-    for tid in sorted(table_list):
-        res = tables.reproduce(tid, args.oracle, args.slow)
-        for r in res:
-            ann = r.n_annotated
-            check(f"table {r.table_id} (annotated cells: {ann})", r.ok)
+    for tid in sorted(tables.load_registry()["tables"]):
+        for r in tables.reproduce(tid, args.oracle, slow=True):
+            check(f"table {r.table_id} (annotated cells: {r.n_annotated})",
+                  r.ok)
     for tag in cohomology.CASE_EXAMPLES:
         summary = cohomology.verify_case(cohomology.presentation_case(tag))
         check(f"cohomology {tag}", summary["ok"])
     # Todd genus = 1 on canonical structures of the small manifolds
-    genus_list = (["F(3;1,1,1)", "FD(3;1,2)", "G2-short"] if scope == "quick"
-                  else ["F(3;1,1,1)", "F(4)", "FD(3;1,2)", "FD(4;1,3)",
-                        "G2-long", "G2-short", "SO(5)/T", "Sp(2)/T"])
-    for name in genus_list:
+    for name in ["F(3;1,1,1)", "F(4)", "FD(3;1,2)", "FD(4;1,3)", "G2-long",
+                 "G2-short", "SO(5)/T", "Sp(2)/T"]:
         flag = parse_manifold(name)
         acs = InvariantACS((1,) * len(flag.summands()))
         td = todd_polynomial(flag.complex_dim).coefficients
@@ -414,9 +404,6 @@ def build_parser() -> _Parser:
                              "schubert (Chevalley's formula) or both, "
                              "asserting agreement (default); groebner is a "
                              "deprecated alias of schubert")
-    slow = argparse.ArgumentParser(add_help=False)
-    slow.add_argument("--slow", action="store_true",
-                      help="include the F(8) sections of tab2")
 
     p = _Parser(prog="flagchern",
                 description="Exact Chern-number computations on generalized "
@@ -458,8 +445,10 @@ def build_parser() -> _Parser:
                    help="also compute the Todd genus")
     q.set_defaults(func=cmd_chern)
 
-    q = sub.add_parser("table", parents=[fmt, oracle, slow],
+    q = sub.add_parser("table", parents=[fmt, oracle],
                        help="reproduce a reference table and diff it")
+    q.add_argument("--slow", action="store_true",
+                   help="include the F(8) sections of tab2")
     q.add_argument("action", choices=["reproduce", "list"])
     q.add_argument("table_id", nargs="?")
     q.set_defaults(func=cmd_table)
@@ -479,10 +468,8 @@ def build_parser() -> _Parser:
                         "proj-tangent:2")
     q.set_defaults(func=cmd_cohomology)
 
-    q = sub.add_parser("verify", parents=[oracle, slow],
+    q = sub.add_parser("verify", parents=[oracle],
                        help="run the verification sweep")
-    q.add_argument("scope", nargs="?", default="all",
-                   choices=["all", "quick"])
     q.set_defaults(func=cmd_verify)
     return p
 

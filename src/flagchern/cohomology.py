@@ -85,12 +85,22 @@ def _so6_claimed_basis() -> tuple[Polynomial, ...]:
             z ** 5)
 
 
+# largest n of proj-tangent:n.  Buchberger's time grows with n: `cohomology
+# verify --case proj-tangent:48` takes 1.9 s and `groebner --ideal
+# proj-tangent:48` 2.3 s, n = 60 about 4 s and n = 120 56 s (2 vCPUs, Python
+# 3.11.7), about what ``BOREL_RANKS`` accepts
+MAX_PROJ_TANGENT = 48
+
+
 def projectivized_tangent_presentation(n: int) -> PresentationCase:
     """Two-generator presentation of F(n+2;n,1,1): x^{n+2} = 0 and
     ((x+y)^{n+2} - x^{n+2})/y = sum_{i=0}^{n+1} C(n+2, i) x^i y^{n+1-i} = 0,
-    the quotient written out by the binomial theorem."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    the quotient written out by the binomial theorem.  An n outside
+    1..``MAX_PROJ_TANGENT`` is refused (ValueError) before any polynomial is
+    built."""
+    if not 1 <= n <= MAX_PROJ_TANGENT:
+        raise ValueError(f"proj-tangent:{n}: n must be in "
+                         f"1..{MAX_PROJ_TANGENT}")
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     r1 = x ** (n + 2)

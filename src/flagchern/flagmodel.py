@@ -106,7 +106,8 @@ class FlagManifold:
 
     @functools.cached_property
     def w_k(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """W_K as (sign, root permutation) pairs, built on first use."""
+        """W_K as (sign, root permutation) pairs, built on first use; only a
+        reference for |W_K| (see ``rootsys``)."""
         return reflection_closure(
             [perm for i, perm in enumerate(self.rs.reflections)
              if i not in self.removed_indices],

@@ -156,20 +156,6 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError("point has wrong dimension")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    v = v * x**e
-            total += v
-        return total
-
     # -- printing and serialization ------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:

@@ -1,4 +1,5 @@
-"""Root systems for families A, B, C, D, G2 and their Weyl groups.
+"""Root systems for families A, B, C, D, G2, their Weyl group orders and
+Bruhat covers.
 
 Only the simple roots are written down, in an explicit ambient coordinate
 space: A_n lives in n+1 coordinates (roots e_i - e_j), B/C/D_n in n
@@ -10,8 +11,10 @@ by its position in the sorted order of the ambient vectors, and every table
 of ``RootSystem`` is indexed by that position.  ``_coroot`` is the one place
 a Cartan integer is computed; ``RootSystem.coroots`` holds them for every
 positive root, and every reflection in the package reads them.
-``weyl_group`` lists W as permutations of the root positions with signs
-(-1)^length; the Bruhat cover table names w by w^-1(2 rho) instead.
+No program path lists W: the fixed points and the Bruhat cover table walk
+orbits.  ``weyl_group`` lists W as signed root permutations only as the
+reference that ``perfbench/tests/test_bench_reference.py`` and the tests
+check the closed-form orders against.
 """
 
 from __future__ import annotations

@@ -8,10 +8,12 @@ The packaged data file ``data/expected_tables.json`` stores, for each table:
 * annotations for every cell whose printed value is known to differ from the
   recomputed one, with the recomputed value and a diagnosis note.
 
-``reproduce`` recomputes every non-slow column from scratch and diffs it
-against the printed values; a reproduction is *clean* when the set of
-differing cells coincides exactly with the recorded annotations (including
-the recomputed values).  Any other difference is reported as unexplained.
+``reproduce`` recomputes every column from scratch and diffs it against the
+printed values; the two F(8) sections of tab2, marked ``slow`` in the
+registry, are recomputed only when asked (``table --slow``; ``verify``
+always asks).  A reproduction is *clean* when the set of differing cells
+coincides exactly with the recorded annotations (including the recomputed
+values).  Any other difference is reported as unexplained.
 """
 
 from __future__ import annotations
@@ -280,7 +282,8 @@ def to_csv(results: list[TableResult]) -> str:
 
 
 def to_json_obj(results: list[TableResult]) -> dict:
-    """JSON-ready dict; all integers rendered as decimal strings."""
+    """JSON-ready dict; printed and recomputed values as decimal strings,
+    signs and global signs as JSON integers."""
     out = {"tables": []}
     for res in results:
         t = {"table_id": res.table_id, "title": res.title,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from flagchern.cli import main
+from flagchern.flagmodel import parse_manifold
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -156,15 +157,33 @@ def test_cohomology_verify_csv_holds_the_markdown_items():
     assert dict(rows[1:])["certificate"] == "-2"
 
 
-def test_verify_quick_sweep():
-    code, out = run_cli("verify", "quick", "--oracle", "weyl")
+def test_verify_sweep(monkeypatch):
+    # verify reaches every section of every registry table
+    import flagchern.tables as tables
+
+    computed = []
+    real = tables.chern_numbers_by
+
+    def record(flag, acs, monos, oracle):
+        computed.append(flag.name())
+        return real(flag, acs, monos, oracle)
+
+    monkeypatch.setattr(tables, "chern_numbers_by", record)
+    code, out = run_cli("verify", "--oracle", "weyl")
     assert code == 0
     assert "0 failure(s)" in out
     assert "FAIL" not in out
+    # the F(8) sections of tab2 carry its one annotated cell
+    assert "PASS table tab2 (annotated cells: 1)" in out
+    sections = {sec["manifold"]
+                for spec in tables.load_registry()["tables"].values()
+                for sec in spec.get("sections", [spec])}
+    names = {parse_manifold(m).name() for m in sections}
+    assert {"F(8;1,2,5)", "F(8;1,3,4)"} <= names
+    assert names <= set(computed)
 
 
-@pytest.mark.parametrize("scope", ["quick", "all"])
-def test_verify_schubert_runs_no_fixed_point_sum(monkeypatch, scope):
+def test_verify_schubert_runs_no_fixed_point_sum(monkeypatch):
     # the Todd genus and CP^n checks take their Chern numbers from --oracle
     # too, so the Schubert sweep never reaches the fixed-point kernel
     import flagchern.chern as chern
@@ -173,7 +192,7 @@ def test_verify_schubert_runs_no_fixed_point_sum(monkeypatch, scope):
 
     for module in (chern, cli, tables):
         monkeypatch.setattr(module, "chern_numbers", _refuse_calls)
-    code, out = run_cli("verify", scope, "--oracle", "schubert")
+    code, out = run_cli("verify", "--oracle", "schubert")
     assert code == 0, out
     assert out.endswith("\n0 failure(s)\n")
     assert "todd genus 1 on G2-short" in out and "CP^4" in out
@@ -231,7 +250,11 @@ def test_exit_code_internal_on_oracle_disagreement(monkeypatch):
     ("acs", "list", "F(4)", "--slow"),
     ("chern", "--manifold", "F(4)", "--order", "lex"),
     ("cohomology", "verify", "--case", "a-full:2", "--oracle", "weyl"),
-    ("verify", "quick", "--format", "json"),
+    ("verify", "--format", "json"),
+    # verify always checks every registry table: no scope, no --slow
+    ("verify", "quick"),
+    ("verify", "all"),
+    ("verify", "--slow"),
 ])
 def test_options_of_other_subcommands_are_refused(argv, capsys):
     # an option goes only on the subcommands that read it, so one given to
@@ -412,11 +435,47 @@ def test_malformed_registry_column_is_an_internal_error(monkeypatch, capsys,
     registry = copy.deepcopy(tables.load_registry())
     modify(registry["tables"]["so5t"])
     monkeypatch.setattr(tables, "_REGISTRY", registry)
-    for argv in (["table", "reproduce", "so5t"], ["verify", "quick"]):
+    for argv in (["table", "reproduce", "so5t"], ["verify"]):
         assert main(argv) == 3, argv
         err = capsys.readouterr().err
         assert err.startswith("internal invariant violation: ")
         assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("groebner", "--ideal", "proj-tangent:{}"),
+    ("cohomology", "verify", "--case", "proj-tangent:{}"),
+])
+def test_proj_tangent_above_its_bound_is_a_usage_error(argv, monkeypatch,
+                                                       capsys):
+    import flagchern.cli as cli
+    import flagchern.cohomology as cohomology
+    import flagchern.groebner as groebner
+
+    for module in (cli, cohomology, groebner):
+        monkeypatch.setattr(module, "buchberger", _refuse_calls)
+    argv = [a.format(cohomology.MAX_PROJ_TANGENT + 1) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"usage error: proj-tangent:{cohomology.MAX_PROJ_TANGENT + 1}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_todd_above_its_degree_bound_is_a_usage_error(monkeypatch, capsys):
+    # F(10;5,5) has N = 25; the Todd polynomial would have p(25) terms
+    import flagchern.chern as chern
+
+    assert chern.MAX_TODD_DEGREE == 24
+    monkeypatch.setattr(chern, "_power_sums_in_chern", _refuse_calls)
+    monkeypatch.setattr(chern, "chern_numbers", _refuse_calls)
+    code, out = run_cli("chern", "--manifold", "F(10;5,5)", "--todd",
+                        "--oracle", "weyl")
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == ("usage error: the Todd polynomial of degree 25 is not "
+                   "built; the degree must be in 1..24\n")
 
 
 @pytest.mark.parametrize("argv", [

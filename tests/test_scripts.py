@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from flagchern.chern import todd_polynomial
+from flagchern.chern import MAX_TODD_DEGREE, todd_polynomial
 from flagchern.flagmodel import classify_acs, enumerate_acs, parse_manifold
 from flagchern.tables import load_registry
 
@@ -39,6 +39,19 @@ def test_todd_identities_script():
         m = re.match(r"(\d+) \* td_(\d+) = ", line)
         assert m and int(m.group(2)) == n, line
         assert int(m.group(1)) == todd_polynomial(n).common_denominator()
+
+
+def test_todd_identities_script_refuses_a_degree_above_the_bound():
+    proc = subprocess.run(
+        [sys.executable, REPO / "scripts" / "todd_identities.py",
+         "--max-degree", str(MAX_TODD_DEGREE + 1)],
+        cwd=REPO, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        f"todd_identities.py: error: --max-degree {MAX_TODD_DEGREE + 1} is "
+        f"above the Todd-polynomial degree bound {MAX_TODD_DEGREE}")
+    assert "Traceback" not in proc.stderr
 
 
 def test_classify_structures_script():
