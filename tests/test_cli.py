@@ -183,19 +183,39 @@ def test_verify_sweep(monkeypatch):
     assert names <= set(computed)
 
 
-def test_verify_schubert_runs_no_fixed_point_sum(monkeypatch):
-    # the Todd genus and CP^n checks take their Chern numbers from --oracle
-    # too, so the Schubert sweep never reaches the fixed-point kernel
+def _patch_out_the_kernel(monkeypatch):
     import flagchern.chern as chern
     import flagchern.cli as cli
     import flagchern.tables as tables
 
     for module in (chern, cli, tables):
         monkeypatch.setattr(module, "chern_numbers", _refuse_calls)
-    code, out = run_cli("verify", "--oracle", "schubert")
+
+
+@pytest.fixture(scope="module")
+def schubert_sweep():
+    """`verify --oracle schubert` run once, with the fixed-point kernel
+    patched to raise."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _patch_out_the_kernel(monkeypatch)
+        return run_cli("verify", "--oracle", "schubert")
+
+
+@pytest.mark.parametrize("scope", ["quick", "all"])
+def test_verify_schubert_runs_no_fixed_point_sum(schubert_sweep, monkeypatch,
+                                                 capsys, scope):
+    # the Todd genus and CP^n checks take their Chern numbers from --oracle
+    # too, so the Schubert sweep never reaches the fixed-point kernel
+    code, out = schubert_sweep
     assert code == 0, out
     assert out.endswith("\n0 failure(s)\n")
     assert "todd genus 1 on G2-short" in out and "CP^4" in out
+    # verify has no scope any more: the old scope word is refused before
+    # any Chern number is computed, not run as a smaller sweep
+    _patch_out_the_kernel(monkeypatch)
+    assert run_cli("verify", scope, "--oracle", "schubert") == (1, "")
+    assert capsys.readouterr().err.startswith(
+        "usage error: unrecognized arguments: " + scope)
 
 
 # -- exit codes ---------------------------------------------------------------
