@@ -22,7 +22,8 @@ share only the monomial bookkeeping, the class-degree trie, which the
 Schubert oracle walks largest degree first.
 
 The universal Todd polynomials are Hirzebruch's multiplicative sequence for
-x / (1 - e^{-x}), built one weighted degree at a time from td = exp(L).
+x / (1 - e^{-x}), built one weighted degree at a time from td = exp(L), in
+int numerators over one denominator per degree.
 """
 
 from __future__ import annotations
@@ -392,17 +393,21 @@ def _series_log(q: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _power_sums_in_chern(n: int) -> list[Polynomial]:
-    """p_1..p_n as polynomials in c_1..c_n (Newton's identities)."""
-    c = [None] + [Polynomial.variable(n, k) for k in range(n)]
-    p: list[Polynomial] = [Polynomial.constant(n, 0)]
+def _partition_power_sums(n: int) -> list[dict[tuple[int, ...], int]]:
+    """p_1..p_n in c_1..c_n by Newton's identities, p_k = sum_{i<k}
+    (-1)^{i-1} c_i p_{k-i} + (-1)^{k-1} k c_k, with index 0 unused.  A
+    c-monomial is keyed by its partition, the class indices in descending
+    order, so c_i times a monomial adds the part i; coefficients are ints."""
+    p: list[dict[tuple[int, ...], int]] = [{}]
     for k in range(1, n + 1):
-        acc = Polynomial.zero(n)
+        acc = {(k,): (-1) ** (k - 1) * k}
         for i in range(1, k):
-            acc = acc + (-1) ** (i - 1) * c[i] * p[k - i]
-        acc = acc + (-1) ** (k - 1) * k * c[k]
+            sign = (-1) ** (i - 1)
+            for lam, a in p[k - i].items():
+                key = tuple(sorted(lam + (i,), reverse=True))
+                acc[key] = acc.get(key, 0) + sign * a
         p.append(acc)
-    return p[1:]
+    return p
 
 
 @dataclass(frozen=True)
@@ -419,9 +424,10 @@ class ToddExpansion:
 
 _TODD_CACHE: dict[int, ToddExpansion] = {}
 # largest degree of ``todd_polynomial``: it has one term per partition of the
-# degree, and builds them in 0.6 s at degree 20, 2.3 s at 24 (1575 terms) and
-# 3.4 s at 25, while `chern --manifold "F(12;6,6)" --todd` (degree 36) runs
-# for minutes (2 vCPUs, Python 3.11.7)
+# degree, and builds them in 0.05-0.09 s at degree 20, 0.19-0.34 s at 24
+# (1575 terms) and 0.33-0.44 s at 25 (1958 terms; 2 vCPUs, Python 3.11.7).
+# The cap stays at 24 until a check independent of this builder reaches
+# above it (ROADMAP item 1).
 MAX_TODD_DEGREE = 24
 
 
@@ -432,8 +438,11 @@ def todd_polynomial(degree: int) -> ToddExpansion:
     coefficients of log(x / (1 - e^{-x})) and p_k the power sums in the
     Chern classes.  The graded pieces of td follow from td' = L' td:
     T_0 = 1 and m T_m = sum_{k=1}^m k L_k T_{m-k}, each product already of
-    weighted degree m.  A degree outside 1..``MAX_TODD_DEGREE`` is refused
-    (ValueError) before anything is built.
+    weighted degree m.  Each T_m is held as int numerators keyed by
+    partitions (see ``_partition_power_sums``) over one denominator,
+    reduced by their gcd, and turned into exponent tuples over c_1..c_degree
+    with ``Fraction`` coefficients only at the end.  A degree outside
+    1..``MAX_TODD_DEGREE`` is refused (ValueError) before anything is built.
     """
     if not 1 <= degree <= MAX_TODD_DEGREE:
         raise ValueError(f"the Todd polynomial of degree {degree} is not "
@@ -442,16 +451,34 @@ def todd_polynomial(degree: int) -> ToddExpansion:
         return _TODD_CACHE[degree]
     n = degree
     series = _series_log(_todd_series(n))  # log of x/(1-e^{-x})
-    psums = _power_sums_in_chern(n)
-    logs = [series[k] * psums[k - 1] for k in range(1, n + 1)]
-    pieces = [Polynomial.one(n)]
+    psums = _partition_power_sums(n)
+    pieces = [({(): 1}, 1)]  # (numerators, denominator) of T_0..T_m
     for m in range(1, n + 1):
-        acc = Polynomial.zero(n)
-        for k in range(1, m + 1):
-            if series[k]:
-                acc = acc + logs[k - 1] * pieces[m - k] * k
-        pieces.append(acc * Fraction(1, m))
-    exp = ToddExpansion(degree, dict(pieces[n].terms))
+        ks = [k for k in range(1, m + 1) if series[k]]
+        den = math.lcm(*(series[k].denominator * pieces[m - k][1]
+                         for k in ks))
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for k in ks:
+            nums, d = pieces[m - k]
+            lk = series[k]
+            scale = k * lk.numerator * (den // (lk.denominator * d))
+            for lam, a in psums[k].items():
+                a_scaled = a * scale
+                for mu, b in nums.items():
+                    key = tuple(sorted(lam + mu, reverse=True))
+                    acc[key] = get(key, 0) + a_scaled * b
+        den *= m
+        g = math.gcd(den, *acc.values())
+        pieces.append(({key: a // g for key, a in acc.items() if a}, den // g))
+    nums, den = pieces[n]
+    coefficients = {}
+    for lam, a in nums.items():
+        exps = [0] * n
+        for part in lam:
+            exps[part - 1] += 1
+        coefficients[tuple(exps)] = Fraction(a, den)
+    exp = ToddExpansion(degree, coefficients)
     _TODD_CACHE[degree] = exp
     return exp
 

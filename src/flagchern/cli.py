@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -271,11 +272,13 @@ def _load_ideal(spec: str):
         fam, _, rk = rest.partition(":")
         if not fam or not rk:
             raise UsageError(f"--ideal borel needs family:rank; got {spec!r}")
-        return borel_generators(fam.upper(), int(rk))
+        return borel_generators(fam.upper(), cohomology.int_parameter(
+            "--ideal borel:<family>:<rank>", rk))
     if spec == "so6":
         return borel_generators("D", 3)
     if kind == "proj-tangent":
-        case = cohomology.projectivized_tangent_presentation(int(rest))
+        case = cohomology.projectivized_tangent_presentation(
+            cohomology.int_parameter("--ideal proj-tangent:<n>", rest))
         return list(case.generators)
     try:
         with open(spec) as fh:
@@ -393,7 +396,11 @@ def cmd_verify(args, out) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later ``main`` call in the process.  It names no command function:
+    ``main`` looks up ``cmd_<command>`` when it runs the command."""
     # each shared option goes only on the subcommands that read it
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=["md", "csv", "json"],
@@ -415,7 +422,6 @@ def build_parser() -> _Parser:
     q.add_argument("--family", required=True,
                    choices=SUPPORTED_FAMILIES, help="Cartan family")
     q.add_argument("--rank", type=int, required=True)
-    q.set_defaults(func=cmd_roots)
 
     q = sub.add_parser("decompose", parents=[fmt],
                        help="isotropy decomposition of a flag manifold")
@@ -425,14 +431,12 @@ def build_parser() -> _Parser:
     q.add_argument("--rank", type=int)
     q.add_argument("--theta", metavar="keep=I,J|remove=I,J",
                    help="simple roots kept in (or removed from) the isotropy")
-    q.set_defaults(func=cmd_decompose)
 
     q = sub.add_parser("acs", parents=[fmt],
                        help="enumerate or classify invariant almost complex "
                             "structures")
     q.add_argument("action", choices=["list", "classify"])
     q.add_argument("manifold")
-    q.set_defaults(func=cmd_acs)
 
     q = sub.add_parser("chern", parents=[fmt, oracle],
                        help="Chern numbers of one structure")
@@ -443,7 +447,6 @@ def build_parser() -> _Parser:
                    help="comma-separated c-monomials (default: top class)")
     q.add_argument("--todd", action="store_true",
                    help="also compute the Todd genus")
-    q.set_defaults(func=cmd_chern)
 
     q = sub.add_parser("table", parents=[fmt, oracle],
                        help="reproduce a reference table and diff it")
@@ -451,14 +454,12 @@ def build_parser() -> _Parser:
                    help="include the F(8) sections of tab2")
     q.add_argument("action", choices=["reproduce", "list"])
     q.add_argument("table_id", nargs="?")
-    q.set_defaults(func=cmd_table)
 
     q = sub.add_parser("groebner", parents=[fmt],
                        help="reduced Groebner basis of a named or file ideal")
     q.add_argument("--ideal", required=True, help=_GB_PRESETS)
     q.add_argument("--order", choices=["lex", "grlex", "grevlex"],
                    default="lex", help="monomial order (default lex)")
-    q.set_defaults(func=cmd_groebner)
 
     q = sub.add_parser("cohomology", parents=[fmt],
                        help="verify a cohomology presentation case")
@@ -466,11 +467,9 @@ def build_parser() -> _Parser:
     q.add_argument("--case", required=True,
                    help="e.g. a-full:4, b-full:3, so6-groebner, "
                         "proj-tangent:2")
-    q.set_defaults(func=cmd_cohomology)
 
     q = sub.add_parser("verify", parents=[oracle],
                        help="run the verification sweep")
-    q.set_defaults(func=cmd_verify)
     return p
 
 
@@ -502,7 +501,7 @@ def main(argv=None) -> int:
             if args.action == "reproduce" and not args.table_id:
                 raise UsageError("table reproduce needs a table id "
                                  f"(one of: {', '.join(tables.table_ids())})")
-        code = args.func(args, sys.stdout)
+        code = globals()[f"cmd_{args.command}"](args, sys.stdout)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

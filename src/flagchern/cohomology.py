@@ -85,6 +85,18 @@ def _so6_claimed_basis() -> tuple[Polynomial, ...]:
             z ** 5)
 
 
+def int_parameter(form: str, text: str) -> int:
+    """``text`` as the integer that ``form``, an option and the shape of its
+    value such as ``--ideal proj-tangent:<n>``, asks for; otherwise a
+    ValueError that names both."""
+    try:
+        return int(text)
+    except ValueError:
+        name = form[form.rindex("<") + 1:-1]
+        raise ValueError(f"{form} needs an integer {name}; got {text!r}") \
+            from None
+
+
 # largest n of proj-tangent:n.  Buchberger's time grows with n: `cohomology
 # verify --case proj-tangent:48` takes 1.9 s and `groebner --ideal
 # proj-tangent:48` 2.3 s, n = 60 about 4 s and n = 120 56 s (2 vCPUs, Python
@@ -124,7 +136,7 @@ def presentation_case(tag: str) -> PresentationCase:
     if kind in ("a-full", "b-full", "c-full"):
         if not arg:
             raise ValueError(f"case {tag!r} needs a rank, e.g. {kind}:3")
-        n = int(arg)
+        n = int_parameter(f"--case {kind}:<n>", arg)
         if kind == "a-full":
             nvars = n + 1
             gens = borel_generators("A", n)
@@ -158,7 +170,8 @@ def presentation_case(tag: str) -> PresentationCase:
         if not arg:
             raise ValueError("case proj-tangent needs a parameter, "
                              "e.g. proj-tangent:2")
-        return projectivized_tangent_presentation(int(arg))
+        return projectivized_tangent_presentation(
+            int_parameter("--case proj-tangent:<n>", arg))
     raise ValueError(f"unknown presentation case {tag!r}")
 
 

@@ -1,6 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flagchern import chern as chern_module
 from flagchern import rootsys
-from flagchern.chern import (chern_classes, chern_numbers,
+from flagchern.chern import (MAX_TODD_DEGREE, chern_classes, chern_numbers,
                              chern_numbers_schubert,
                              format_cmonomial, monomials_of_weighted_degree,
                              parse_cmonomial, todd_polynomial,
@@ -282,12 +282,26 @@ def test_schubert_oracle_checks_its_final_state(monkeypatch):
                                [(6, 0, 0, 0, 0, 0)])
 
 
+def power_sums_in_chern(n):
+    """p_1..p_n as polynomials in c_1..c_n (Newton's identities)."""
+    c = [None] + [Polynomial.variable(n, k) for k in range(n)]
+    p = [Polynomial.constant(n, 0)]
+    for k in range(1, n + 1):
+        acc = Polynomial.zero(n)
+        for i in range(1, k):
+            acc = acc + (-1) ** (i - 1) * c[i] * p[k - i]
+        acc = acc + (-1) ** (k - 1) * k * c[k]
+        p.append(acc)
+    return p[1:]
+
+
 def truncated_power_todd(degree):
     """The Todd polynomial as exp(L) = sum_j L^j / j!, every power of L cut
-    back to weighted degree <= degree, then the degree-``degree`` part."""
+    back to weighted degree <= degree, then the degree-``degree`` part, in
+    ``Polynomial`` arithmetic rather than ``todd_polynomial``'s partitions."""
     n = degree
     series = chern_module._series_log(chern_module._todd_series(n))
-    psums = chern_module._power_sums_in_chern(n)
+    psums = power_sums_in_chern(n)
     L = Polynomial.zero(n)
     for k in range(1, n + 1):
         L = L + series[k] * psums[k - 1]
@@ -303,13 +317,14 @@ def truncated_power_todd(degree):
     return {e: c for e, c in td.terms.items() if weighted_degree(e) == n}
 
 
-@pytest.mark.parametrize("degree", range(1, 11))
+# up to the largest N of the benchmark's census
+@pytest.mark.parametrize("degree", range(1, 13))
 def test_todd_polynomial_matches_truncated_power_expansion(degree):
     assert dict(todd_polynomial(degree).coefficients) \
         == truncated_power_todd(degree)
 
 
-@pytest.mark.parametrize("d", range(1, 15))
+@pytest.mark.parametrize("d", range(1, MAX_TODD_DEGREE + 1))
 def test_todd_genus_of_projective_space_is_one(d):
     # c(CP^d) = (1 + x)^(d+1): c_k = C(d+1, k) x^k, and x^d integrates to 1
     total = Fraction(0)
@@ -319,3 +334,12 @@ def test_todd_genus_of_projective_space_is_one(d):
             term *= comb(d + 1, k) ** e
         total += term
     assert total == 1
+
+
+def test_todd_denominators_are_the_hirzebruch_numbers():
+    # the common denominator of td_n is prod_p p^floor(n / (p - 1)) over the
+    # primes p (OEIS A091137: 1, 2, 12, 24, 720, 1440, 60480, ...)
+    for n in range(1, MAX_TODD_DEGREE + 1):
+        expected = prod(p ** (n // (p - 1)) for p in range(2, n + 2)
+                        if all(p % q for q in range(2, p)))
+        assert todd_polynomial(n).common_denominator() == expected, n

@@ -488,7 +488,7 @@ def test_todd_above_its_degree_bound_is_a_usage_error(monkeypatch, capsys):
     import flagchern.chern as chern
 
     assert chern.MAX_TODD_DEGREE == 24
-    monkeypatch.setattr(chern, "_power_sums_in_chern", _refuse_calls)
+    monkeypatch.setattr(chern, "_partition_power_sums", _refuse_calls)
     monkeypatch.setattr(chern, "chern_numbers", _refuse_calls)
     code, out = run_cli("chern", "--manifold", "F(10;5,5)", "--todd",
                         "--oracle", "weyl")
@@ -510,6 +510,23 @@ def test_borel_presets_outside_their_ranks_are_usage_errors(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage error: no Borel presentation for ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("groebner", "--ideal", "proj-tangent:abc"),
+     "--ideal proj-tangent:<n> needs an integer n; got 'abc'"),
+    (("groebner", "--ideal", "borel:A:x"),
+     "--ideal borel:<family>:<rank> needs an integer rank; got 'x'"),
+    (("cohomology", "verify", "--case", "a-full:x"),
+     "--case a-full:<n> needs an integer n; got 'x'"),
+    (("cohomology", "verify", "--case", "proj-tangent:abc"),
+     "--case proj-tangent:<n> needs an integer n; got 'abc'"),
+])
+def test_non_integer_parameter_names_its_option(argv, err, capsys):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {err}\n"
 
 
 def test_key_error_message_is_printed_without_quotes(monkeypatch, capsys):
@@ -601,3 +618,29 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert main(["roots", "--family", "A", "--rank", "2"]) == 3
     assert capsys.readouterr().err \
         == "internal error: RuntimeError: state went wrong\n"
+
+
+def test_one_process_runs_many_commands_as_fresh_processes_do(capfd):
+    # the parser is built once and reused; every call still prints and
+    # exits as `python -m flagchern` does for the same argv
+    import flagchern.cli as cli
+
+    sequence = [
+        ["chern", "--manifold", "F(4)", "--acs=+,+"],
+        ["chern", "--manifold", "F(3)", "--todd", "--format", "json"],
+        ["table", "reproduce", "tab5", "--oracle", "weyl", "--format",
+         "json"],
+        ["roots", "--family", "G2", "--rank", "2"],
+    ]
+    cli.build_parser.cache_clear()
+    in_process = []
+    for argv in sequence:
+        code = main(argv)
+        captured = capfd.readouterr()
+        in_process.append((captured.out.encode(), captured.err, code))
+    assert cli.build_parser.cache_info().misses == 1
+    assert in_process[0][2] == 1 and in_process[0][1].startswith(
+        "usage error: --acs has 2 signs")
+    for argv, got in zip(sequence, in_process):
+        proc = _run([sys.executable, "-m", "flagchern", *argv])
+        assert got == (proc.stdout, proc.stderr, proc.returncode), argv
