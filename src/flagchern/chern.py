@@ -4,9 +4,10 @@ Two independent integration oracles are provided, with the same batch
 contract.  ``chern_numbers`` is the fixed-point (Atiyah-Bott /
 Berline-Vergne localization) kernel: an integral over G/K is a sum over the
 torus-fixed points, one per coset W_K w of the Weyl group, evaluated in exact
-integers at generic points (with a second point as a guard) and divided once
-by the positive-root product.  It is normalized so the all-plus structure's
-top Chern class integrates to +chi.  It walks the fixed points in chunks of
+integers at the points (1, ..., 1) and (1, 2, ..., r) on the simple roots
+(the second a guard on the first) and divided once by the positive-root
+product.  It is normalized so the all-plus structure's top Chern class
+integrates to +chi.  It walks the fixed points in chunks of
 ``FIXED_POINT_CHUNK``, one list entry per point, so that each step of the sum
 is one C-level pass over a chunk rather than a bytecode loop per point: a
 chunk's root images are transposed into one column per root slot, the
@@ -266,16 +267,18 @@ FIXED_POINT_CHUNK = 256
 
 def _generic_points(roots) -> list[tuple[int, ...]]:
     """Two integer points, as values on the simple roots, where no root
-    vanishes."""
-    dim = len(roots[0])
-    points = []
-    base = 3
-    while len(points) < 2:
-        pt = tuple(base**i for i in range(dim))
-        if all(sum(a * b for a, b in zip(r, pt)) for r in roots):
-            points.append(pt)
-        base += 2
-    return points
+    vanishes: (1, ..., 1), where a root's value is its height, and
+    (1, 2, ..., r).  A positive root has simple-root coordinates >= 0, not
+    all 0, so it is positive at both, and the values stay small.
+
+    Each fixed-point term, and so the sum over any set of fixed points, is
+    homogeneous of degree 0 in the point, so two proportional points give
+    the same sum and guard nothing; these two are not proportional for
+    r >= 2.  At r = 1 every point is a multiple of every other, and the
+    second is (2,).
+    """
+    rank = len(roots[0])
+    return [(1,) * rank, tuple(range(1, rank + 1)) if rank > 1 else (2,)]
 
 
 def chern_numbers(flag: FlagManifold, acs: InvariantACS,
@@ -287,7 +290,8 @@ def chern_numbers(flag: FlagManifold, acs: InvariantACS,
     the Chern classes are the elementary symmetric functions of the signed
     complementary roots.  A point x is given by integer values on the simple
     roots, so every root value, read off the root's simple-root coordinates,
-    and every term is an integer.
+    and every term is an integer.  The sum is taken at both points of
+    ``_generic_points``; the two quotients must agree, and be integers.
 
     Each step works on ``FIXED_POINT_CHUNK`` fixed points at once, one list
     entry per point (see the module docstring); e_j += w e_{j-1} runs over
@@ -333,17 +337,19 @@ def chern_numbers(flag: FlagManifold, acs: InvariantACS,
                 if 0 < i and kmin - n + i < 1 <= kmax:
                     e[1] = list(map(add, e[1], w))
             walk(trie, base, (), e, acc)
-    denominators = [math.prod(val[i] for i in flag.rs.positive) for val in vals]
+    # both denominators are positive: every positive root is, at both points
+    den, den2 = (math.prod(val[i] for i in flag.rs.positive) for val in vals)
     out: dict[tuple[int, ...], int] = {}
     for m, seq in sequences.items():
-        first, second = (Fraction(acc[seq], d)
-                         for acc, d in zip(totals, denominators))
-        if first != second:
+        num, num2 = totals[0][seq], totals[1][seq]
+        if num * den2 != num2 * den:
             raise ArithmeticError("fixed-point sum disagrees between sample points")
-        if first.denominator != 1:
+        value, rest = divmod(num, den)
+        if rest:
             raise ArithmeticError(
-                f"Chern number {format_cmonomial(m)} is not an integer: {first}")
-        out[m] = int(first)
+                f"Chern number {format_cmonomial(m)} is not an integer: "
+                f"{Fraction(num, den)}")
+        out[m] = value
     return out
 
 

@@ -26,7 +26,8 @@ from .chern import chern_numbers  # noqa: F401
 from .chern import (ORACLES, chern_numbers_by, format_cmonomial,
                     parse_cmonomial, todd_genus, todd_polynomial)
 from .flagmodel import (FlagManifold, InvariantACS, classify_acs,
-                        enumerate_acs, is_integrable, parse_manifold)
+                        enumerate_acs, integrable_sign_vectors,
+                        parse_manifold)
 from .groebner import MonomialOrder, buchberger, borel_generators, quotient_dimension
 from .polyring import Polynomial
 from .rootsys import SUPPORTED_FAMILIES, build_root_system, weyl_order
@@ -172,10 +173,9 @@ def cmd_decompose(args, out) -> int:
 def cmd_acs(args, out) -> int:
     flag = parse_manifold(args.manifold)
     if args.action == "list":
-        rows = []
-        for acs in enumerate_acs(flag):
-            rows.append([acs.label(),
-                         "yes" if is_integrable(flag, acs) else "no"])
+        integrable = integrable_sign_vectors(flag)
+        rows = [[acs.label(), "yes" if acs.signs in integrable else "no"]
+                for acs in enumerate_acs(flag)]
         if args.format == "json":
             _dump_json({"manifold": flag.name(),
                         "structures": [{"signs": r[0], "integrable": r[1] == "yes"}

@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, neg, sub
 
 from .rootsys import (
     RootSystem,
@@ -29,11 +30,15 @@ from .rootsys import (
     _solve,
     build_root_system,
     check_rank,
-    reflect,
     reflection_closure,
     weyl_order,
 )
 
+# summands above this are refused before any sign vector is built.  At
+# s = 20, FD(5;1,1,1,1,1) has 2^19 structures up to conjugation:
+# `acs classify --format json` takes 9.8-11.8 s and 310 MiB (classify_acs
+# alone 6.3-7.0 s), and `acs list --format json` 11.4-14.0 s and 267 MiB,
+# mostly writing the JSON (child process, 2 vCPUs, Python 3.11.7)
 MAX_T_ROOTS = 20
 # chi above this is refused before the fixed points are enumerated: F(8)
 # has 40320, F(9) already 362880
@@ -60,14 +65,17 @@ class InvariantACS:
     signs: tuple[int, ...]  # one entry of +-1 per positive T-root, canonical order
 
     def __post_init__(self):
-        if not set(self.signs) <= {1, -1}:
+        if not {1, -1}.issuperset(self.signs):
             raise ValueError("signs must be +-1")
 
     def conjugate(self) -> "InvariantACS":
         return InvariantACS(tuple(-s for s in self.signs))
 
     def label(self) -> str:
-        return "(" + ",".join("+" if s == 1 else "-" for s in self.signs) + ")"
+        return "(" + ",".join(map(_SIGN_TEXT.__getitem__, self.signs)) + ")"
+
+
+_SIGN_TEXT = {1: "+", -1: "-"}
 
 
 class FlagManifold:
@@ -148,7 +156,11 @@ class FlagManifold:
         is dominant and fixed by exactly W_K, so w^-1(lambda) tells the
         cosets W_K w apart.  Stepping from w to w*s applies s to lambda's
         image and to every tracked root image, and flips the sign.  lambda
-        and its images are held in simple-root coordinates.
+        and its images are held by their Dynkin labels <mu, alpha_j^vee>:
+        s_k subtracts <mu, alpha_k^vee> times the labels of alpha_k.  Only a
+        positive label k leads on, to a coset whose shortest element is one
+        reflection longer; s_k fixes mu on a label 0 and leads back to the
+        previous level on a negative one, so neither step is taken.
         """
         if "fixed_points" in self._cache:
             return self._cache["fixed_points"]
@@ -161,18 +173,28 @@ class FlagManifold:
         tracked += self.k_positives
         lam = tuple(map(sum, zip(*(rs.coords[p]
                                    for p in self.complementary_pos))))
-        points = {lam: (1, tuple(tracked))}
-        steps = tuple(enumerate(zip(rs.cartan, rs.reflections)))
-        frontier = [lam]
+        # rows[k][j] = <alpha_k, alpha_j^vee>, the labels of alpha_k
+        rows = [[0] * rs.rank for _ in range(rs.rank)]
+        for j, coroot in enumerate(rs.cartan):
+            for k, x in coroot:
+                rows[k][j] = x
+        labels = tuple(sum(lam[i] * x for i, x in coroot)
+                       for coroot in rs.cartan)
+        points = {labels: (1, tuple(tracked))}
+        steps = tuple(zip(range(rs.rank), rows, rs.reflections))
+        frontier = [labels]
         while frontier:
             nxt = []
             for mu in frontier:
                 sign, images = points[mu]
-                for k, (coroot, perm) in steps:
-                    nu = reflect(mu, k, coroot)
-                    if nu not in points:
-                        points[nu] = (-sign, tuple(perm[i] for i in images))
-                        nxt.append(nu)
+                for k, row, perm in steps:
+                    c = mu[k]
+                    if c > 0:
+                        nu = tuple(map(sub, mu, map(c.__mul__, row)))
+                        if nu not in points:
+                            points[nu] = (-sign,
+                                          tuple(map(perm.__getitem__, images)))
+                            nxt.append(nu)
             frontier = nxt
         if len(points) != chi:
             raise ArithmeticError(f"{len(points)} fixed points on "
@@ -293,16 +315,19 @@ def t_root_decomposition(flag: FlagManifold) -> tuple[IsotropySummand, ...]:
     return tuple(summands)
 
 
-def enumerate_acs(flag: FlagManifold, up_to_conjugation: bool = True) -> list[InvariantACS]:
+def _summand_count(flag: FlagManifold) -> int:
+    """The number s of summands, refused (ValueError) above ``MAX_T_ROOTS``."""
     s = len(flag.summands())
     if s > MAX_T_ROOTS:
         raise ValueError(f"{s} positive T-roots exceed the practical bound {MAX_T_ROOTS}")
-    out = []
-    for signs in itertools.product((1, -1), repeat=s):
-        if up_to_conjugation and signs[0] != 1:
-            continue
-        out.append(InvariantACS(signs))
-    return out
+    return s
+
+
+def enumerate_acs(flag: FlagManifold, up_to_conjugation: bool = True) -> list[InvariantACS]:
+    # up to conjugation, the first sign is +
+    head = (1,) if up_to_conjugation else ()
+    return [InvariantACS(head + rest) for rest in itertools.product(
+        (1, -1), repeat=_summand_count(flag) - len(head))]
 
 
 def is_integrable(flag: FlagManifold, acs: InvariantACS) -> bool:
@@ -311,6 +336,32 @@ def is_integrable(flag: FlagManifold, acs: InvariantACS) -> bool:
     s = acs.signs
     return not any(s[i] == p and s[j] == q and s[k] != r
                    for i, p, j, q, k, r in flag.closure_table)
+
+
+def integrable_sign_vectors(flag: FlagManifold) -> set[tuple[int, ...]]:
+    """Every sign vector that ``is_integrable`` accepts, conjugates included.
+
+    The vectors are grown one summand at a time, and each entry of
+    ``flag.closure_table`` is tested as soon as its largest summand index is
+    set; a prefix that breaks one is dropped with all its extensions.  So
+    only integrable prefixes are ever extended, rather than all 2^s vectors
+    being tested.  More than ``MAX_T_ROOTS`` summands are refused
+    (ValueError), as for ``enumerate_acs``.
+    """
+    s = _summand_count(flag)
+    entries: list[list[tuple[int, ...]]] = [[] for _ in range(s)]
+    for entry in flag.closure_table:
+        entries[max(entry[0], entry[2], entry[4])].append(entry)
+    prefixes: list[tuple[int, ...]] = [()]
+    for checks in entries:
+        grown = []
+        for v in prefixes:
+            for w in (v + (1,), v + (-1,)):
+                if not any(w[i] == p and w[j] == q and w[k] != r
+                           for i, p, j, q, k, r in checks):
+                    grown.append(w)
+        prefixes = grown
+    return set(prefixes)
 
 
 def inner_summand_actions(flag: FlagManifold) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -328,13 +379,14 @@ def inner_summand_actions(flag: FlagManifold) -> list[tuple[tuple[int, ...], tup
     sizes = [s.dim_complex for s in flag.summands()]
     n = flag.complex_dim
     actions = set()
+    part_of = where.__getitem__
     for _, images in flag.fixed_points():
-        if any(i in where for i in images[n:]):
+        if not where.keys().isdisjoint(images[n:]):
             continue
         targets, orients = [], []
         start = 0
         for size in sizes:
-            block = {where[i] for i in images[start:start + size]}
+            block = set(map(part_of, images[start:start + size]))
             start += size
             if len(block) != 1:
                 raise AssertionError("Weyl element does not permute the isotropy summands")
@@ -368,43 +420,51 @@ def classify_acs(flag: FlagManifold) -> list[ACSClass]:
     structure and its conjugate stay inequivalent (even though their Chern
     numbers agree whenever the complex dimension is even).
 
+    The integrable vectors come from ``integrable_sign_vectors``, which
+    extends sign prefixes and drops each one that breaks closedness, so no
+    vector is tested on its own.  The orbits then take every sign vector
+    once: each action of ``inner_summand_actions`` is one ``itemgetter`` on
+    v followed by -v, and each orbit is removed from the set of vectors not
+    yet placed.  A class must lie wholly inside or wholly outside the
+    integrable set, or AssertionError is raised.
+
     Reported members are the conjugation-reduced census representatives
     (first sign +) contained in the class.
     """
-    s = len(flag.summands())
-    if s > MAX_T_ROOTS:
-        raise ValueError(f"{s} positive T-roots exceed the practical bound {MAX_T_ROOTS}")
-    actions = inner_summand_actions(flag)
+    s = _summand_count(flag)
+    getters = []
+    for targets, orients in inner_summand_actions(flag):
+        # image[targets[i]] = orients[i] * v[i], read off v + (-v)
+        picks = [0] * s
+        for i, (t, o) in enumerate(zip(targets, orients)):
+            picks[t] = i if o > 0 else s + i
+        # one index would make itemgetter return an int, a slice a 1-tuple
+        getters.append(itemgetter(*picks) if s > 1
+                       else itemgetter(slice(picks[0], picks[0] + 1)))
 
-    def orbit(v):
+    def orbit(v, minus):
         # the actions form a group, so the orbit of v is {a.v}
-        out = set()
-        for targets, orients in actions:
-            img = [0] * s
-            for i, x in enumerate(v):
-                img[targets[i]] = x * orients[i]
-            out.add(tuple(img))
-        return out
+        both = v + minus
+        return {get(both) for get in getters}
 
-    integrable = {v: is_integrable(flag, InvariantACS(v))
-                  for v in itertools.product((1, -1), repeat=s)}
-    seen: set[tuple[int, ...]] = set()
+    integrable = integrable_sign_vectors(flag)
+    unplaced = set(itertools.product((1, -1), repeat=s))
     classes = []
-    for start in integrable:
-        if start in seen:
-            continue
-        cls = orbit(start)
-        if integrable[start]:
-            cls |= orbit(tuple(-x for x in start))
-        seen |= cls
+    while unplaced:
+        start = unplaced.pop()
+        minus = tuple(map(neg, start))
+        cls = orbit(start, minus)
+        merged = start in integrable
+        if merged:
+            cls |= orbit(minus, start)
+        if not (cls <= integrable if merged else cls.isdisjoint(integrable)):
+            raise AssertionError("equivalence class mixes integrable and non-integrable members")
+        unplaced -= cls
         canonical = sorted((v for v in cls if v[0] == 1), reverse=True)
         if not canonical:
-            canonical = sorted((tuple(-x for x in v) for v in cls), reverse=True)
-        members = tuple(InvariantACS(v) for v in canonical)
-        verdicts = {integrable[v] for v in cls}
-        if len(verdicts) != 1:
-            raise AssertionError("equivalence class mixes integrable and non-integrable members")
-        classes.append(ACSClass(members[0], members, verdicts.pop()))
+            canonical = sorted((tuple(map(neg, v)) for v in cls), reverse=True)
+        members = tuple(map(InvariantACS, canonical))
+        classes.append(ACSClass(members[0], members, merged))
     classes.sort(key=lambda c: c.representative.signs, reverse=True)
     return classes
 

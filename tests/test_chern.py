@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,49 @@ def test_kernel_guards_refuse_a_missing_fixed_point(monkeypatch):
                         lambda roots: [first, first])
     with pytest.raises(ArithmeticError, match="c1\\^6 is not an integer"):
         chern_numbers(flag, acs, [(6, 0, 0, 0, 0, 0)])
+
+
+@pytest.mark.parametrize("name", ["F(4)", "G2/T", "FD(4;1,3)", "F(5;1,2,2)",
+                                  "Sp(3)/T", "SO(7)/U(3)"])
+def test_kernel_guards_catch_every_single_missing_fixed_point(monkeypatch,
+                                                               name):
+    # c_N alone never catches a drop: at each fixed point c_N times the
+    # K-positive roots is +-prod alpha(x) over all positive roots, so every
+    # term is +-1 and a short sum is an integer, the same at both points.
+    # The full batch of degree-N monomials must catch each drop.
+    flag = parse_manifold(name)
+    n = flag.complex_dim
+    acs = InvariantACS((1,) * len(flag.summands()))
+    monos = monomials_of_weighted_degree(n, n)
+    top = (0,) * (n - 1) + (1,)
+    fixed = flag.fixed_points()
+    for drop in range(len(fixed)):
+        short = fixed[:drop] + fixed[drop + 1:]
+        monkeypatch.setattr(flag, "fixed_points", lambda: short)
+        assert abs(chern_numbers(flag, acs, [top])[top]) == len(fixed) - 1
+        with pytest.raises(ArithmeticError):
+            chern_numbers(flag, acs, monos)
+
+
+def test_sample_points_are_regular_and_distinct():
+    # every coordinate is >= 1, so a root, whose simple-root coordinates
+    # are all >= 0 or all <= 0 and not all 0, is nonzero at both points;
+    # from rank 2 on the two points are not multiples of each other
+    for rank in range(1, rootsys.MAX_RANK + 1):
+        first, second = chern_module._generic_points([(0,) * rank])
+        assert len(first) == len(second) == rank
+        assert min(first + second) >= 1 and first != second
+        if rank > 1:
+            assert any(a * second[0] != b * first[0]
+                       for a, b in zip(first, second))
+    # the sign pattern, and the points' regularity, checked root by root
+    families = [("A", 1), ("B", 2), ("C", 2), ("D", 3)]
+    for family, rank in [("G2", 2)] + [(f, r) for f, least in families
+                                       for r in range(least, 9)]:
+        coords = build_root_system(family, rank).coords
+        assert all(min(c) >= 0 or max(c) <= 0 for c in coords)
+        for point in chern_module._generic_points(coords):
+            assert all(sum(map(mul, c, point)) for c in coords)
 
 
 def test_schubert_batch_builds_the_cover_table_once(monkeypatch):

@@ -49,6 +49,21 @@ def test_decompose_positional_and_theta():
     assert json.loads(out)["n_summands"] == 3
 
 
+@pytest.mark.parametrize("name", ["F(4)", "F(5;1,2,2)", "G2-long",
+                                  "FD(4;1,1,1,1)"])
+def test_acs_list_gives_each_structure_its_integrability(name):
+    # one prefix enumeration serves the whole list; its verdicts are those
+    # of is_integrable on each structure
+    from flagchern.flagmodel import enumerate_acs, is_integrable
+
+    flag = parse_manifold(name)
+    code, out = run_cli("acs", "list", name, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["structures"] == [
+        {"signs": acs.label(), "integrable": is_integrable(flag, acs)}
+        for acs in enumerate_acs(flag)]
+
+
 def test_acs_classify_f522():
     code, out = run_cli("acs", "classify", "F(5;1,2,2)", "--format", "json")
     assert code == 0
@@ -329,10 +344,12 @@ def test_closed_stdout_exits_141_without_a_message():
 def test_huge_fixed_point_count_is_refused_before_enumeration(monkeypatch,
                                                               capsys):
     # F(10) has 10! fixed points; chi is closed-form, so the kernel refuses
-    # it without walking them
-    import flagchern.flagmodel as flagmodel
+    # it without walking them, that is without the simple reflections that
+    # each step of the walk applies
+    import flagchern.rootsys as rootsys
 
-    monkeypatch.setattr(flagmodel, "reflect", _refuse_calls)
+    monkeypatch.setattr(rootsys.RootSystem, "reflections",
+                        property(_refuse_calls))
     code, out = run_cli("chern", "--manifold", "F(10)", "--oracle", "weyl")
     err = capsys.readouterr().err
     assert code == 1 and out == ""

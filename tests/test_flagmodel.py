@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagchern import flagmodel
-from flagchern.flagmodel import (InvariantACS, classify_acs, enumerate_acs,
-                                 inner_summand_actions, is_integrable,
+from flagchern.flagmodel import (ACSClass, InvariantACS, classify_acs,
+                                 enumerate_acs, inner_summand_actions,
+                                 integrable_sign_vectors, is_integrable,
                                  parse_manifold)
 from flagchern import rootsys
 from flagchern.rootsys import weyl_group, weyl_order
@@ -127,9 +128,11 @@ def test_classify_checks_summand_bound_first(monkeypatch):
 def test_classify_refuses_huge_fixed_point_counts(monkeypatch):
     # 15 summands pass the T-root bound, but chi = 16!/11! = 524160 fixed
     # points would be enumerated
+    # (the walk over them starts by reading the simple reflections)
     def unreachable(*args):
         raise AssertionError("a fixed point was enumerated")
-    monkeypatch.setattr(flagmodel, "reflect", unreachable)
+    monkeypatch.setattr(rootsys.RootSystem, "reflections",
+                        property(unreachable))
     flag = parse_manifold("F(16;1,1,1,1,1,11)")
     assert len(flag.summands()) == 15
     with pytest.raises(ValueError, match="chi = 524160 fixed points, above"):
@@ -140,7 +143,8 @@ def test_fixed_points_refuse_a_huge_count_before_enumerating(monkeypatch):
     # the bound holds for every caller of fixed_points: F(9) has 9! of them
     def unreachable(*args):
         raise AssertionError("a fixed point was enumerated")
-    monkeypatch.setattr(flagmodel, "reflect", unreachable)
+    monkeypatch.setattr(rootsys.RootSystem, "reflections",
+                        property(unreachable))
     flag = flagmodel.FlagManifold(rootsys.build_root_system("A", 8), [])
     with pytest.raises(ValueError, match="chi = 362880 fixed points, above"):
         flag.fixed_points()
@@ -245,6 +249,86 @@ def test_classes_partition_the_census():
     for c in classes:
         for m in c.members:
             assert is_integrable(flag, m) == c.integrable
+
+
+def reference_classify(flag):
+    """The classification as a sweep over all 2^s sign vectors: each is
+    tested by ``is_integrable`` on its own, and each orbit is built by
+    applying every action entry by entry."""
+    s = len(flag.summands())
+    actions = inner_summand_actions(flag)
+
+    def orbit(v):
+        out = set()
+        for targets, orients in actions:
+            img = [0] * s
+            for i, x in enumerate(v):
+                img[targets[i]] = x * orients[i]
+            out.add(tuple(img))
+        return out
+
+    integrable = {v: is_integrable(flag, InvariantACS(v))
+                  for v in itertools.product((1, -1), repeat=s)}
+    seen = set()
+    classes = []
+    for start in integrable:
+        if start in seen:
+            continue
+        cls = orbit(start)
+        if integrable[start]:
+            cls |= orbit(tuple(-x for x in start))
+        seen |= cls
+        canonical = sorted((v for v in cls if v[0] == 1), reverse=True)
+        if not canonical:
+            canonical = sorted((tuple(-x for x in v) for v in cls),
+                               reverse=True)
+        members = tuple(InvariantACS(v) for v in canonical)
+        verdicts = {integrable[v] for v in cls}
+        assert len(verdicts) == 1
+        classes.append(ACSClass(members[0], members, verdicts.pop()))
+    classes.sort(key=lambda c: c.representative.signs, reverse=True)
+    return classes
+
+
+# the manifolds the acs-census benchmark workload classifies, and five more
+CLASSIFIED = [
+    "F(4)", "G2/T", "G2-long", "G2-short", "SO(7)/U(3)", "F(5;1,2,2)",
+    "FD(4;1,3)", "Sp(3)/T", "FB(3;1,1,1)", "F(5)", "FD(4;1,1,1,1)",
+    "F(6)", "FC(4;1,1,1,1)", "F(3;1,1,1)", "F(6;2,2,2)", "F(7;1,2,4)",
+]
+
+
+@pytest.mark.parametrize("name", CLASSIFIED)
+def test_classify_matches_the_sweep_over_every_sign_vector(name):
+    # same classes in the same order, each with the same representative,
+    # members in the same order and the same verdict
+    flag = parse_manifold(name)
+    assert classify_acs(flag) == reference_classify(flag)
+
+
+@pytest.mark.parametrize("name", CLASSIFIED)
+def test_prefix_enumerator_finds_exactly_the_integrable_vectors(name):
+    flag = parse_manifold(name)
+    s = len(flag.summands())
+    assert integrable_sign_vectors(flag) == {
+        v for v in itertools.product((1, -1), repeat=s)
+        if is_integrable(flag, InvariantACS(v))}
+
+
+def test_prefix_enumerator_refuses_too_many_summands():
+    with pytest.raises(ValueError, match="21 positive T-roots exceed"):
+        integrable_sign_vectors(parse_manifold("F(7)"))
+
+
+def test_classify_refuses_a_class_that_mixes_verdicts(monkeypatch):
+    # one entry that only (+,+,-) breaks: integrability is then no longer
+    # invariant, and the orbit holding (+,+,-) holds integrable vectors too
+    flag = parse_manifold("F(3;1,1,1)")
+    monkeypatch.setattr(flag, "closure_table", ((0, 1, 1, 1, 2, 1),))
+    assert integrable_sign_vectors(flag) == \
+        set(itertools.product((1, -1), repeat=3)) - {(1, 1, -1)}
+    with pytest.raises(AssertionError, match="mixes integrable and non-"):
+        classify_acs(flag)
 
 
 def test_parse_manifold_aliases_and_errors():
