@@ -52,6 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit_table(fmt: str, title: str, headers: list[str],
                 rows: list[list[str]], out) -> None:
+    """Write rows as a markdown or csv table; each command writes its own
+    JSON."""
     if fmt == "md":
         if title:
             out.write(f"## {title}\n")
@@ -59,14 +61,10 @@ def _emit_table(fmt: str, title: str, headers: list[str],
         out.write("|" + "---|" * len(headers) + "\n")
         for r in rows:
             out.write("| " + " | ".join(r) + " |\n")
-    elif fmt == "csv":
+    else:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(headers)
         w.writerows(rows)
-    else:
-        json.dump({"title": title, "headers": headers, "rows": rows},
-                  out, indent=1, sort_keys=True)
-        out.write("\n")
 
 
 def _dump_json(obj, out) -> None:

@@ -30,8 +30,8 @@ from .rootsys import (
     _solve,
     build_root_system,
     check_rank,
+    height_product,
     reflection_closure,
-    weyl_order,
 )
 
 # summands above this are refused before any sign vector is built.  At
@@ -107,8 +107,6 @@ class FlagManifold:
             raise ValueError(
                 f"Theta holds every simple root of {rs.family}{rs.rank}, so "
                 f"G/K is a point with no invariant almost complex structure")
-        self._summands: tuple[IsotropySummand, ...] | None = None
-        self._cache: dict = {}
 
     # -- derived structure ----------------------------------------------
 
@@ -122,25 +120,17 @@ class FlagManifold:
             len(self.rs.coords))
 
     def euler_characteristic(self) -> int:
-        """chi = |W| / |W_K|, both orders in closed form.
+        """chi = |W| / |W_K|, Kostant's product of (ht beta + 1) / ht beta
+        over the complementary positive roots beta.
 
-        |W_K| is Kostant's product of (ht beta + 1) / ht beta over the
-        K-positive roots beta.  A K-root has simple-root coordinates only on
-        Theta, so its height over Theta is its height in G.  Cached, since
-        both oracles check it on every call.
+        Both orders are that product (``rootsys.height_product``), over the
+        positive roots of G and of K.  A K-root has simple-root coordinates
+        only on Theta, so its height in K is its height in G, and the
+        K-positive factors cancel.
         """
-        if "chi" not in self._cache:
-            num = den = 1
-            for b in self.k_positives:
-                h = sum(self.rs.coords[b])
-                num *= h + 1
-                den *= h
-            order_k, rest = divmod(num, den)
-            total = weyl_order(self.rs)
-            assert rest == 0 and total % order_k == 0
-            self._cache["chi"] = total // order_k
-        return self._cache["chi"]
+        return height_product(self.rs, self.complementary_pos)
 
+    @functools.cached_property
     def fixed_points(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """The torus-fixed points, one per coset W_K w of the Weyl group,
         enumerated on first use without building W.  A manifold with more
@@ -162,8 +152,6 @@ class FlagManifold:
         reflection longer; s_k fixes mu on a label 0 and leads back to the
         previous level on a negative one, so neither step is taken.
         """
-        if "fixed_points" in self._cache:
-            return self._cache["fixed_points"]
         chi = self.euler_characteristic()
         if chi > MAX_FIXED_POINTS:
             raise ValueError(f"{self.name()} has chi = {chi} fixed points, "
@@ -199,13 +187,14 @@ class FlagManifold:
         if len(points) != chi:
             raise ArithmeticError(f"{len(points)} fixed points on "
                                   f"{self.name()}, expected chi = {chi}")
-        self._cache["fixed_points"] = tuple(points.values())
-        return self._cache["fixed_points"]
+        return tuple(points.values())
 
     def summands(self) -> tuple[IsotropySummand, ...]:
-        if self._summands is None:
-            self._summands = t_root_decomposition(self)
         return self._summands
+
+    @functools.cached_property
+    def _summands(self) -> tuple[IsotropySummand, ...]:
+        return t_root_decomposition(self)
 
     @functools.cached_property
     def summand_parts(self) -> dict[int, tuple[int, int]]:
@@ -380,7 +369,7 @@ def inner_summand_actions(flag: FlagManifold) -> list[tuple[tuple[int, ...], tup
     n = flag.complex_dim
     actions = set()
     part_of = where.__getitem__
-    for _, images in flag.fixed_points():
+    for _, images in flag.fixed_points:
         if not where.keys().isdisjoint(images[n:]):
             continue
         targets, orients = [], []
@@ -428,8 +417,9 @@ def classify_acs(flag: FlagManifold) -> list[ACSClass]:
     yet placed.  A class must lie wholly inside or wholly outside the
     integrable set, or AssertionError is raised.
 
-    Reported members are the conjugation-reduced census representatives
-    (first sign +) contained in the class.
+    Reported members are the class's vectors with first sign + (the census
+    up to conjugation), or all its vectors when it has none, largest first;
+    the first member is the representative.
     """
     s = _summand_count(flag)
     getters = []
@@ -460,10 +450,9 @@ def classify_acs(flag: FlagManifold) -> list[ACSClass]:
         if not (cls <= integrable if merged else cls.isdisjoint(integrable)):
             raise AssertionError("equivalence class mixes integrable and non-integrable members")
         unplaced -= cls
-        canonical = sorted((v for v in cls if v[0] == 1), reverse=True)
-        if not canonical:
-            canonical = sorted((tuple(map(neg, v)) for v in cls), reverse=True)
-        members = tuple(map(InvariantACS, canonical))
+        # a class with no vector of first sign + lists its own vectors
+        members = tuple(map(InvariantACS, sorted(
+            [v for v in cls if v[0] == 1] or cls, reverse=True)))
         classes.append(ACSClass(members[0], members, merged))
     classes.sort(key=lambda c: c.representative.signs, reverse=True)
     return classes

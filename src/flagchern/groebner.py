@@ -8,6 +8,7 @@ the output of ``buchberger`` is canonical for a fixed monomial order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -243,14 +244,8 @@ def borel_generators(family: str, rank: int) -> list[Polynomial]:
     return [_power_sum(3, 1), _power_sum(3, 2), _power_sum(3, 6)]
 
 
-_BOREL_GB_CACHE: dict = {}
-
-
+@functools.cache
 def borel_groebner(family: str, rank: int) -> GroebnerBasis:
-    """Reduced lex Groebner basis of the full-flag Borel ideal (cached per
-    family and rank)."""
-    key = (family.upper(), rank)
-    if key not in _BOREL_GB_CACHE:
-        _BOREL_GB_CACHE[key] = buchberger(borel_generators(family, rank),
-                                          MonomialOrder("lex"))
-    return _BOREL_GB_CACHE[key]
+    """Reduced lex Groebner basis of the full-flag Borel ideal (computed once
+    per family and rank)."""
+    return buchberger(borel_generators(family, rank), MonomialOrder("lex"))

@@ -11,10 +11,12 @@ by its position in the sorted order of the ambient vectors, and every table
 of ``RootSystem`` is indexed by that position.  ``_coroot`` is the one place
 a Cartan integer is computed; ``RootSystem.coroots`` holds them for every
 positive root, and every reflection in the package reads them.
+|W| is Kostant's product of (ht beta + 1) / ht beta over the positive roots
+(``weyl_order``), so a family needs no order formula of its own.
 No program path lists W: the fixed points and the Bruhat cover table walk
 orbits.  ``weyl_group`` lists W as signed root permutations only as the
 reference that ``perfbench/tests/test_bench_reference.py`` and the tests
-check the closed-form orders against.
+check the orders against.
 """
 
 from __future__ import annotations
@@ -83,6 +85,12 @@ class RootSystem:
         """The coroot of every positive root, in ``positive`` order (see
         ``_coroot``)."""
         return tuple(_coroot(self.gram, self.coords[p]) for p in self.positive)
+
+    @functools.cached_property
+    def _covers(self) -> BruhatCovers:
+        """The Bruhat cover table of W; ``bruhat_covers`` refuses a large W
+        before reading it."""
+        return _cover_table(self)
 
     def to_json(self) -> dict:
         """The roots as integer vectors over a common denominator (3 for G2),
@@ -224,16 +232,29 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 
 def weyl_order(rs: RootSystem) -> int:
-    """|W| in closed form: (n+1)! for A_n, 2^n n! for B_n and C_n,
-    2^(n-1) n! for D_n, and 12 for G2."""
-    n = rs.rank
-    if rs.family == "A":
-        return math.factorial(n + 1)
-    if rs.family in ("B", "C"):
-        return 2 ** n * math.factorial(n)
-    if rs.family == "D":
-        return 2 ** (n - 1) * math.factorial(n)
-    return 12
+    """|W|, as Kostant's product over the positive roots (see
+    ``height_product``)."""
+    return height_product(rs, rs.positive)
+
+
+def height_product(rs: RootSystem, roots: Sequence[int]) -> int:
+    """The product of (ht beta + 1) / ht beta over the given positive roots.
+
+    Over every positive root it is |W| (Kostant, Amer. J. Math. 81 (1959);
+    Macdonald, Math. Ann. 199 (1972)), so over a closed subsystem's
+    complement it is a quotient of Weyl-group orders.  A product that is not
+    an integer raises AssertionError.
+    """
+    num = den = 1
+    for p in roots:
+        h = sum(rs.coords[p])
+        num *= h + 1
+        den *= h
+    order, rest = divmod(num, den)
+    if rest:
+        raise AssertionError(f"height product {num}/{den} over "
+                             f"{rs.family}{rs.rank} roots is not an integer")
+    return order
 
 
 def coroot_pairings(rs: RootSystem, c: Sequence[int]) -> list[int]:
@@ -289,26 +310,20 @@ class BruhatCovers:
     top: int
 
 
-_COVERS_CACHE: dict = {}
-
-
 def bruhat_covers(rs: RootSystem) -> BruhatCovers:
-    """The Bruhat cover table of W (cached per family and rank).
+    """The Bruhat cover table of W, built once per root system.
 
     Groups with |W| above ``MAX_BRUHAT_ORDER`` are refused before any
     element is built.
     """
-    key = (rs.family, rs.rank)
-    if key not in _COVERS_CACHE:
-        order = weyl_order(rs)
-        if order > MAX_BRUHAT_ORDER:
-            raise ValueError(
-                f"|W({rs.family}{rs.rank})| = {order} exceeds the "
-                f"Bruhat-table bound {MAX_BRUHAT_ORDER} of the Schubert "
-                f"oracle; the fixed-point oracle (--oracle weyl) has no such "
-                f"bound")
-        _COVERS_CACHE[key] = _cover_table(rs)
-    return _COVERS_CACHE[key]
+    order = weyl_order(rs)
+    if order > MAX_BRUHAT_ORDER:
+        raise ValueError(
+            f"|W({rs.family}{rs.rank})| = {order} exceeds the "
+            f"Bruhat-table bound {MAX_BRUHAT_ORDER} of the Schubert "
+            f"oracle; the fixed-point oracle (--oracle weyl) has no such "
+            f"bound")
+    return rs._covers
 
 
 def _cover_table(rs: RootSystem) -> BruhatCovers:

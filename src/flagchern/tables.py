@@ -19,6 +19,7 @@ values).  Any other difference is reported as unexplained.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -29,15 +30,12 @@ from importlib import resources
 from .chern import _top_monomial, chern_numbers, chern_numbers_by  # noqa: F401
 from .flagmodel import FlagManifold, InvariantACS, parse_manifold
 
-_REGISTRY: dict | None = None
 
-
+@functools.cache
 def load_registry() -> dict:
-    global _REGISTRY
-    if _REGISTRY is None:
-        ref = resources.files("flagchern").joinpath("data/expected_tables.json")
-        _REGISTRY = json.loads(ref.read_text())
-    return _REGISTRY
+    """The packaged registry, read once per process."""
+    ref = resources.files("flagchern").joinpath("data/expected_tables.json")
+    return json.loads(ref.read_text())
 
 
 def table_ids() -> list[str]:

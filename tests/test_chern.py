@@ -238,8 +238,8 @@ def test_kernel_guards_refuse_a_missing_fixed_point(monkeypatch):
     # the two sample points disagree, and one point alone gives a fraction
     flag = parse_manifold("F(4)")
     acs = InvariantACS((1,) * 6)
-    short = flag.fixed_points()[1:]
-    monkeypatch.setattr(flag, "fixed_points", lambda: short)
+    short = flag.fixed_points[1:]
+    monkeypatch.setattr(flag, "fixed_points", short)
     with pytest.raises(ArithmeticError, match="sample points"):
         chern_numbers(flag, acs, [(6, 0, 0, 0, 0, 0)])
     first = chern_module._generic_points(flag.rs.coords)[0]
@@ -262,10 +262,10 @@ def test_kernel_guards_catch_every_single_missing_fixed_point(monkeypatch,
     acs = InvariantACS((1,) * len(flag.summands()))
     monos = monomials_of_weighted_degree(n, n)
     top = (0,) * (n - 1) + (1,)
-    fixed = flag.fixed_points()
+    fixed = flag.fixed_points
     for drop in range(len(fixed)):
         short = fixed[:drop] + fixed[drop + 1:]
-        monkeypatch.setattr(flag, "fixed_points", lambda: short)
+        monkeypatch.setattr(flag, "fixed_points", short)
         assert abs(chern_numbers(flag, acs, [top])[top]) == len(fixed) - 1
         with pytest.raises(ArithmeticError):
             chern_numbers(flag, acs, monos)
@@ -303,7 +303,7 @@ def test_schubert_batch_builds_the_cover_table_once(monkeypatch):
         return real(rs)
 
     monkeypatch.setattr(rootsys, "_cover_table", counting)
-    monkeypatch.setattr(rootsys, "_COVERS_CACHE", {})
+    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})  # fresh, cold tables
     for name in ("F(5;1,2,2)", "F(5)", "F(5;2,3)"):
         flag = parse_manifold(name)
         n = flag.complex_dim
@@ -317,10 +317,15 @@ def test_schubert_batch_builds_the_cover_table_once(monkeypatch):
 def test_schubert_oracle_checks_its_final_state(monkeypatch):
     # a cover table whose top index is wrong leaves the top state on an
     # element other than w0, which the oracle refuses
+    real = rootsys._cover_table
+
+    def wrong_top(rs):
+        covers = real(rs)
+        return replace(covers, top=covers.top - 1)
+
+    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})  # fresh, cold tables
+    monkeypatch.setattr(rootsys, "_cover_table", wrong_top)
     flag = parse_manifold("F(4)")
-    covers = rootsys.bruhat_covers(flag.rs)
-    monkeypatch.setattr(rootsys, "_COVERS_CACHE",
-                        {("A", 3): replace(covers, top=covers.top - 1)})
     with pytest.raises(AssertionError, match="w0"):
         chern_numbers_schubert(flag, InvariantACS((1,) * 6),
                                [(6, 0, 0, 0, 0, 0)])

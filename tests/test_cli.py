@@ -366,7 +366,7 @@ def test_huge_weyl_group_is_refused_by_the_schubert_oracle(monkeypatch,
 
     monkeypatch.setattr(rootsys, "_cover_table", _refuse_calls)
     monkeypatch.setattr(rootsys, "weyl_group", _refuse_calls)
-    monkeypatch.setattr(rootsys, "_COVERS_CACHE", {})
+    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})  # fresh, cold tables
     for oracle in ("schubert", "both"):
         code, out = run_cli("chern", "--manifold", "F(9;1,8)",
                             "--oracle", oracle)
@@ -471,7 +471,7 @@ def test_malformed_registry_column_is_an_internal_error(monkeypatch, capsys,
 
     registry = copy.deepcopy(tables.load_registry())
     modify(registry["tables"]["so5t"])
-    monkeypatch.setattr(tables, "_REGISTRY", registry)
+    monkeypatch.setattr(tables, "load_registry", lambda: registry)
     for argv in (["table", "reproduce", "so5t"], ["verify"]):
         assert main(argv) == 3, argv
         err = capsys.readouterr().err

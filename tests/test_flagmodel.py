@@ -38,10 +38,10 @@ def registry_manifolds():
 @pytest.mark.parametrize("name", registry_manifolds())
 def test_fixed_point_count_is_euler_characteristic(name):
     flag = parse_manifold(name)
-    fixed = flag.fixed_points()
+    fixed = flag.fixed_points
     chi = flag.euler_characteristic()
     assert len(fixed) == chi == EULER.get(name, chi)
-    assert flag.fixed_points() is fixed  # enumerated once per manifold
+    assert flag.fixed_points is fixed  # enumerated once per manifold
     # distinct cosets W_K w carry distinct sets w^-1(complementary roots)
     n = flag.complex_dim
     assert len({frozenset(images[:n]) for _, images in fixed}) == chi
@@ -147,7 +147,7 @@ def test_fixed_points_refuse_a_huge_count_before_enumerating(monkeypatch):
                         property(unreachable))
     flag = flagmodel.FlagManifold(rootsys.build_root_system("A", 8), [])
     with pytest.raises(ValueError, match="chi = 362880 fixed points, above"):
-        flag.fixed_points()
+        flag.fixed_points
 
 
 @pytest.mark.parametrize("name,dims", [
@@ -279,9 +279,8 @@ def reference_classify(flag):
             cls |= orbit(tuple(-x for x in start))
         seen |= cls
         canonical = sorted((v for v in cls if v[0] == 1), reverse=True)
-        if not canonical:
-            canonical = sorted((tuple(-x for x in v) for v in cls),
-                               reverse=True)
+        if not canonical:  # the class's own vectors, not their negations
+            canonical = sorted(cls, reverse=True)
         members = tuple(InvariantACS(v) for v in canonical)
         verdicts = {integrable[v] for v in cls}
         assert len(verdicts) == 1
@@ -304,6 +303,34 @@ def test_classify_matches_the_sweep_over_every_sign_vector(name):
     # members in the same order and the same verdict
     flag = parse_manifold(name)
     assert classify_acs(flag) == reference_classify(flag)
+
+
+@pytest.mark.parametrize("name", [
+    "F(7;1,2,4)", "F(6;1,2,3)", "F(8;1,2,5)", "F(8;1,3,4)", "F(9;2,3,4)",
+    "FD(5;2,3)", "F(5)", "FD(4;1,1,1,1)",
+])
+def test_classify_rows_name_their_own_classes(name):
+    # a non-integrable class with no vector of first sign + is listed by its
+    # own vectors, so it cannot read as its conjugate class
+    flag = parse_manifold(name)
+    actions = inner_summand_actions(flag)
+    classes = classify_acs(flag)
+    reps = [c.representative for c in classes]
+    assert len(set(reps)) == len(reps)
+    for c in classes:
+        assert c.representative == c.members[0]
+        assert list(c.members) == sorted(c.members, key=lambda m: m.signs,
+                                         reverse=True)
+        orbit = set()
+        for targets, orients in actions:
+            image = [0] * len(targets)
+            for i, x in enumerate(c.representative.signs):
+                image[targets[i]] = orients[i] * x
+            orbit.add(tuple(image))
+        # integrable classes merge an orbit with its conjugate
+        if c.integrable:
+            orbit |= {tuple(-x for x in v) for v in orbit}
+        assert {m.signs for m in c.members} <= orbit
 
 
 @pytest.mark.parametrize("name", CLASSIFIED)
@@ -512,8 +539,7 @@ def test_rootsys_solves_no_linear_system(monkeypatch, name):
 
     monkeypatch.setattr(rootsys, "_solve", unreachable)
     monkeypatch.setattr(flagmodel, "_solve", counted)
-    for cache in ("_ROOT_SYSTEMS", "_COVERS_CACHE"):
-        monkeypatch.setattr(rootsys, cache, {})
+    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})  # fresh, cold tables
     flag = parse_manifold(name)
     flag.summands()
     classify_acs(flag)

@@ -49,3 +49,34 @@ def test_no_unused_imports():
     unused = {p.relative_to(REPO).as_posix(): unused_imports(p)
               for p in sorted(sources)}
     assert {p: u for p, u in unused.items() if u} == {}
+
+
+def module_memos(path: Path) -> list[str]:
+    """Names that ``path`` binds at module level to ``{}``, ``dict()`` or
+    ``None``: the shape of a hand-rolled memo."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty = (isinstance(value, ast.Dict) and not value.keys
+                 or isinstance(value, ast.Constant) and value.value is None
+                 or isinstance(value, ast.Call) and not value.args
+                 and not value.keywords
+                 and isinstance(value.func, ast.Name)
+                 and value.func.id == "dict")
+        if empty:
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def test_no_module_level_memos():
+    # per-type tables are memoised with functools.cache or cached_property;
+    # the root-system registry stays, as it normalises the family name
+    memos = {f"{p.stem}.{name}"
+             for p in (REPO / "src" / "flagchern").glob("*.py")
+             for name in module_memos(p)}
+    assert memos == {"rootsys._ROOT_SYSTEMS"}

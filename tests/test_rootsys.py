@@ -82,6 +82,35 @@ def test_closed_form_weyl_order(family, rank):
     assert weyl_order(rs) == len(weyl_group(rs))
 
 
+def closed_form_weyl_order(family, rank):
+    """|W| by family: (n+1)! for A_n, 2^n n! for B_n and C_n, 2^(n-1) n!
+    for D_n, and 12 for G2."""
+    if family == "A":
+        return factorial(rank + 1)
+    if family in ("B", "C"):
+        return 2 ** rank * factorial(rank)
+    if family == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return 12
+
+
+@pytest.mark.parametrize("family,rank", (
+    [("A", n) for n in range(1, 13)] + [("B", n) for n in range(2, 11)]
+    + [("C", n) for n in range(2, 11)] + [("D", n) for n in range(3, 11)]
+    + [("G2", 2)]))
+def test_kostant_weyl_order_matches_the_closed_forms(family, rank):
+    rs = build_root_system(family, rank)
+    assert weyl_order(rs) == closed_form_weyl_order(family, rank)
+
+
+def test_height_product_refuses_a_fraction():
+    rs = build_root_system("A", 2)
+    assert rootsys.height_product(rs, rs.positive) == 6
+    # the highest root alone, of height 2, gives 3/2
+    with pytest.raises(AssertionError, match="3/2 over A2 roots is not an"):
+        rootsys.height_product(rs, rs.positive[-1:])
+
+
 @pytest.mark.parametrize("family,rank", sorted(ORDERS))
 def test_integral_roots_and_simple_reflections(family, rank):
     rs = build_root_system(family, rank)
