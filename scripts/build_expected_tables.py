@@ -6,8 +6,9 @@ the fixed-point oracle, and each annotation keeps its note while its printed
 and recomputed values are rewritten.  The rebuild stops, naming the table,
 manifold, column and row, on a difference with no annotation, an annotation
 on a matching cell, or a column that ``tables.check_column`` refuses (a sign
-vector that is not one sign per summand, a printed list that is not one
-value per row, or a row that is not a Chern monomial of weighted degree N).
+vector that is not one sign per summand, or a printed list that is not one
+value per row) or whose rows ``tables.row_monomials`` refuses (a row
+that is not a Chern monomial of weighted degree N).
 It also rechecks the recorded Chern classes against their normal forms in
 the Borel quotient.
 
@@ -15,7 +16,6 @@ Usage: PYTHONPATH=src python3 scripts/build_expected_tables.py [output.json]
 """
 
 import copy
-import functools
 import json
 import sys
 from pathlib import Path
@@ -23,19 +23,18 @@ from pathlib import Path
 from flagchern.chern import chern_classes, chern_numbers
 from flagchern.flagmodel import InvariantACS, parse_manifold
 from flagchern.groebner import borel_groebner, normal_form
-from flagchern.tables import check_column
+from flagchern.tables import check_column, row_monomials
 
 REGISTRY = (Path(__file__).resolve().parent.parent / "src" / "flagchern"
             / "data" / "expected_tables.json")
-
-flag_of = functools.cache(parse_manifold)
 
 
 def rebuild_column(where: str, flag, rows: list[str], col: dict) -> None:
     """Recompute one column and rewrite its annotations in row order."""
     where = f"{where} {col['label']}"
     try:
-        monos = check_column(where, flag, rows, col)
+        check_column(where, flag, rows, col)
+        monos = row_monomials(where, flag, rows)
         values = chern_numbers(flag, InvariantACS(tuple(col["signs"])), monos)
     except AssertionError as exc:
         raise SystemExit(str(exc))
@@ -61,12 +60,12 @@ def rebuild(data: dict) -> dict:
     data = copy.deepcopy(data)
     for tid, spec in data["tables"].items():
         for sec in spec.get("sections") or [spec]:
-            flag = flag_of(sec["manifold"])
+            flag = parse_manifold(sec["manifold"])
             for col in sec["columns"]:
                 rebuild_column(f"{tid} {sec['manifold']}", flag, sec["rows"],
                                col)
         if "chern_classes" in spec:
-            flag, cc = flag_of(spec["manifold"]), spec["chern_classes"]
+            flag, cc = parse_manifold(spec["manifold"]), spec["chern_classes"]
             gb = borel_groebner(flag.rs.family, flag.rs.rank)
             got = [str(normal_form(c, gb)) for c in
                    chern_classes(flag, InvariantACS(tuple(cc["signs"])))]

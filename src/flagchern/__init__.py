@@ -16,7 +16,7 @@ from .rootsys import RootSystem, build_root_system, bruhat_covers
 from .groebner import (MonomialOrder, GroebnerBasis, buchberger, normal_form,
                        quotient_dimension, borel_generators, borel_groebner)
 from .flagmodel import (FlagManifold, IsotropySummand, InvariantACS, ACSClass,
-                        parse_manifold, t_root_decomposition,
+                        flag_manifold, parse_manifold, t_root_decomposition,
                         enumerate_acs, is_integrable, classify_acs)
 from .chern import (chern_classes, chern_numbers, chern_numbers_schubert,
                     todd_polynomial, todd_genus, parse_cmonomial,
@@ -30,7 +30,8 @@ __all__ = [
     "MonomialOrder", "GroebnerBasis", "buchberger", "normal_form",
     "quotient_dimension", "borel_generators", "borel_groebner",
     "FlagManifold", "IsotropySummand", "InvariantACS", "ACSClass",
-    "parse_manifold", "t_root_decomposition", "enumerate_acs",
+    "flag_manifold", "parse_manifold", "t_root_decomposition",
+    "enumerate_acs",
     "is_integrable", "classify_acs",
     "chern_classes", "chern_numbers", "chern_numbers_schubert",
     "todd_polynomial", "todd_genus",

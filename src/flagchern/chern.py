@@ -417,12 +417,10 @@ def _partition_power_sums(n: int) -> list[dict[tuple[int, ...], int]]:
 class ToddExpansion:
     degree: int
     coefficients: Mapping[tuple[int, ...], Fraction]
+    denominator: int  # the least common denominator of the coefficients
 
     def common_denominator(self) -> int:
-        d = 1
-        for c in self.coefficients.values():
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return d
+        return self.denominator
 
 
 # largest degree of ``todd_polynomial``: it has one term per partition of the
@@ -479,7 +477,7 @@ def todd_polynomial(degree: int) -> ToddExpansion:
         for part in lam:
             exps[part - 1] += 1
         coefficients[tuple(exps)] = Fraction(a, den)
-    return ToddExpansion(degree, coefficients)
+    return ToddExpansion(degree, coefficients, den)
 
 
 def orientation_sign(flag: FlagManifold, acs: InvariantACS) -> int:
@@ -504,8 +502,12 @@ def todd_genus(flag: FlagManifold, acs: InvariantACS,
     (not the fixed all-plus orientation used by ``chern_numbers``), so every
     integrable structure has genus exactly 1.  ``numbers`` holds the Chern
     numbers, in that all-plus orientation, of at least the Todd polynomial's
-    monomials, from either oracle.
+    monomials, from either oracle.  The sum is taken in integers, each
+    coefficient's numerator over the polynomial's one denominator, and
+    divided once.
     """
     td = todd_polynomial(flag.complex_dim)
-    total = sum((c * numbers[m] for m, c in td.coefficients.items()), Fraction(0))
-    return orientation_sign(flag, acs) * total
+    den = td.denominator
+    total = sum(c.numerator * (den // c.denominator) * numbers[m]
+                for m, c in td.coefficients.items())
+    return orientation_sign(flag, acs) * Fraction(total, den)

@@ -26,8 +26,8 @@ from .chern import chern_numbers  # noqa: F401
 from .chern import (ORACLES, chern_numbers_by, format_cmonomial,
                     parse_cmonomial, todd_genus, todd_polynomial)
 from .flagmodel import (FlagManifold, InvariantACS, classify_acs,
-                        enumerate_acs, integrable_sign_vectors,
-                        parse_manifold)
+                        enumerate_acs, flag_manifold,
+                        integrable_sign_vectors, parse_manifold)
 from .groebner import MonomialOrder, buchberger, borel_generators, quotient_dimension
 from .polyring import Polynomial
 from .rootsys import SUPPORTED_FAMILIES, build_root_system, weyl_order
@@ -92,7 +92,7 @@ def _parse_signs(text: str, expected: int) -> InvariantACS:
     return InvariantACS(tuple(signs))
 
 
-def _flag_from_args(args) -> "FlagManifold":
+def _flag_from_args(args) -> FlagManifold:
     if getattr(args, "manifold", None):
         return parse_manifold(args.manifold)
     if not args.family or args.rank is None:
@@ -113,7 +113,7 @@ def _flag_from_args(args) -> "FlagManifold":
             theta = [i for i in range(args.rank) if i + 1 not in idx]
         else:
             raise UsageError("--theta must look like keep=1,2 or remove=1,3")
-    return FlagManifold(rs, theta)
+    return flag_manifold(rs, theta)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -186,11 +186,6 @@ def cmd_acs(args, out) -> int:
         return EXIT_OK
     # classify
     classes = classify_acs(flag)
-    rows = []
-    for i, cls in enumerate(classes):
-        rows.append([str(i + 1), cls.representative.label(),
-                     str(cls.size), "yes" if cls.integrable else "no",
-                     " ".join(m.label() for m in cls.members)])
     if args.format == "json":
         _dump_json({"manifold": flag.name(), "n_classes": len(classes),
                     "classes": [{"representative": c.representative.label(),
@@ -198,12 +193,16 @@ def cmd_acs(args, out) -> int:
                                  "integrable": c.integrable,
                                  "members": [m.label() for m in c.members]}
                                 for c in classes]}, out)
-    else:
-        _emit_table(args.format,
-                    f"Equivalence classes of invariant structures on "
-                    f"{flag.name()}",
-                    ["class", "representative", "size", "integrable",
-                     "members"], rows, out)
+        return EXIT_OK
+    rows = [[str(i + 1), cls.representative.label(), str(cls.size),
+             "yes" if cls.integrable else "no",
+             " ".join(m.label() for m in cls.members)]
+            for i, cls in enumerate(classes)]
+    _emit_table(args.format,
+                f"Equivalence classes of invariant structures on "
+                f"{flag.name()}",
+                ["class", "representative", "size", "integrable",
+                 "members"], rows, out)
     return EXIT_OK
 
 
@@ -221,18 +220,16 @@ def cmd_chern(args, out) -> int:
     # one batch serves the requested numbers and the Todd genus
     todd = todd_polynomial(flag.complex_dim).coefficients if args.todd else {}
     nums = chern_numbers_by(flag, acs, monos + list(todd), args.oracle)
-    results = {m: nums[m] for m in monos}
-    rows = [[format_cmonomial(m), str(results[m])] for m in monos]
     genus = todd_genus(flag, acs, nums) if args.todd else None
     if args.format == "json":
         data = {"manifold": flag.name(), "acs": acs.label(),
                 "oracle": args.oracle,
-                "numbers": {format_cmonomial(m): str(v)
-                            for m, v in results.items()}}
+                "numbers": {format_cmonomial(m): str(nums[m]) for m in monos}}
         if genus is not None:
             data["todd_genus"] = str(genus)
         _dump_json(data, out)
         return EXIT_OK
+    rows = [[format_cmonomial(m), str(nums[m])] for m in monos]
     if genus is not None and args.format == "csv":
         rows.append(["todd_genus", str(genus)])
     _emit_table(args.format,
@@ -381,7 +378,7 @@ def cmd_verify(args, out) -> int:
         check(f"todd genus 1 on {name}", todd_genus(flag, acs, nums) == 1)
     # projective-space sanity oracle
     for n in range(1, 5):
-        flag = FlagManifold(build_root_system("A", n), range(1, n))
+        flag = flag_manifold(build_root_system("A", n), range(1, n))
         c1n = (n,) + (0,) * (n - 1)
         v = chern_numbers_by(flag, InvariantACS((1,)), [c1n], args.oracle)
         ok = (v[c1n] == (n + 1) ** n

@@ -13,6 +13,11 @@ collects the roots with one coordinate vector on the removed simples.  The
 integrability test reads a per-manifold table of root positions saying which
 summand parts add up to which (the closedness criterion of Borel and
 Hirzebruch).
+
+``flag_manifold`` builds one ``FlagManifold`` per root system and Theta and
+hands the same object to every later caller in the process, so its derived
+tables (summands, fixed points, closure table) are built on first use and
+shared by every command.  Nothing mutates a manifold after construction.
 """
 
 from __future__ import annotations
@@ -80,7 +85,8 @@ _SIGN_TEXT = {1: "+", -1: "-"}
 
 class FlagManifold:
     """G/K described by a root system and a subset Theta of the simple roots,
-    given by their indices 0..rank-1 in ``rs.simple``.
+    given by their indices 0..rank-1 in ``rs.simple``.  Build it with
+    ``flag_manifold``, which shares one object per root system and Theta.
 
     The K-roots are the roots whose simple-root coordinates on the removed
     simple roots are all 0; roots are held by their positions in the tables
@@ -254,6 +260,20 @@ class FlagManifold:
 
     def __repr__(self):
         return f"FlagManifold({self.name()}, complex_dim={self.complex_dim})"
+
+
+def flag_manifold(rs: RootSystem, theta) -> FlagManifold:
+    """The flag manifold of ``rs`` and Theta: one object per root system and
+    set Theta in the process, whose tables are built on first use and then
+    shared.  A refusal raises each time; nothing is kept for it."""
+    return _flag_manifold(rs, tuple(sorted(set(theta))))
+
+
+@functools.cache
+def _flag_manifold(rs: RootSystem, theta: tuple[int, ...]) -> FlagManifold:
+    # keyed on the RootSystem object itself (compared by identity), so a
+    # fresh root system gives a fresh manifold
+    return FlagManifold(rs, theta)
 
 
 def t_root_decomposition(flag: FlagManifold) -> tuple[IsotropySummand, ...]:
@@ -471,7 +491,8 @@ _ALIASES = {
 
 
 def parse_manifold(name: str) -> FlagManifold:
-    """Build a flag manifold from its textual name.
+    """The flag manifold named by ``name``, from ``flag_manifold``: every
+    spelling and alias of one manifold gives the same object.
 
     Grammar: F(n;n1,...,nk) for type A block flags (F(n) = full flag),
     FB/FC/FD(n;n1,...,nk) for types B/C/D, whose blocks may stop short of n
@@ -481,11 +502,11 @@ def parse_manifold(name: str) -> FlagManifold:
     upper = text.upper()
     upper = _ALIASES.get(upper, upper)
     if upper == "G2/T":
-        return FlagManifold(build_root_system("G2", 2), [])
+        return flag_manifold(build_root_system("G2", 2), [])
     if upper in ("G2-LONG", "G2-SHORT"):
         # G2-long keeps the long simple root alpha_1
-        return FlagManifold(build_root_system("G2", 2),
-                            [0 if upper == "G2-LONG" else 1])
+        return flag_manifold(build_root_system("G2", 2),
+                             [0 if upper == "G2-LONG" else 1])
 
     import re
 
@@ -506,5 +527,5 @@ def parse_manifold(name: str) -> FlagManifold:
         raise ValueError(f"block sizes {blocks} must be positive and sum to "
                          f"{'' if exact else 'at most '}{n}")
     cuts = set(itertools.accumulate(blocks))
-    return FlagManifold(build_root_system(family, rank),
-                        [i for i in range(rank) if i + 1 not in cuts])
+    return flag_manifold(build_root_system(family, rank),
+                         [i for i in range(rank) if i + 1 not in cuts])

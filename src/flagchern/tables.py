@@ -127,11 +127,20 @@ class TableResult:
                    for d in c.diffs if d.annotated)
 
 
-def check_column(where: str, flag: FlagManifold, rows, spec: dict) -> list:
-    """The rows as exponent tuples.  Refuses (AssertionError, naming ``where``)
-    a column without one sign per isotropy summand of ``flag`` and one printed
-    value per row, or with a row that is not a Chern monomial of weighted
-    degree N; pairing values with rows would drop cells silently."""
+def row_monomials(where: str, flag: FlagManifold, rows) -> list:
+    """The rows as exponent tuples, parsed once per section for all its
+    columns.  Refuses (AssertionError, naming ``where``) a row that is not a
+    Chern monomial of weighted degree N."""
+    try:
+        return [_top_monomial(flag, row) for row in rows]
+    except ValueError as exc:
+        raise AssertionError(f"{where}: {exc}") from None
+
+
+def check_column(where: str, flag: FlagManifold, rows, spec: dict) -> None:
+    """Refuses (AssertionError, naming ``where``) a column without one sign
+    per isotropy summand of ``flag`` and one printed value per row; pairing
+    values with rows would drop cells silently."""
     n = len(flag.summands())
     if len(spec["signs"]) != n:
         raise AssertionError(f"{where}: {len(spec['signs'])} signs for {n} "
@@ -139,15 +148,11 @@ def check_column(where: str, flag: FlagManifold, rows, spec: dict) -> list:
     if len(spec["printed"]) != len(rows):
         raise AssertionError(f"{where}: {len(spec['printed'])} printed values "
                              f"for {len(rows)} rows")
-    try:
-        return [_top_monomial(flag, row) for row in rows]
-    except ValueError as exc:
-        raise AssertionError(f"{where}: {exc}") from None
 
 
-def _reproduce_column(flag: FlagManifold, rows, spec: dict,
+def _reproduce_column(flag: FlagManifold, rows, monos: list, spec: dict,
                       oracle: str) -> ColumnResult:
-    monos = check_column(f"{flag.name()} {spec['label']}", flag, rows, spec)
+    check_column(f"{flag.name()} {spec['label']}", flag, rows, spec)
     col = ColumnResult.from_spec(spec)
     values = chern_numbers_by(flag, InvariantACS(col.signs), monos, oracle)
     col.recomputed = [col.global_sign * values[m] for m in monos]
@@ -193,7 +198,8 @@ def reproduce(table_id: str, oracle: str, slow: bool) -> list[TableResult]:
                     label_note=sec.get("label_note")))
                 continue
             flag = parse_manifold(sec["manifold"])
-            cols = [_reproduce_column(flag, sec["rows"], c, oracle)
+            monos = row_monomials(flag.name(), flag, sec["rows"])
+            cols = [_reproduce_column(flag, sec["rows"], monos, c, oracle)
                     for c in sec["columns"]]
             sections.append(SectionResult(
                 manifold=sec["manifold"], rows=sec["rows"], columns=cols,

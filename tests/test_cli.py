@@ -49,6 +49,56 @@ def test_decompose_positional_and_theta():
     assert json.loads(out)["n_summands"] == 3
 
 
+@pytest.mark.parametrize("theta", ["keep=1,3", "remove=2"])
+def test_decompose_by_theta_reaches_the_named_manifold(theta, monkeypatch):
+    import flagchern.cli as cli
+
+    reached = []
+    flag_from_args = cli._flag_from_args
+
+    def recorded(args):
+        reached.append(flag_from_args(args))
+        return reached[-1]
+
+    monkeypatch.setattr(cli, "_flag_from_args", recorded)
+    by_name = run_cli("decompose", "F(4;2,2)", "--format", "json")
+    by_theta = run_cli("decompose", "--family", "A", "--rank", "3",
+                       "--theta", theta, "--format", "json")
+    assert by_theta == by_name and by_name[0] == 0
+    assert len(reached) == 2
+    assert reached[0] is reached[1] is parse_manifold("F(4;2,2)")
+
+
+def test_second_chern_command_reuses_the_manifold(monkeypatch):
+    # the summands and the fixed points are built by the first command on a
+    # manifold, and read by every later one in the process
+    import flagchern.flagmodel as flagmodel
+    import flagchern.rootsys as rootsys
+
+    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
+    calls = {"decomposition": 0, "walk": 0}
+
+    def counted(key, func):
+        def wrapper(flag):
+            calls[key] += 1
+            return func(flag)
+        return wrapper
+
+    monkeypatch.setattr(flagmodel, "t_root_decomposition",
+                        counted("decomposition",
+                                flagmodel.t_root_decomposition))
+    walk = flagmodel.FlagManifold.__dict__["fixed_points"]
+    monkeypatch.setattr(walk, "func", counted("walk", walk.func))
+    argv = ["chern", "--manifold", "F(5;1,2,2)", "--todd", "--oracle",
+            "weyl", "--format", "json"]
+    first = run_cli(*argv)
+    assert first[0] == 0 and calls == {"decomposition": 1, "walk": 1}
+    assert run_cli(*argv) == first
+    assert run_cli(*argv, "--acs", "+,-,+")[0] == 0
+    assert run_cli("acs", "classify", "F(5;1,2,2)")[0] == 0
+    assert calls == {"decomposition": 1, "walk": 1}
+
+
 @pytest.mark.parametrize("name", ["F(4)", "F(5;1,2,2)", "G2-long",
                                   "FD(4;1,1,1,1)"])
 def test_acs_list_gives_each_structure_its_integrability(name):

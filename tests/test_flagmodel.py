@@ -109,7 +109,9 @@ def test_decompose_counts_chi_without_building_w_k(monkeypatch, capsys):
     assert data["euler_characteristic"] == 924  # binomial(12, 6)
 
 
-def test_isotropy_weyl_group_is_built_on_first_use():
+def test_isotropy_weyl_group_is_built_on_first_use(monkeypatch):
+    # fresh root systems give fresh manifolds, whose w_k no test has built
+    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
     flag = parse_manifold("F(8;1,3,4)")
     assert "w_k" not in vars(flag)
     assert len(flag.w_k) == 1 * 6 * 24
@@ -383,6 +385,39 @@ def test_every_name_parses_back(family, rank):
             back = parse_manifold(flag.name())
             assert back.rs is rs, flag.name()
             assert back.removed_indices == flag.removed_indices, flag.name()
+            assert back is flagmodel.flag_manifold(rs, theta), flag.name()
+
+
+def test_one_manifold_per_root_system_and_theta():
+    assert parse_manifold("SO(5)/T") is parse_manifold("FB(2;1,1)")
+    assert parse_manifold(" so(5)/t ") is parse_manifold("SO(5)/T")
+    assert parse_manifold("Sp(3)/T") is parse_manifold("FC(3;1,1,1)")
+    assert parse_manifold("F(4)") is parse_manifold("F(4;1,1,1,1)")
+    assert parse_manifold("G2/T") is not parse_manifold("G2-long")
+    # Theta is a set of simple-root indices: order and repeats do not count
+    rs = rootsys.build_root_system("A", 3)
+    assert flagmodel.flag_manifold(rs, [2, 0, 2]) is \
+        flagmodel.flag_manifold(rs, range(0, 3, 2)) is \
+        parse_manifold("F(4;2,2)")
+
+
+def test_fresh_root_systems_give_fresh_manifolds(monkeypatch):
+    flag = parse_manifold("F(5;1,2,2)")
+    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
+    fresh = parse_manifold("F(5;1,2,2)")
+    assert fresh is not flag and fresh.rs is not flag.rs
+    assert fresh is parse_manifold("F(5;1,2,2)")
+    assert fresh.name() == flag.name()
+    assert fresh.summands() == flag.summands()
+
+
+def test_refused_manifolds_are_not_kept():
+    rs = rootsys.build_root_system("B", 3)
+    kept = flagmodel._flag_manifold.cache_info().currsize
+    for theta in (range(rs.rank), range(rs.rank), [rs.rank]):
+        with pytest.raises(ValueError):
+            flagmodel.flag_manifold(rs, theta)
+    assert flagmodel._flag_manifold.cache_info().currsize == kept
 
 
 def test_acs_sign_validation():

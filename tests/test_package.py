@@ -80,3 +80,48 @@ def test_no_module_level_memos():
              for p in (REPO / "src" / "flagchern").glob("*.py")
              for name in module_memos(p)}
     assert memos == {"rootsys._ROOT_SYSTEMS"}
+
+
+def scoped_nodes(path: Path):
+    """(scope, node) for every node of ``path``, where scope is the dotted
+    name of the enclosing classes and functions, or "<module>"."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + [child.name]
+            yield ".".join(inner) or "<module>", child
+            yield from walk(child, inner)
+    return walk(ast.parse(path.read_text()), [])
+
+
+def test_flag_manifolds_are_built_only_by_the_factory():
+    # flag_manifold hands out one object per root system and Theta, so a
+    # command that called the constructor would rebuild its tables
+    callers = {f"{p.stem}.{scope}"
+               for p in (REPO / "src" / "flagchern").glob("*.py")
+               for scope, node in scoped_nodes(p)
+               if isinstance(node, ast.Call)
+               and (getattr(node.func, "id", None) == "FlagManifold"
+                    or getattr(node.func, "attr", None) == "FlagManifold")}
+    assert callers == {"flagmodel._flag_manifold"}
+
+
+def test_shared_flag_manifolds_are_not_mutated():
+    # a shared manifold is written only while it is built, and by its
+    # cached properties; no attribute of a ``flag`` is ever assigned
+    writes = set()
+    for p in (REPO / "src" / "flagchern").glob("*.py"):
+        for scope, node in scoped_nodes(p):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                writes |= {(p.stem, scope, t.value.id) for t in targets
+                           if isinstance(t, ast.Attribute)
+                           and isinstance(t.value, ast.Name)}
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "setattr"):
+                writes.add((p.stem, scope, "setattr"))
+    assert {w for w in writes if w[0] == "flagmodel"} == {
+        ("flagmodel", "FlagManifold.__init__", "self")}
+    assert not {w for w in writes if w[2] in ("flag", "setattr")}
