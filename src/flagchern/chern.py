@@ -17,10 +17,14 @@ the monomials are evaluated along the trie of their class degrees
 one e_k, keeping only the current path.  ``chern_numbers_schubert`` is the
 second oracle: it multiplies in the Schubert basis of H*(G/B) by Chevalley's
 formula over the Bruhat covers, reads off the coefficient of the point class
-sigma_{w0}, and calibrates it against the positive-root product.  It uses no
-fixed points, no rational functions and no Groebner basis.  The two oracles
-share only the monomial bookkeeping, the class-degree trie, which the
-Schubert oracle walks largest degree first.
+sigma_{w0}, and calibrates it against the positive-root product.  It splits
+each monomial's class degrees, largest first, into a head (the largest
+class, times the K-positive roots) and a tail (the rest, from sigma_e), and
+pairs the two halves by Poincare duality, sigma_u sigma_v = sigma_{w0}
+exactly when v = w0 u, so no product climbs above its larger half.  It uses
+no fixed points, no rational functions and no Groebner basis.  The two
+oracles share only the monomial bookkeeping, the class-degree sequences of
+``class_degree_trie``, which the Schubert oracle reads largest degree first.
 
 The universal Todd polynomials are Hirzebruch's multiplicative sequence for
 x / (1 - e^{-x}), built one weighted degree at a time from td = exp(L), in
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
@@ -60,13 +65,15 @@ def format_cmonomial(exps: Sequence[int]) -> str:
     return "".join(parts) if parts else "1"
 
 
+_CLASS_POWER = re.compile(r"c(\d+)(?:\^(\d+))?")
+
+
 def parse_cmonomial(text: str, n: int) -> tuple[int, ...]:
     """Parse strings like ``c1^14c2`` into an exponent tuple over c_1..c_n."""
-    import re
-
+    compact = text.replace("*", "").replace(" ", "")
     exps = [0] * n
     pos = 0
-    for m in re.finditer(r"c(\d+)(?:\^(\d+))?", text.replace("*", "").replace(" ", "")):
+    for m in _CLASS_POWER.finditer(compact):
         if m.start() != pos:
             raise ValueError(f"cannot parse Chern monomial {text!r}")
         pos = m.end()
@@ -75,7 +82,7 @@ def parse_cmonomial(text: str, n: int) -> tuple[int, ...]:
         if not 1 <= k <= n:
             raise ValueError(f"class index c{k} out of range 1..{n}")
         exps[k - 1] += e
-    if pos != len(text.replace("*", "").replace(" ", "")):
+    if pos != len(compact):
         raise ValueError(f"cannot parse Chern monomial {text!r}")
     return tuple(exps)
 
@@ -191,16 +198,37 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
     sigma_{w0}-coefficient of p times the K-positive roots, over that of the
     positive-root product.  Products are taken in the Schubert basis of
     H*(G/B), one linear form at a time by Chevalley's formula over the Bruhat
-    covers of ``rootsys.bruhat_covers``, in Python ints.  The K-positive roots
-    go first, so the batch shares them; then each monomial's class factors,
-    largest first, along a depth-first walk of the trie of factor sequences.
-    c_1 is the sum of the signed forms f_i, and c_k comes from the recurrence
-    S_j += f_i S_{j-1}; one pass of it gives every child of a trie node.
-    Only the states on the current path and their pending siblings are kept.
+    covers of ``rootsys.bruhat_covers``, in Python ints.  c_1 is the sum of
+    the signed forms f_i, and c_k comes from the recurrence
+    S_j += f_i S_{j-1}; one pass of it gives c_k for every k asked for.
+
+    Each monomial's class degrees, largest first, are split into a head k1
+    and a tail (k2, ...).  One pass of the recurrence from e_K, the product
+    of the K-positive roots, gives the head e_K c_k1 for every distinct k1
+    of the batch.  The tails c_k2 ... are built from sigma_e along the trie
+    of tails, largest degree first, keeping only the states on the current
+    path and their pending siblings.  A tail of degree d is paired with its
+    head as soon as the walk reaches it, by Poincare duality: sigma_u sigma_v
+    has sigma_{w0}-coefficient 1 if v = w0 u and 0 otherwise, and w0 u of
+    length l(w0) - d sits at ``starts[l(w0) - d] + starts[d + 1] - 1 - u``
+    (``rootsys._cover_table`` numbers each length by the name w^-1(2 rho),
+    and the name of w0 u is minus that of u).  So no state ever climbs
+    above the larger half of the product.
     """
     monos = [_top_monomial(flag, m) for m in monomials]
     rs = flag.rs
     covers = bruhat_covers(rs)
+    starts = covers.starts
+    top_length = len(starts) - 2
+    k_length = len(flag.k_positives)
+    if k_length + flag.complex_dim != top_length:
+        raise AssertionError(
+            f"{k_length} K-positive roots and complex dimension "
+            f"{flag.complex_dim} do not add up to l(w0) = {top_length}")
+    sizes = [b - a for a, b in zip(starts, starts[1:])]
+    if sizes != sizes[::-1]:
+        raise AssertionError(f"Bruhat level sizes {sizes} are not "
+                             f"palindromic")
     forms = [[s * p for p in coroot_pairings(rs, rs.coords[r])]
              for s, summand in zip(acs.signs, flag.summands())
              for r in summand.roots]
@@ -221,36 +249,54 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
                     _chevalley(partial[j - 1], f, covers, partial[j])
         return {k: {w: c for w, c in partial[k].items() if c} for k in ks}
 
-    # a node's children all come from one recurrence pass up to the largest
-    trie, sequences = class_degree_trie(monos, largest_first=True)
-    tops = {}
+    def check_length(state, d):
+        if state and not starts[d] <= min(state) <= max(state) < starts[d + 1]:
+            raise AssertionError(
+                f"Schubert state of degree {d} leaves its length range")
 
-    def walk(state, node, seq):
-        if not node:
-            if any(c for w, c in state.items() if w != covers.top):
-                raise AssertionError(
-                    "top Schubert state is not supported on w0")
-            tops[seq] = state.get(covers.top, 0)
-            return
-        ks = sorted(node)
-        children = times_classes(state, ks)
-        for k in ks:
-            walk(children.pop(k), node[k], seq + (k,))
-
+    _, sequences = class_degree_trie(monos, largest_first=True)
+    # 0 marks the end of a tail, and maps to the head that completes it
+    tails: dict = {}
+    for seq in sequences.values():
+        node = tails
+        for k in seq[1:]:
+            node = node.setdefault(k, {})
+        node[0] = seq[0]
     state = {0: 1}
     for b in flag.k_positives:
         state = _chevalley(state, coroot_pairings(rs, rs.coords[b]),
                            covers, {})
-    walk(state, trie, ())
+    ks = sorted({seq[0] for seq in sequences.values()})
+    heads = times_classes(state, ks) if ks else {}
+    for k, head in heads.items():
+        check_length(head, k_length + k)
+    tops = {}
+
+    def walk(state, node, tail, d):
+        check_length(state, d)
+        if 0 in node:
+            head = heads[node[0]]
+            mirror = starts[top_length - d] + starts[d + 1] - 1
+            tops[(node[0],) + tail] = sum(
+                c * head.get(mirror - v, 0) for v, c in state.items())
+        ks = sorted(k for k in node if k)
+        if ks:
+            children = times_classes(state, ks)
+            for k in ks:
+                walk(children.pop(k), node[k], tail + (k,), d + k)
+
+    walk({0: 1}, tails, (), 0)
     chi = flag.euler_characteristic()
     reference = _schubert_top(rs)
     out: dict[tuple[int, ...], int] = {}
     for m in monos:
-        val = Fraction(tops[sequences[m]] * chi, reference)
-        if val.denominator != 1:
+        total = tops[sequences[m]] * chi
+        value, rest = divmod(total, reference)
+        if rest:
             raise ArithmeticError(
-                f"Chern number {format_cmonomial(m)} is not an integer: {val}")
-        out[m] = int(val)
+                f"Chern number {format_cmonomial(m)} is not an integer: "
+                f"{Fraction(total, reference)}")
+        out[m] = value
     return out
 
 

@@ -300,14 +300,16 @@ class BruhatCovers:
 
     Elements are numbered by length, then by their name w^-1(2 rho) (see
     ``_cover_table``): 0 is the identity, ``top`` the longest element w0.
-    The covers of element w are the entries ``offsets[w]`` to
-    ``offsets[w + 1]`` of ``targets`` (the index of w s_beta) and ``roots``
-    (the index of beta in ``rs.positive``).
+    The elements of length d are ``starts[d]`` to ``starts[d + 1] - 1``, for
+    d = 0..l(w0) + 1.  The covers of element w are the entries
+    ``offsets[w]`` to ``offsets[w + 1]`` of ``targets`` (the index of
+    w s_beta) and ``roots`` (the index of beta in ``rs.positive``).
     """
     offsets: list
     targets: list
     roots: list
     top: int
+    starts: list
 
 
 def bruhat_covers(rs: RootSystem) -> BruhatCovers:
@@ -337,13 +339,16 @@ def _cover_table(rs: RootSystem) -> BruhatCovers:
     is walked breadth-first by length through the simple roots (the first
     ``rank`` positive roots), two lengths alive at a time, and each name
     carries its pairings <mu, beta^vee>: those of s_beta(mu) subtract p times
-    those of beta.
+    those of beta.  Each length is numbered in the sorted order of its
+    names; the name of w0 w is -mu, so w0 reverses that order between
+    lengths d and l(w0) - d.
     """
     betas = [rs.coords[p] for p in rs.positive]
     simple = [(b, coroot_pairings(rs, betas[b])) for b in range(rs.rank)]
     two_rho = tuple(map(sum, zip(*betas)))
     level = {two_rho: coroot_pairings(rs, two_rho)}
     offsets, targets, roots, first, length = [0], [], [], 0, 0
+    starts = [0]
     while True:
         longer = {}
         for mu, pairs in level.items():
@@ -364,10 +369,11 @@ def _cover_table(rs: RootSystem) -> BruhatCovers:
                         targets.append(t)
                         roots.append(b)
             offsets.append(len(targets))
+        starts.append(after)
         if not longer:
             break
         level, first, length = longer, after, length + 1
     if after != weyl_order(rs) or len(level) != 1 or length != rs.n_positive:
         raise AssertionError(f"W({rs.family}{rs.rank}) has {after} elements "
                              f"and {len(level)} of the top length {length}")
-    return BruhatCovers(offsets, targets, roots, first)
+    return BruhatCovers(offsets, targets, roots, first, starts)

@@ -176,7 +176,7 @@ def test_all_plus_top_class_is_euler_characteristic():
 @pytest.mark.parametrize("name", [
     "F(4)", "F(5)", "F(5;1,2,2)", "FD(4;1,3)", "FD(4;1,1,1,1)", "Sp(3)/T",
     "FB(3;1,1,1)", "SO(5)/T", "SO(7)/U(3)", "SO(8)/U(4)", "G2/T", "G2-long",
-    "G2-short", "FD(3;1,2)", "Sp(2)/T",
+    "G2-short", "FD(3;1,2)", "Sp(2)/T", "F(7;1,2,4)", "F(6;1,2,3)",
 ])
 def test_dual_oracles_agree_on_every_structure(name):
     # every structure on c1^N and one more monomial in turn; every monomial
@@ -315,20 +315,57 @@ def test_schubert_batch_builds_the_cover_table_once(monkeypatch):
 
 
 def test_schubert_oracle_checks_its_final_state(monkeypatch):
-    # a cover table whose top index is wrong leaves the top state on an
-    # element other than w0, which the oracle refuses
-    real = rootsys._cover_table
+    # the duality pairing reads w0 u off the length boundaries: moving an
+    # inner boundary, alone or with its mirror image, or dropping the last,
+    # is refused before a misplaced state is paired
+    flag = parse_manifold("F(4)")
+    acs = InvariantACS((1,) * 6)
+    c1n = (6, 0, 0, 0, 0, 0)
+    real = rootsys.bruhat_covers(flag.rs)
+    top = len(real.starts) - 2
+    corrupted = [(real.starts[:-1], "l\\(w0\\)")]
+    for i in range(1, top + 1):
+        for shift in (-1, 1):
+            alone = list(real.starts)
+            alone[i] += shift
+            mirrored = list(alone)
+            mirrored[top + 1 - i] -= shift
+            corrupted += [(alone, "palindromic"), (mirrored, "length range")]
+    for starts, message in corrupted:
+        monkeypatch.setattr(chern_module, "bruhat_covers",
+                            lambda rs, s=starts: replace(real, starts=s))
+        with pytest.raises(AssertionError, match=message):
+            chern_numbers_schubert(flag, acs, [c1n])
+    monkeypatch.undo()
+    assert chern_numbers_schubert(flag, acs, [c1n]) \
+        == chern_numbers(flag, acs, [c1n])
+
+    # a cover table whose top index is wrong misreads the positive-root
+    # product, which calibrates every number
+    real_table = rootsys._cover_table
 
     def wrong_top(rs):
-        covers = real(rs)
+        covers = real_table(rs)
         return replace(covers, top=covers.top - 1)
 
     monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})  # fresh, cold tables
     monkeypatch.setattr(rootsys, "_cover_table", wrong_top)
     flag = parse_manifold("F(4)")
     with pytest.raises(AssertionError, match="w0"):
-        chern_numbers_schubert(flag, InvariantACS((1,) * 6),
-                               [(6, 0, 0, 0, 0, 0)])
+        chern_numbers_schubert(flag, acs, [c1n])
+
+
+def test_schubert_oracle_refuses_a_fractional_number(monkeypatch):
+    # c1^6 = 6! 2^6 = 46080 on F(4); a calibration 7 times too large
+    # leaves 46080/7, which the oracle reports as a reduced fraction
+    flag = parse_manifold("F(4)")
+    acs = InvariantACS((1,) * 6)
+    c1n = (6, 0, 0, 0, 0, 0)
+    assert chern_numbers_schubert(flag, acs, [c1n]) == {c1n: 46080}
+    monkeypatch.setattr(chern_module, "_schubert_top", lambda rs: 7 * 24)
+    with pytest.raises(ArithmeticError,
+                       match="^Chern number c1\\^6 is not an integer: 46080/7$"):
+        chern_numbers_schubert(flag, acs, [c1n])
 
 
 def power_sums_in_chern(n):

@@ -312,21 +312,29 @@ def test_bruhat_cover_table_lengths(family, rank):
     assert set(covers.roots) <= set(range(rs.n_positive))
 
 
-@pytest.mark.parametrize("family,rank", [
+COVER_TABLE_CASES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
     ("D", 4), ("G2", 2),
-])
+]
+
+
+def reflection_permutations(rs):
+    """s_beta for each positive root beta, as a permutation of the root
+    positions."""
+    coords, index = rs.coords, rs.index
+    return [tuple(index[tuple(x - sum(c[i] * y for i, y in coroot) * b
+                              for x, b in zip(c, coords[p]))]
+                  for c in coords)
+            for p, coroot in zip(rs.positive, rs.coroots)]
+
+
+@pytest.mark.parametrize("family,rank", COVER_TABLE_CASES)
 def test_bruhat_cover_table_holds_exactly_the_covers(family, rank):
     # the covers by definition, over weyl_group: w < w s_beta with
     # l(w s_beta) = l(w) + 1, where l(w) = #{beta > 0 : w(beta) < 0}
     rs = build_root_system(family, rank)
-    coords, index = rs.coords, rs.index
-    s_beta = []  # s_beta as a permutation of the root positions
-    for p, coroot in zip(rs.positive, rs.coroots):
-        s_beta.append(tuple(
-            index[tuple(x - sum(c[i] * y for i, y in coroot) * b
-                        for x, b in zip(c, coords[p]))]
-            for c in coords))
+    coords = rs.coords
+    s_beta = reflection_permutations(rs)
 
     def length(w):
         return sum(sum(coords[w[p]]) < 0 for p in rs.positive)
@@ -351,6 +359,51 @@ def test_bruhat_cover_table_holds_exactly_the_covers(family, rank):
     assert sorted(label) == list(range(len(elements)))
     assert set(label.values()) == set(elements)
     assert got == expected
+
+
+@pytest.mark.parametrize("family,rank", COVER_TABLE_CASES)
+def test_longest_element_mirrors_each_length(family, rank):
+    # w0 u, the Poincare dual of u, sits at the index that
+    # chern_numbers_schubert reads off the length boundaries alone:
+    # starts[L - d] + starts[d + 1] - 1 - u for u of length d
+    rs = build_root_system(family, rank)
+    coords, positive = rs.coords, rs.positive
+    s_beta = reflection_permutations(rs)
+    covers = bruhat_covers(rs)
+    starts, top = covers.starts, rs.n_positive
+    # label the table by permutations and lengths along its covers
+    label, length = {0: tuple(range(len(coords)))}, {0: 0}
+    for w in range(len(covers.offsets) - 1):
+        lo, hi = covers.offsets[w], covers.offsets[w + 1]
+        for t, b in zip(covers.targets[lo:hi], covers.roots[lo:hi]):
+            label.setdefault(t, tuple(label[w][i] for i in s_beta[b]))
+            length.setdefault(t, length[w] + 1)
+    index = {perm: w for w, perm in label.items()}
+
+    def name(perm):  # w^-1(2 rho) in simple-root coordinates
+        inverse = {image: i for i, image in enumerate(perm)}
+        return tuple(map(sum, zip(*(coords[inverse[p]] for p in positive))))
+
+    # starts holds the boundaries the covers' lengths imply
+    assert len(starts) == top + 2
+    assert starts == [sum(l < d for l in length.values())
+                      for d in range(top + 2)]
+    assert all(starts[length[w]] <= w < starts[length[w] + 1]
+               for w in label)
+    sizes = [b - a for a, b in zip(starts, starts[1:])]
+    assert sizes == sizes[::-1]
+    # each length is numbered by name, and w0 negates the name
+    names = [name(label[w]) for w in range(len(label))]
+    for d in range(top + 1):
+        level = names[starts[d]:starts[d + 1]]
+        assert level == sorted(level)
+    w0 = label[covers.top]
+    assert names[covers.top] == tuple(-x for x in names[0])
+    for u, perm in label.items():
+        d = length[u]
+        dual = index[tuple(w0[i] for i in perm)]
+        assert names[dual] == tuple(-x for x in names[u])
+        assert dual == starts[top - d] + starts[d + 1] - 1 - u
 
 
 def test_bruhat_covers_refuse_large_groups(monkeypatch):
