@@ -20,7 +20,7 @@ def main() -> None:
 
     for n in range(1, args.max_degree + 1):
         td = todd_polynomial(n)
-        d = td.common_denominator()
+        d = td.denominator
         parts = []
         for exps, coeff in sorted(td.coefficients.items()):
             k = coeff * d

@@ -465,9 +465,6 @@ class ToddExpansion:
     coefficients: Mapping[tuple[int, ...], Fraction]
     denominator: int  # the least common denominator of the coefficients
 
-    def common_denominator(self) -> int:
-        return self.denominator
-
 
 # largest degree of ``todd_polynomial``: it has one term per partition of the
 # degree, and builds them in 0.05-0.09 s at degree 20, 0.19-0.34 s at 24

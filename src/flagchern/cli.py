@@ -25,8 +25,7 @@ from . import cohomology, tables
 from .chern import chern_numbers  # noqa: F401
 from .chern import (ORACLES, chern_numbers_by, format_cmonomial,
                     parse_cmonomial, todd_genus, todd_polynomial)
-from .flagmodel import (FlagManifold, InvariantACS, classify_acs,
-                        enumerate_acs, flag_manifold,
+from .flagmodel import (InvariantACS, classify_acs, enumerate_acs,
                         integrable_sign_vectors, parse_manifold)
 from .groebner import MonomialOrder, buchberger, borel_generators, quotient_dimension
 from .polyring import Polynomial
@@ -92,30 +91,6 @@ def _parse_signs(text: str, expected: int) -> InvariantACS:
     return InvariantACS(tuple(signs))
 
 
-def _flag_from_args(args) -> FlagManifold:
-    if getattr(args, "manifold", None):
-        return parse_manifold(args.manifold)
-    if not args.family or args.rank is None:
-        raise UsageError("give a manifold name or --family/--rank")
-    rs = build_root_system(args.family, args.rank)
-    theta_spec = getattr(args, "theta", None)
-    if theta_spec is None:
-        theta = []
-    else:
-        mode, _, items = theta_spec.partition("=")
-        idx = [int(i) for i in items.split(",")] if items else []
-        for i in idx:
-            if not 1 <= i <= args.rank:
-                raise UsageError(f"simple-root index {i} out of range 1..{args.rank}")
-        if mode == "keep":
-            theta = [i - 1 for i in idx]
-        elif mode == "remove":
-            theta = [i for i in range(args.rank) if i + 1 not in idx]
-        else:
-            raise UsageError("--theta must look like keep=1,2 or remove=1,3")
-    return flag_manifold(rs, theta)
-
-
 # -- subcommands --------------------------------------------------------------
 
 def cmd_roots(args, out) -> int:
@@ -138,7 +113,7 @@ def cmd_roots(args, out) -> int:
 
 
 def cmd_decompose(args, out) -> int:
-    flag = _flag_from_args(args)
+    flag = parse_manifold(args.manifold)
     summands = flag.summands()
     s = len(summands)
     meta = {
@@ -245,6 +220,9 @@ def cmd_table(args, out) -> int:
         for tid in tables.table_ids():
             out.write(tid + "\n")
         return EXIT_OK
+    if not args.table_id:
+        raise UsageError("table reproduce needs a table id "
+                         f"(one of: {', '.join(tables.table_ids())})")
     results = tables.reproduce(args.table_id, args.oracle, args.slow)
     if args.format == "json":
         _dump_json(tables.to_json_obj(results), out)
@@ -378,7 +356,7 @@ def cmd_verify(args, out) -> int:
         check(f"todd genus 1 on {name}", todd_genus(flag, acs, nums) == 1)
     # projective-space sanity oracle
     for n in range(1, 5):
-        flag = flag_manifold(build_root_system("A", n), range(1, n))
+        flag = parse_manifold(f"F({n + 1};1,{n})")
         c1n = (n,) + (0,) * (n - 1)
         v = chern_numbers_by(flag, InvariantACS((1,)), [c1n], args.oracle)
         ok = (v[c1n] == (n + 1) ** n
@@ -420,12 +398,8 @@ def build_parser() -> _Parser:
 
     q = sub.add_parser("decompose", parents=[fmt],
                        help="isotropy decomposition of a flag manifold")
-    q.add_argument("manifold", nargs="?",
+    q.add_argument("manifold",
                    help="manifold name, e.g. F(7;1,2,4) or FD(3;1,2)")
-    q.add_argument("--family", choices=SUPPORTED_FAMILIES)
-    q.add_argument("--rank", type=int)
-    q.add_argument("--theta", metavar="keep=I,J|remove=I,J",
-                   help="simple roots kept in (or removed from) the isotropy")
 
     q = sub.add_parser("acs", parents=[fmt],
                        help="enumerate or classify invariant almost complex "
@@ -492,10 +466,6 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_join_acs_value(list(argv)))
-        if getattr(args, "command", None) == "table":
-            if args.action == "reproduce" and not args.table_id:
-                raise UsageError("table reproduce needs a table id "
-                                 f"(one of: {', '.join(tables.table_ids())})")
         code = globals()[f"cmd_{args.command}"](args, sys.stdout)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

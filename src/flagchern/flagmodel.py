@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, neg, sub
@@ -245,18 +246,13 @@ class FlagManifold:
     def name(self) -> str:
         fam = self.rs.family
         if fam == "G2":
-            return {(0, 1): "G2/T", (1,): "G2-long",
-                    (0,): "G2-short"}[self.removed_indices]
-        tag = {"A": "F", "B": "FB", "C": "FC", "D": "FD"}[fam]
+            return _G2_NAMES[self.removed_indices]
         n = self.rs.rank + 1 if fam == "A" else self.rs.rank
-        bounds = [i + 1 for i in self.removed_indices] + ([n] if fam == "A" else [])
-        blocks, prev = [], 0
-        for b in bounds:
-            blocks.append(b - prev)
-            prev = b
-        if fam == "A" and len(blocks) == n:
+        cuts = [i + 1 for i in self.removed_indices] + ([n] if fam == "A" else [])
+        if fam == "A" and len(cuts) == n:
             return f"F({n})"
-        return f"{tag}({n};{','.join(map(str, blocks))})"
+        blocks = map(sub, cuts, [0] + cuts[:-1])
+        return f"{_TAGS[fam]}({n};{','.join(map(str, blocks))})"
 
     def __repr__(self):
         return f"FlagManifold({self.name()}, complex_dim={self.complex_dim})"
@@ -480,6 +476,15 @@ def classify_acs(flag: FlagManifold) -> list[ACSClass]:
 
 # -- manifold name grammar -------------------------------------------------
 
+# the name tag of each classical family: <tag>(n;n1,...,nk), the blocks
+# cutting the simple roots of A_{n-1} (F) or of B_n, C_n, D_n
+_TAGS = {"A": "F", "B": "FB", "C": "FC", "D": "FD"}
+_BLOCK_NAME = re.compile(
+    rf"({'|'.join(_TAGS.values())})\((\d+)(?:;(\d+(?:,\d+)*))?\)")
+# G2 names by the removed simple-root indices; G2-long keeps the long simple
+# root alpha_1
+_G2_NAMES = {(0, 1): "G2/T", (1,): "G2-long", (0,): "G2-short"}
+
 _ALIASES = {
     "SO(5)/T": "FB(2;1,1)",
     "SP(2)/T": "FC(2;1,1)",
@@ -496,26 +501,21 @@ def parse_manifold(name: str) -> FlagManifold:
 
     Grammar: F(n;n1,...,nk) for type A block flags (F(n) = full flag),
     FB/FC/FD(n;n1,...,nk) for types B/C/D, whose blocks may stop short of n
-    to keep the last simple roots in K, and G2/T, G2-long, G2-short.
+    to keep the last simple roots in K, G2/T, G2-long, G2-short, and the
+    aliases of ``_ALIASES``; letter case does not matter.
     """
-    text = name.strip()
-    upper = text.upper()
-    upper = _ALIASES.get(upper, upper)
-    if upper == "G2/T":
-        return flag_manifold(build_root_system("G2", 2), [])
-    if upper in ("G2-LONG", "G2-SHORT"):
-        # G2-long keeps the long simple root alpha_1
-        return flag_manifold(build_root_system("G2", 2),
-                             [0 if upper == "G2-LONG" else 1])
-
-    import re
-
-    m = re.fullmatch(r"(F|FB|FC|FD)\((\d+)(?:;([\d,]+))?\)", upper)
+    text = name.strip().upper()
+    upper = _ALIASES.get(text, text)
+    for removed, g2_name in _G2_NAMES.items():
+        if upper == g2_name.upper():
+            return flag_manifold(build_root_system("G2", 2),
+                                 [i for i in (0, 1) if i not in removed])
+    m = _BLOCK_NAME.fullmatch(upper)
     if not m:
         raise ValueError(f"cannot parse manifold name {name!r}")
     tag, n_text, blocks_text = m.groups()
     n = int(n_text)
-    family = {"F": "A", "FB": "B", "FC": "C", "FD": "D"}[tag]
+    family = next(fam for fam, t in _TAGS.items() if t == tag)
     rank = n - 1 if family == "A" else n
     check_rank(rank)
     if blocks_text is None:
@@ -523,7 +523,7 @@ def parse_manifold(name: str) -> FlagManifold:
     else:
         blocks = [int(b) for b in blocks_text.split(",")]
     exact = family == "A"
-    if sum(blocks) > n or exact and sum(blocks) < n or min(blocks) < 1:
+    if sum(blocks) > n or exact and sum(blocks) < n or 0 in blocks:
         raise ValueError(f"block sizes {blocks} must be positive and sum to "
                          f"{'' if exact else 'at most '}{n}")
     cuts = set(itertools.accumulate(blocks))

@@ -123,7 +123,7 @@ def test_criterion_04_typo_cell_satisfies_riemann_roch(reproduce_cached):
     sec = res.sections[0]
     i1 = column_by_prefix(res, "I1")
     td = todd_polynomial(10)
-    assert td.common_denominator() == 479001600
+    assert td.denominator == 479001600
 
     def genus(values):
         table = dict(zip(sec.rows, values))
@@ -132,7 +132,7 @@ def test_criterion_04_typo_cell_satisfies_riemann_roch(reproduce_cached):
 
     assert genus(i1.recomputed).denominator == 1
     assert genus(i1.printed).denominator != 1
-    assert todd_polynomial(9).common_denominator() == 7257600
+    assert todd_polynomial(9).denominator == 7257600
 
 
 # 5. B/C/D/G2 tables up to per-column global sign --------------------------
@@ -190,7 +190,7 @@ def test_criterion_06_todd_genus_one_all_integrable(name, weyl_todd_genus):
 
 
 def test_criterion_06_todd_identity_denominators():
-    assert [todd_polynomial(d).common_denominator()
+    assert [todd_polynomial(d).denominator
             for d in (5, 6, 8, 9)] == [1440, 60480, 3628800, 7257600]
 
 

@@ -84,7 +84,7 @@ TODD_IDENTITIES = {
 def test_todd_identities_regenerated(degree):
     denominator, integer_coeffs = TODD_IDENTITIES[degree]
     td = todd_polynomial(degree)
-    assert td.common_denominator() == denominator
+    assert td.denominator == denominator
     expected = {parse_cmonomial(k, degree): Fraction(v, denominator)
                 for k, v in integer_coeffs.items()}
     assert dict(td.coefficients) == expected
@@ -428,4 +428,4 @@ def test_todd_denominators_are_the_hirzebruch_numbers():
     for n in range(1, MAX_TODD_DEGREE + 1):
         expected = prod(p ** (n // (p - 1)) for p in range(2, n + 2)
                         if all(p % q for q in range(2, p)))
-        assert todd_polynomial(n).common_denominator() == expected, n
+        assert todd_polynomial(n).denominator == expected, n

@@ -42,31 +42,16 @@ def test_decompose_positional_and_theta():
     data = json.loads(out)
     assert data["euler_characteristic"] == 30
     assert data["n_summands"] == 3 and data["n_acs_up_to_conjugation"] == 4
-
-    code, out = run_cli("decompose", "--family", "A", "--rank", "4",
-                        "--theta", "remove=1,3", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["n_summands"] == 3
+    # the blocks 1,2,2 cut A_4 at alpha_1 and alpha_3: Theta = {alpha_2, alpha_4}
+    assert parse_manifold("F(5;1,2,2)").removed_indices == (0, 2)
 
 
-@pytest.mark.parametrize("theta", ["keep=1,3", "remove=2"])
-def test_decompose_by_theta_reaches_the_named_manifold(theta, monkeypatch):
-    import flagchern.cli as cli
-
-    reached = []
-    flag_from_args = cli._flag_from_args
-
-    def recorded(args):
-        reached.append(flag_from_args(args))
-        return reached[-1]
-
-    monkeypatch.setattr(cli, "_flag_from_args", recorded)
-    by_name = run_cli("decompose", "F(4;2,2)", "--format", "json")
-    by_theta = run_cli("decompose", "--family", "A", "--rank", "3",
-                       "--theta", theta, "--format", "json")
-    assert by_theta == by_name and by_name[0] == 0
-    assert len(reached) == 2
-    assert reached[0] is reached[1] is parse_manifold("F(4;2,2)")
+def test_decompose_needs_a_manifold_name(capsys):
+    assert main(["decompose", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: the following arguments are "
+                            "required: manifold\n")
 
 
 def test_second_chern_command_reuses_the_manifold(monkeypatch):
@@ -493,7 +478,6 @@ def test_console_script_entry_point():
     ("decompose", "F(3;3)"),
     ("acs", "list", "F(3;3)"),
     ("acs", "classify", "F(3;3)"),
-    ("decompose", "--family", "B", "--rank", "3", "--theta", "keep=1,2,3"),
 ])
 def test_point_manifold_is_a_usage_error(argv, capsys):
     assert main(list(argv)) == 1
@@ -663,7 +647,6 @@ def test_huge_ranks_are_refused_before_any_root_is_built(monkeypatch,
                  ["decompose", f"FB({top + 1})"],
                  ["acs", "classify", f"FD({top + 1};1,{top})"],
                  ["chern", "--manifold", f"FC({top + 1})"],
-                 ["decompose", "--family", "D", "--rank", str(top + 1)],
                  ["roots", "--family", "A", "--rank", str(top + 1)]):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()

@@ -370,6 +370,18 @@ def test_parse_manifold_aliases_and_errors():
         parse_manifold("F(5;1,2)")  # blocks must sum to n
     with pytest.raises(ValueError, match="sum to at most 3"):
         parse_manifold("FB(3;2,2)")
+    # a malformed block list is no name, and a name with no blocks reaches
+    # the rank check of its family
+    for text, message in [
+            ("F(4;,4)", "cannot parse manifold name 'F(4;,4)'"),
+            ("F(4;1,,3)", "cannot parse manifold name 'F(4;1,,3)'"),
+            ("F(4;1,3,)", "cannot parse manifold name 'F(4;1,3,)'"),
+            ("F(0)", "A_n needs rank >= 1"),
+            ("FB(0)", "B_n needs rank >= 2"),
+            ("F(1;2)", "block sizes [2] must be positive and sum to 1")]:
+        with pytest.raises(ValueError) as info:
+            parse_manifold(text)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("family,rank", [

@@ -51,6 +51,54 @@ def test_no_unused_imports():
     assert {p: u for p, u in unused.items() if u} == {}
 
 
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) of each private function, class or constant that
+    a module defines at its top level; dunder names are not private."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defs += [(name, node) for name in names
+                 if name.startswith("_") and not name.endswith("__")]
+    return defs
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Names that ``node`` reads: as a name, as an attribute of a module or
+    object, or by importing it from another module."""
+    read = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            read |= {alias.name for alias in n.names}
+    return read
+
+
+def test_every_private_definition_is_read_by_the_package():
+    # a private helper that only tests (or nothing) read is dead code;
+    # a definition reading itself, as a recursive function does, does not
+    # count
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in (REPO / "src" / "flagchern").glob("*.py")}
+    reads = [(stem, node, names_read(node))
+             for stem, tree in trees.items() for node in tree.body]
+    unread = {f"{stem}.{name}"
+              for stem, tree in trees.items()
+              for name, node in private_definitions(tree)
+              if not any(name in r for s, n, r in reads
+                         if not (s == stem and n is node))}
+    assert unread == set()
+
+
 def module_memos(path: Path) -> list[str]:
     """Names that ``path`` binds at module level to ``{}``, ``dict()`` or
     ``None``: the shape of a hand-rolled memo."""

@@ -38,7 +38,7 @@ def test_todd_identities_script():
     for n, line in enumerate(lines, start=1):
         m = re.match(r"(\d+) \* td_(\d+) = ", line)
         assert m and int(m.group(2)) == n, line
-        assert int(m.group(1)) == todd_polynomial(n).common_denominator()
+        assert int(m.group(1)) == todd_polynomial(n).denominator
 
 
 def test_todd_identities_script_refuses_a_degree_above_the_bound():
