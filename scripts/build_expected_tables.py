@@ -9,8 +9,12 @@ on a matching cell, or a column that ``tables.check_column`` refuses (a sign
 vector that is not one sign per summand, or a printed list that is not one
 value per row) or whose rows ``tables.row_monomials`` refuses (a row
 that is not a Chern monomial of weighted degree N).
-It also rechecks the recorded Chern classes against their normal forms in
-the Borel quotient.
+It also rechecks the recorded Chern classes of the canonical structure
+against their normal forms in the Borel quotient.  The package computes
+Chern numbers from root data alone and never forms a Chern class as a
+polynomial, so this script builds c_1..c_N itself: the elementary symmetric
+functions of the signed linear forms of the complementary positive roots
+on the ambient coordinates.
 
 Usage: PYTHONPATH=src python3 scripts/build_expected_tables.py [output.json]
 """
@@ -20,13 +24,31 @@ import json
 import sys
 from pathlib import Path
 
-from flagchern.chern import chern_classes, chern_numbers
+from flagchern.chern import chern_numbers
 from flagchern.flagmodel import InvariantACS, parse_manifold
-from flagchern.groebner import borel_groebner, normal_form
+from flagchern.groebner import (MonomialOrder, borel_generators, buchberger,
+                                normal_form)
+from flagchern.polyring import Polynomial
 from flagchern.tables import check_column, row_monomials
 
 REGISTRY = (Path(__file__).resolve().parent.parent / "src" / "flagchern"
             / "data" / "expected_tables.json")
+
+
+def chern_classes(flag, signs) -> list[Polynomial]:
+    """c_1..c_N of the structure with these summand signs, as polynomials
+    on the ambient coordinates: the elementary symmetric functions of the
+    forms sign * sum(a_i x_i), one per complementary positive root a."""
+    nvars = len(flag.rs.vectors[0])
+    xs = [Polynomial.variable(nvars, i) for i in range(nvars)]
+    forms = [s * sum(a * x for a, x in zip(flag.rs.vectors[r], xs))
+             for s, summand in zip(signs, flag.summands())
+             for r in summand.roots]
+    e = [1] + [0] * len(forms)
+    for f in forms:
+        for j in range(len(forms), 0, -1):
+            e[j] = e[j] + f * e[j - 1]
+    return e[1:]
 
 
 def rebuild_column(where: str, flag, rows: list[str], col: dict) -> None:
@@ -66,9 +88,10 @@ def rebuild(data: dict) -> dict:
                                col)
         if "chern_classes" in spec:
             flag, cc = parse_manifold(spec["manifold"]), spec["chern_classes"]
-            gb = borel_groebner(flag.rs.family, flag.rs.rank)
-            got = [str(normal_form(c, gb)) for c in
-                   chern_classes(flag, InvariantACS(tuple(cc["signs"])))]
+            gb = buchberger(borel_generators(flag.rs.family, flag.rs.rank),
+                            MonomialOrder("lex"))
+            got = [str(normal_form(c, gb))
+                   for c in chern_classes(flag, cc["signs"])]
             if got != cc["printed"]:
                 raise SystemExit(f"{tid} {spec['manifold']}: Chern classes "
                                  f"{got}, recorded {cc['printed']}")

@@ -1,5 +1,9 @@
-"""Chern classes, exact integration, Chern numbers, and the Todd genus.
+"""Exact integration, Chern numbers, and the Todd genus.
 
+The Chern classes of a structure are never formed as polynomials.  Both
+oracles take c_k as the k-th elementary symmetric function of the signed
+complementary roots, the fixed-point kernel on integer root values and the
+Schubert oracle on Schubert expansions, so both need only the root data.
 Two independent integration oracles are provided, with the same batch
 contract.  ``chern_numbers`` is the fixed-point (Atiyah-Bott /
 Berline-Vergne localization) kernel: an integral over G/K is a sum over the
@@ -24,7 +28,8 @@ pairs the two halves by Poincare duality, sigma_u sigma_v = sigma_{w0}
 exactly when v = w0 u, so no product climbs above its larger half.  It uses
 no fixed points, no rational functions and no Groebner basis.  The two
 oracles share only the monomial bookkeeping, the class-degree sequences of
-``class_degree_trie``, which the Schubert oracle reads largest degree first.
+``class_degree_trie``, which the Schubert oracle reads reversed, largest
+degree first.
 
 The universal Todd polynomials are Hirzebruch's multiplicative sequence for
 x / (1 - e^{-x}), built one weighted degree at a time from td = exp(L), in
@@ -42,7 +47,6 @@ from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .flagmodel import FlagManifold, InvariantACS
-from .polyring import Polynomial, elementary_symmetric_values
 from .rootsys import (BruhatCovers, bruhat_covers, coroot_pairings,
                       weyl_order)
 
@@ -117,42 +121,27 @@ def monomials_of_weighted_degree(n_classes: int, degree: int) -> list[tuple[int,
     return out
 
 
-def class_degree_trie(monos: Iterable[tuple[int, ...]],
-                      largest_first: bool) -> tuple[dict, dict]:
-    """The trie of the monomials' class-degree sequences, and each monomial's
-    sequence, in first-seen order of the monomials.
+def class_degree_trie(monos: Iterable[tuple[int, ...]]) -> tuple[dict, dict]:
+    """The trie of the monomials' class-degree sequences, smallest degree
+    first, and each monomial's sequence, in first-seen order of the
+    monomials.
 
-    c1^2c3 has the sequence (3, 1, 1) largest first, (1, 1, 3) smallest
-    first.  A trie node maps a degree to its child node; a leaf is an empty
-    dict.  Every sequence sums to the same weighted degree, so none is a
-    proper prefix of another and each leaf is one sequence.  Smallest first
-    gives fewer nodes on a full batch (83 against 138 for the 42 monomials
-    of degree 10), which is what a walk that spends one step per node wants;
-    largest first keeps the degrees below each node small, which is what a
-    walk whose step grows with the child degrees wants.
+    c1^2c3 has the sequence (1, 1, 3).  A trie node maps a degree to its
+    child node; a leaf is an empty dict.  Every sequence sums to the same
+    weighted degree, so none is a proper prefix of another and each leaf is
+    one sequence.  Smallest first gives fewer nodes on a full batch than
+    largest first (83 against 138 for the 42 monomials of degree 10), which
+    is what a walk that spends one step per node wants.
     """
     trie: dict = {}
     sequences: dict[tuple[int, ...], tuple[int, ...]] = {}
     for m in monos:
-        seq = tuple(sorted((k + 1 for k, e in enumerate(m) for _ in range(e)),
-                           reverse=largest_first))
+        seq = tuple(k + 1 for k, e in enumerate(m) for _ in range(e))
         sequences[m] = seq
         node = trie
         for k in seq:
             node = node.setdefault(k, {})
     return trie, sequences
-
-
-# -- Chern classes ----------------------------------------------------------
-
-def chern_classes(flag: FlagManifold, acs: InvariantACS) -> list[Polynomial]:
-    """c_1..c_N as polynomials on the ambient coordinates (N = complex dim):
-    the elementary symmetric functions of the linear forms eps_alpha * alpha
-    over the complementary positive roots."""
-    forms = [Polynomial.linear_form(flag.rs.vectors[r]) * s
-             for s, summand in zip(acs.signs, flag.summands())
-             for r in summand.roots]
-    return elementary_symmetric_values(forms, len(forms))[1:]
 
 
 # -- Chern numbers: Schubert-calculus oracle --------------------------------
@@ -173,16 +162,23 @@ def _chevalley(state: dict[int, int], pairing: Sequence[int],
     return out
 
 
+def _root_product(rs, covers: BruhatCovers,
+                  roots: Iterable[int]) -> dict[int, int]:
+    """The Schubert expansion of the product of ``roots`` (positions in
+    ``rs``), from sigma_e one root at a time by Chevalley's formula."""
+    state = {0: 1}
+    for b in roots:
+        state = _chevalley(state, coroot_pairings(rs, rs.coords[b]),
+                           covers, {})
+    return state
+
+
 @functools.cache
 def _schubert_top(rs) -> int:
     """The sigma_{w0}-coefficient of the positive-root product (computed
     once per root system)."""
     covers = bruhat_covers(rs)
-    state = {0: 1}
-    for b in rs.positive:
-        state = _chevalley(state, coroot_pairings(rs, rs.coords[b]),
-                           covers, {})
-    top = state.get(covers.top, 0)
+    top = _root_product(rs, covers, rs.positive).get(covers.top, 0)
     # the Euler class of G/B integrates to chi(G/B) = |W|
     if top != weyl_order(rs):
         raise AssertionError(f"positive-root product has sigma_w0 "
@@ -254,7 +250,9 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
             raise AssertionError(
                 f"Schubert state of degree {d} leaves its length range")
 
-    _, sequences = class_degree_trie(monos, largest_first=True)
+    # each monomial's class degrees, largest first
+    sequences = {m: seq[::-1]
+                 for m, seq in class_degree_trie(monos)[1].items()}
     # 0 marks the end of a tail, and maps to the head that completes it
     tails: dict = {}
     for seq in sequences.values():
@@ -262,10 +260,7 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
         for k in seq[1:]:
             node = node.setdefault(k, {})
         node[0] = seq[0]
-    state = {0: 1}
-    for b in flag.k_positives:
-        state = _chevalley(state, coroot_pairings(rs, rs.coords[b]),
-                           covers, {})
+    state = _root_product(rs, covers, flag.k_positives)
     ks = sorted({seq[0] for seq in sequences.values()})
     heads = times_classes(state, ks) if ks else {}
     for k, head in heads.items():
@@ -342,7 +337,7 @@ def chern_numbers(flag: FlagManifold, acs: InvariantACS,
     """
     monos = [_top_monomial(flag, m) for m in monomials]
     # every e_k is at hand, so a node costs one step whatever its degree
-    trie, sequences = class_degree_trie(monos, largest_first=False)
+    trie, sequences = class_degree_trie(monos)
     degrees = {k for seq in sequences.values() for k in seq}
     kmax, kmin = max(degrees, default=0), min(degrees, default=0)
     fixed = flag.fixed_points

@@ -410,7 +410,10 @@ class ACSClass:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        """The class's share of the 2^(s-1) structures up to conjugation:
+        its members with first sign +, 0 when it lists only its own
+        vectors of first sign -."""
+        return sum(m.signs[0] == 1 for m in self.members)
 
 
 def classify_acs(flag: FlagManifold) -> list[ACSClass]:

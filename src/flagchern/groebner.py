@@ -3,12 +3,14 @@
 The reducer processes monomials through a lazy max-heap, which keeps
 normal-form computation close to linear in the number of term operations.
 Bases are reduced (interreduced, monic) and sorted by leading monomial, so
-the output of ``buchberger`` is canonical for a fixed monomial order.
+the output of ``buchberger`` is canonical for a fixed monomial order.  A
+Borel basis is ``buchberger(borel_generators(family, rank),
+MonomialOrder("lex"))``.  The Chern numbers need none of this module: they
+come from root data alone (see ``chern``).
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -243,9 +245,3 @@ def borel_generators(family: str, rank: int) -> list[Polynomial]:
         return [_power_sum(n, 2 * k) for k in range(1, n)] + [_product_of_vars(n)]
     return [_power_sum(3, 1), _power_sum(3, 2), _power_sum(3, 6)]
 
-
-@functools.cache
-def borel_groebner(family: str, rank: int) -> GroebnerBasis:
-    """Reduced lex Groebner basis of the full-flag Borel ideal (computed once
-    per family and rank)."""
-    return buchberger(borel_generators(family, rank), MonomialOrder("lex"))

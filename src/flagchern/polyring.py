@@ -4,14 +4,15 @@ Polynomials are immutable values: a fixed number of variables, terms stored
 as a map from dense exponent tuples to ``Fraction`` coefficients with no zero
 coefficients kept.  The canonical term order used for printing and
 serialization is graded lexicographic (higher total degree first, ties
-broken by the exponent tuple).  ``elementary_symmetric_values`` expands the
-elementary symmetric functions of numbers or of polynomials alike.
+broken by the exponent tuple).  Within the package only ``groebner``,
+``cohomology`` and the CLI read this module: Chern numbers come from root
+data alone (see ``chern``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 class Polynomial:
@@ -48,18 +49,6 @@ class Polynomial:
         exps = [0] * nvars
         exps[index] = 1
         return Polynomial(nvars, {tuple(exps): Fraction(1)})
-
-    @staticmethod
-    def linear_form(coeffs: Sequence) -> "Polynomial":
-        """The degree-1 polynomial sum(coeffs[i] * x_i)."""
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                exps = [0] * n
-                exps[i] = 1
-                terms[tuple(exps)] = Fraction(c)
-        return Polynomial(n, terms)
 
     # -- basic queries ------------------------------------------------
 
@@ -209,18 +198,3 @@ def _var_names(nvars: int) -> list[str]:
     if nvars == 4:
         return ["x", "y", "z", "w"]
     return [f"x{i + 1}" for i in range(nvars)]
-
-
-def elementary_symmetric_values(values: Sequence, k_max: int) -> list:
-    """e_0..e_k_max, the elementary symmetric functions of ``values``.
-
-    The values may be numbers or polynomials (anything closed under ``+`` and
-    ``*`` with the integers 0 and 1); integers stay integers, and e_0 is the
-    integer 1.
-    """
-    e = [1] + [0] * k_max
-    for v in values:
-        for j in range(k_max, 0, -1):
-            e[j] = e[j] + v * e[j - 1]
-    return e
-

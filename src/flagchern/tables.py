@@ -212,12 +212,10 @@ def reproduce(table_id: str, oracle: str, slow: bool) -> list[TableResult]:
 
 # -- rendering ---------------------------------------------------------------
 
-def _status(col: ColumnResult, row_index: int, rows) -> str:
-    row = rows[row_index]
-    for d in col.diffs:
-        if d.row == row:
-            return " [annotated]" if d.annotated else " [UNEXPLAINED]"
-    return ""
+def _status(diff: CellDiff | None) -> str:
+    if diff is None:
+        return ""
+    return " [annotated]" if diff.annotated else " [UNEXPLAINED]"
 
 
 def to_markdown(results: list[TableResult]) -> str:
@@ -237,14 +235,16 @@ def to_markdown(results: list[TableResult]) -> str:
             header = ["monomial"] + [c.label for c in sec.columns]
             out.append("| " + " | ".join(header) + " |")
             out.append("|" + "---|" * len(header))
+            # a column has at most one diff per row
+            by_row = [{d.row: d for d in col.diffs} for col in sec.columns]
             for i, row in enumerate(sec.rows):
                 cells = [row]
-                for col in sec.columns:
+                for col, diffs in zip(sec.columns, by_row):
                     if col.skipped:
                         cells.append(f"{col.printed[i]} (printed)")
                     else:
                         cells.append(f"{col.recomputed[i]}"
-                                     + _status(col, i, sec.rows))
+                                     + _status(diffs.get(row)))
                 out.append("| " + " | ".join(cells) + " |")
             for col in sec.columns:
                 for d in col.diffs:
@@ -258,27 +258,23 @@ def to_markdown(results: list[TableResult]) -> str:
 
 def to_csv(results: list[TableResult]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["table", "manifold", "column", "signs", "global_sign",
                      "monomial", "printed", "recomputed", "status", "note"])
     for res in results:
         for sec in res.sections:
             for col in sec.columns:
                 sig = ",".join("+" if s > 0 else "-" for s in col.signs)
+                by_row = {d.row: d for d in col.diffs}
                 for i, row in enumerate(sec.rows):
+                    d = by_row.get(row)
                     if col.skipped:
                         status, rec = "skipped", ""
                     else:
                         rec = str(col.recomputed[i])
-                        status = "ok"
-                        for d in col.diffs:
-                            if d.row == row:
-                                status = ("annotated" if d.annotated
-                                          else "unexplained")
-                    note = ""
-                    for d in col.diffs:
-                        if d.row == row and d.note:
-                            note = d.note
+                        status = ("ok" if d is None else "annotated"
+                                  if d.annotated else "unexplained")
+                    note = (d.note if d else None) or ""
                     writer.writerow([res.table_id, sec.manifold, col.label,
                                      sig, col.global_sign, row,
                                      str(col.printed[i]), rec, status, note])

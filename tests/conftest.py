@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 _REPRODUCED = {}
@@ -27,3 +29,16 @@ def weyl_todd_genus():
         return todd_genus(flag, acs, chern_numbers(flag, acs, monos))
 
     return genus
+
+
+@pytest.fixture(scope="session")
+def borel_basis():
+    """The reduced lex Groebner basis of a full-flag Borel ideal, computed
+    once per family and rank."""
+    from flagchern.groebner import MonomialOrder, borel_generators, buchberger
+
+    @functools.cache
+    def basis(family, rank):
+        return buchberger(borel_generators(family, rank), MonomialOrder("lex"))
+
+    return basis

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from flagchern import chern as chern_module
 from flagchern import rootsys
-from flagchern.chern import (MAX_TODD_DEGREE, chern_classes, chern_numbers,
+from flagchern.chern import (MAX_TODD_DEGREE, chern_numbers,
                              chern_numbers_schubert,
                              format_cmonomial, monomials_of_weighted_degree,
                              parse_cmonomial, todd_polynomial,
                              weighted_degree)
 from flagchern.flagmodel import InvariantACS, enumerate_acs, is_integrable, \
     parse_manifold
-from flagchern.groebner import borel_groebner, normal_form
 from flagchern.polyring import Polynomial
 from flagchern.rootsys import build_root_system
 from flagchern.flagmodel import FlagManifold
@@ -107,31 +106,6 @@ def test_todd_genus_need_not_be_one_when_non_integrable(weyl_todd_genus):
               for acs in enumerate_acs(flag)}
     assert genera[(1, 1, 1)] == 1
     assert any(g != 1 for g in genera.values())
-
-
-def chern_classes_nf(flag, acs):
-    gb = borel_groebner(flag.rs.family, flag.rs.rank)
-    return [normal_form(c, gb) for c in chern_classes(flag, acs)]
-
-
-def test_printed_chern_classes_rank2_full_flags():
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    so5 = parse_manifold("SO(5)/T")
-    acs = InvariantACS((1, 1, 1, 1))
-    assert chern_classes_nf(so5, acs) == [
-        3 * x + y,
-        3 * x * y - 4 * y ** 2,
-        -2 * x * y ** 2 - 4 * y ** 3,
-        -2 * x * y ** 3,
-    ]
-    sp2 = parse_manifold("Sp(2)/T")
-    assert chern_classes_nf(sp2, acs) == [
-        4 * x + 2 * y,
-        8 * x * y - 6 * y ** 2,
-        -4 * x * y ** 2 - 12 * y ** 3,
-        -8 * x * y ** 3,
-    ]
 
 
 @given(st.sampled_from(["F(5;1,2,2)", "FD(3;1,2)", "G2-long"]), st.data())

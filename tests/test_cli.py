@@ -195,6 +195,21 @@ def test_cohomology_verify():
     assert json.loads(out)["status"] == "PASS"
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "reproduce", "so5t"),
+    ("chern", "--manifold", "F(4)", "--oracle", "weyl", "--todd"),
+    ("acs", "list", "F(4)"),
+    ("acs", "classify", "F(4)"),
+    ("decompose", "F(4)"),
+    ("roots", "--family", "B", "--rank", "2"),
+    ("cohomology", "verify", "--case", "a-full:2"),
+])
+def test_csv_lines_end_in_a_bare_newline(argv):
+    code, out = run_cli(*argv, "--format", "csv")
+    assert code == 0 and out.endswith("\n")
+    assert "\r" not in out
+
+
 def test_cohomology_verify_csv_holds_the_markdown_items():
     code, out = run_cli("cohomology", "verify", "--case", "so6-groebner",
                         "--format", "csv")

@@ -335,6 +335,24 @@ def test_classify_rows_name_their_own_classes(name):
         assert {m.signs for m in c.members} <= orbit
 
 
+# manifolds with a class that has no sign vector of first sign +
+SIZE_ZERO = ["F(6;1,2,3)", "F(7;1,2,4)", "F(8;1,2,5)", "F(8;1,3,4)",
+             "F(9;2,3,4)", "FD(5;2,3)"]
+
+
+@pytest.mark.parametrize("name", sorted(set(CLASSIFIED) | set(SIZE_ZERO)))
+def test_class_sizes_add_up_to_the_census(name):
+    # a class's size is its share of the structures up to conjugation; a
+    # class with no member of first sign + has size 0
+    flag = parse_manifold(name)
+    classes = classify_acs(flag)
+    assert sum(c.size for c in classes) == 2 ** (len(flag.summands()) - 1)
+    assert any(c.size == 0 for c in classes) == (name in SIZE_ZERO)
+    sizes = {"F(7;1,2,4)": [1, 1, 1, 1, 0], "FD(5;2,3)": [2, 1, 2, 1, 2, 0]}
+    if name in sizes:
+        assert [c.size for c in classes] == sizes[name]
+
+
 @pytest.mark.parametrize("name", CLASSIFIED)
 def test_prefix_enumerator_finds_exactly_the_integrable_vectors(name):
     flag = parse_manifold(name)

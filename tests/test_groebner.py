@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagchern.groebner import (GroebnerBasis, MonomialOrder, borel_generators,
-                                buchberger, normal_form, quotient_dimension,
-                                s_polynomial, borel_groebner)
+from flagchern.groebner import (MonomialOrder, borel_generators, buchberger,
+                                normal_form, quotient_dimension, s_polynomial)
 from flagchern.polyring import Polynomial
 
 
@@ -39,19 +38,19 @@ def test_d3_borel_basis_is_the_recorded_one():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_a_full_quotient_dimension(n):
-    gb = borel_groebner("A", n)
+def test_a_full_quotient_dimension(borel_basis, n):
+    gb = borel_basis("A", n)
     assert quotient_dimension(gb, n + 1) == factorial(n + 1)
 
 
 @pytest.mark.parametrize("family,n", [("B", 2), ("B", 3), ("C", 2), ("C", 3)])
-def test_bc_full_quotient_dimension(family, n):
-    gb = borel_groebner(family, n)
+def test_bc_full_quotient_dimension(borel_basis, family, n):
+    gb = borel_basis(family, n)
     assert quotient_dimension(gb, n) == 2 ** n * factorial(n)
 
 
-def test_g2_quotient_dimension_is_weyl_order():
-    gb = borel_groebner("G2", 2)
+def test_g2_quotient_dimension_is_weyl_order(borel_basis):
+    gb = borel_basis("G2", 2)
     assert quotient_dimension(gb, 3) == 12
 
 
@@ -74,8 +73,8 @@ def poly_strategy(nvars=3):
 
 @given(poly_strategy(), poly_strategy())
 @settings(max_examples=30, deadline=None)
-def test_normal_form_is_linear_and_multiplicative_mod_ideal(p, q):
-    gb = borel_groebner("A", 2)
+def test_normal_form_is_linear_and_multiplicative_mod_ideal(borel_basis, p, q):
+    gb = borel_basis("A", 2)
     # NF(p+q) == NF(NF(p)+NF(q)) and NF(pq) == NF(NF(p)NF(q))
     assert normal_form(p + q, gb) == normal_form(
         normal_form(p, gb) + normal_form(q, gb), gb)
@@ -94,8 +93,8 @@ def test_buchberger_result_independent_of_generator_order():
         assert set(gb.generators) == set(gb0.generators)
 
 
-def test_reduced_basis_properties():
-    gb = borel_groebner("D", 3)
+def test_reduced_basis_properties(borel_basis):
+    gb = borel_basis("D", 3)
     lts = gb.leading_terms()
     # leading terms pairwise indivisible, and no tail term divisible by
     # another leading term (reducedness)
@@ -111,8 +110,8 @@ def test_reduced_basis_properties():
                     assert not all(a <= b for a, b in zip(other, e))
 
 
-def test_s_polynomial_reduces_to_zero_in_basis():
-    gb = borel_groebner("A", 3)
+def test_s_polynomial_reduces_to_zero_in_basis(borel_basis):
+    gb = borel_basis("A", 3)
     gens = gb.generators
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
@@ -129,7 +128,8 @@ def test_quotient_dimension_order_independent(kind):
 
 @pytest.mark.parametrize("family,rank,dim", [
     ("A", 5, 720), ("B", 4, 384), ("C", 4, 384), ("D", 4, 192)])
-def test_borel_basis_presents_a_quotient_of_dimension_w(family, rank, dim):
-    gb = borel_groebner(family, rank)
+def test_borel_basis_presents_a_quotient_of_dimension_w(borel_basis, family,
+                                                        rank, dim):
+    gb = borel_basis(family, rank)
     nvars = rank + 1 if family == "A" else rank
     assert quotient_dimension(gb, nvars) == dim

@@ -173,3 +173,42 @@ def test_shared_flag_manifolds_are_not_mutated():
     assert {w for w in writes if w[0] == "flagmodel"} == {
         ("flagmodel", "FlagManifold.__init__", "self")}
     assert not {w for w in writes if w[2] in ("flag", "setattr")}
+
+
+ROOT_DATA = {"rootsys", "flagmodel", "chern", "tables"}
+POLYNOMIALS = {"polyring", "groebner", "cohomology"}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The flagchern modules that ``path`` imports, relatively or by the
+    absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "flagchern":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import x
+                found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("flagchern.")}
+    return found
+
+
+def test_root_data_and_polynomial_halves_share_no_import():
+    # the Chern numbers come from root data alone; only the cli joins the
+    # two halves
+    src = REPO / "src" / "flagchern"
+    assert {p.stem for p in src.glob("*.py")} == (
+        ROOT_DATA | POLYNOMIALS | {"__init__", "__main__", "cli"})
+    crossing = {stem: package_imports(src / f"{stem}.py") & other
+                for half, other in ((ROOT_DATA, POLYNOMIALS),
+                                    (POLYNOMIALS, ROOT_DATA))
+                for stem in half}
+    assert {stem: c for stem, c in crossing.items() if c} == {}
+    assert package_imports(src / "cli.py") >= {"chern", "groebner"}

@@ -12,7 +12,11 @@ from pathlib import Path
 import pytest
 
 from flagchern.chern import MAX_TODD_DEGREE, todd_polynomial
-from flagchern.flagmodel import classify_acs, enumerate_acs, parse_manifold
+from flagchern.flagmodel import (InvariantACS, classify_acs, enumerate_acs,
+                                 parse_manifold)
+from flagchern.groebner import (MonomialOrder, borel_generators, buchberger,
+                                normal_form)
+from flagchern.polyring import Polynomial
 from flagchern.tables import load_registry
 
 REPO = Path(__file__).resolve().parent.parent
@@ -91,6 +95,11 @@ def test_build_script_regenerates_the_packaged_registry(tmp_path):
      "expected 4"),
     ("so5t", lambda t: t["columns"][0]["printed"].pop(),
      "so5t SO(5)/T J = (+,+,+,+): 4 printed values for 5 rows"),
+    ("so5t", lambda t: t["chern_classes"]["printed"].__setitem__(
+        1, "3*x*y -3*y^2"),
+     "so5t SO(5)/T: Chern classes ['3*x +y', '3*x*y -4*y^2', "
+     "'-2*x*y^2 -4*y^3', '-2*x*y^3'], recorded ['3*x +y', '3*x*y -3*y^2', "
+     "'-2*x*y^2 -4*y^3', '-2*x*y^3']"),
 ])
 def test_rebuild_names_the_cell_it_cannot_explain(tid, modify, message):
     rebuild = runpy.run_path(str(BUILD))["rebuild"]
@@ -99,3 +108,30 @@ def test_rebuild_names_the_cell_it_cannot_explain(tid, modify, message):
     modify(data["tables"][tid])
     with pytest.raises(SystemExit, match=re.escape(message)):
         rebuild(data)
+
+
+def chern_classes_nf(flag, acs):
+    chern_classes = runpy.run_path(str(BUILD))["chern_classes"]
+    gb = buchberger(borel_generators(flag.rs.family, flag.rs.rank),
+                    MonomialOrder("lex"))
+    return [normal_form(c, gb) for c in chern_classes(flag, acs.signs)]
+
+
+def test_printed_chern_classes_rank2_full_flags():
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    so5 = parse_manifold("SO(5)/T")
+    acs = InvariantACS((1, 1, 1, 1))
+    assert chern_classes_nf(so5, acs) == [
+        3 * x + y,
+        3 * x * y - 4 * y ** 2,
+        -2 * x * y ** 2 - 4 * y ** 3,
+        -2 * x * y ** 3,
+    ]
+    sp2 = parse_manifold("Sp(2)/T")
+    assert chern_classes_nf(sp2, acs) == [
+        4 * x + 2 * y,
+        8 * x * y - 6 * y ** 2,
+        -4 * x * y ** 2 - 12 * y ** 3,
+        -8 * x * y ** 3,
+    ]
