@@ -98,9 +98,10 @@ def int_parameter(form: str, text: str) -> int:
 
 
 # largest n of proj-tangent:n.  Buchberger's time grows with n: `cohomology
-# verify --case proj-tangent:48` takes 1.9 s and `groebner --ideal
-# proj-tangent:48` 2.3 s, n = 60 about 4 s and n = 120 56 s (2 vCPUs, Python
-# 3.11.7), about what ``BOREL_RANKS`` accepts
+# verify --case proj-tangent:48` and `groebner --ideal proj-tangent:48` take
+# 0.3-0.5 s, about as long as the largest ranks that ``BOREL_RANKS``
+# accepts; the case verifies in 0.6-0.7 s at n = 60 and 6.8-7.5 s at
+# n = 120 (child processes, 2 vCPUs, Python 3.11.7)
 MAX_PROJ_TANGENT = 48
 
 

@@ -645,6 +645,25 @@ def test_malformed_ideal_file_is_a_usage_error(tmp_path, capsys, generators,
     assert capsys.readouterr().err == f"usage error: --ideal: {path}{tail}\n"
 
 
+def test_ideal_file_quotient_dimension_is_counted_not_listed(tmp_path):
+    # x^3000, y^3000: nine million standard monomials, counted run by run
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"nvars": 2, "generators": [
+        [[[3000, 0], "1", "1"]], [[[0, 3000], "1", "1"]]]}))
+    code, out = run_cli("groebner", "--ideal", str(path))
+    assert code == 0
+    assert out.endswith("\nQuotient dimension: 9000000\n")
+
+
+def test_ideal_file_with_an_infinite_quotient_has_no_dimension(tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"nvars": 2, "generators": [
+        [[[3, 0], "1", "1"]], [[[1, 1], "1", "1"]]]}))
+    code, out = run_cli("groebner", "--ideal", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["quotient_dimension"] is None
+
+
 def test_huge_ranks_are_refused_before_any_root_is_built(monkeypatch,
                                                          capsys):
     # a rank just above the bound would build its roots if the check were

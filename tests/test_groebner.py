@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagchern.groebner import (MonomialOrder, borel_generators, buchberger,
-                                normal_form, quotient_dimension, s_polynomial)
+from flagchern.groebner import (GroebnerBasis, MonomialOrder,
+                                _complete_homogeneous, borel_generators,
+                                buchberger, normal_form, quotient_dimension,
+                                s_polynomial, staircase_monomials)
 from flagchern.polyring import Polynomial
 
 
@@ -133,3 +136,182 @@ def test_borel_basis_presents_a_quotient_of_dimension_w(borel_basis, family,
     gb = borel_basis(family, rank)
     nvars = rank + 1 if family == "A" else rank
     assert quotient_dimension(gb, nvars) == dim
+
+
+# -- the reducer against a textbook division ---------------------------------
+
+# the three orders as sort keys, written here apart from the package
+REFERENCE_KEYS = {
+    "lex": lambda e: e,
+    "grlex": lambda e: (sum(e), e),
+    "grevlex": lambda e: (sum(e), tuple(-x for x in reversed(e))),
+}
+
+
+def reference_remainder(p, divisors, kind):
+    """Multivariate division in Fractions throughout: the largest remaining
+    term is divided by the first divisor whose leading term divides it, or
+    moved to the remainder."""
+    key = REFERENCE_KEYS[kind]
+    leads = []
+    for g in divisors:
+        if g.terms:
+            lt = max(g.terms, key=key)
+            leads.append((lt, g.terms[lt], g))
+    rest = dict(p.terms)
+    remainder = {}
+    while rest:
+        e = max(rest, key=key)
+        c = rest.pop(e)
+        for lt, lc, g in leads:
+            if all(a <= b for a, b in zip(lt, e)):
+                factor = Fraction(c) / Fraction(lc)
+                for ge, gc in g.terms.items():
+                    if ge == lt:
+                        continue
+                    ne = tuple(x - y + z for x, y, z in zip(e, lt, ge))
+                    v = rest.get(ne, Fraction(0)) - factor * gc
+                    if v:
+                        rest[ne] = v
+                    else:
+                        rest.pop(ne, None)
+                break
+        else:
+            remainder[e] = c
+    return Polynomial(p.nvars, remainder)
+
+
+# leading coefficients 1, 2, -3 and 1/2 among them, and fractional tails
+DIVISION_COEFFS = st.one_of(
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4))
+
+
+def division_poly(nvars, max_exp, max_size):
+    exps = st.tuples(*([st.integers(0, max_exp)] * nvars))
+    return st.dictionaries(exps, DIVISION_COEFFS, max_size=max_size).map(
+        lambda d: Polynomial(nvars, d))
+
+
+@given(st.sampled_from(list(REFERENCE_KEYS)), division_poly(3, 4, 8),
+       st.lists(division_poly(3, 2, 4), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_normal_form_matches_textbook_division(kind, p, divisors):
+    # the divisors need not form a Groebner basis: the remainder still
+    # follows from the first-divisor rule alone
+    gb = GroebnerBasis(tuple(divisors), MonomialOrder(kind))
+    assert normal_form(p, gb) == reference_remainder(p, divisors, kind)
+
+
+def test_normal_form_falls_back_to_fractions_for_non_integral_quotients():
+    x, y = _vars(2)
+    gb = GroebnerBasis((2 * x - 3 * y,), MonomialOrder("lex"))
+    assert normal_form(x ** 2, gb) == Fraction(9, 4) * y ** 2
+    assert normal_form(4 * x ** 2, gb) == 9 * y ** 2
+
+
+# -- closed forms of the A, B and C Borel bases ------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_borel_basis_is_complete_homogeneous(borel_basis, n):
+    # h_k(x_{k-1}, ..., x_n) for k = 1..n+1, with leading term x_{k-1}^k
+    # under lex (Sturmfels, Algorithms in Invariant Theory, ch. 1)
+    expected = {_complete_homogeneous(n + 1, k, k - 1)
+                for k in range(1, n + 2)}
+    assert set(borel_basis("A", n).generators) == expected
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bc_borel_basis_is_complete_homogeneous_in_squares(borel_basis,
+                                                           family, n):
+    expected = {_complete_homogeneous(n, k, k - 1, square=True)
+                for k in range(1, n + 1)}
+    assert set(borel_basis(family, n).generators) == expected
+
+
+# -- the staircase count ------------------------------------------------------
+
+def _monomial_basis(nvars, exps_list):
+    """The monomials themselves form a Groebner basis of the ideal they
+    generate, with themselves as leading terms."""
+    return GroebnerBasis(tuple(Polynomial(nvars, {e: 1}) for e in exps_list),
+                         MonomialOrder("lex"))
+
+
+def _listed_dimension(gb, nvars):
+    try:
+        return len(staircase_monomials(gb, nvars))
+    except ValueError:
+        return None
+
+
+def _counted_dimension(gb, nvars):
+    try:
+        return quotient_dimension(gb, nvars)
+    except ValueError:
+        return None
+
+
+@st.composite
+def monomial_ideal(draw):
+    nvars = draw(st.integers(2, 4))
+    exps = st.tuples(*([st.integers(0, 3)] * nvars))
+    gens = draw(st.lists(exps, min_size=1, max_size=6, unique=True))
+    # add pure powers for most variables, so that both finite and
+    # infinite quotients come up
+    for i in range(nvars):
+        if draw(st.booleans()) or draw(st.booleans()):
+            e = [0] * nvars
+            e[i] = draw(st.integers(1, 4))
+            gens.append(tuple(e))
+    return nvars, sorted(set(gens))
+
+
+def _brute_staircase(nvars, gens):
+    """The monomials of exponents <= 4 that no generator divides, in
+    increasing lex order, or None when some variable has no pure power
+    (the constant 1 counts as a power of each)."""
+    for i in range(nvars):
+        if not any(sum(e) == e[i] for e in gens):
+            return None
+    return [m for m in itertools.product(range(5), repeat=nvars)
+            if not any(all(a <= b for a, b in zip(e, m)) for e in gens)]
+
+
+@given(monomial_ideal())
+@settings(max_examples=200, deadline=None)
+def test_quotient_dimension_counts_the_listed_staircase(ideal):
+    nvars, gens = ideal
+    gb = _monomial_basis(nvars, gens)
+    listed = _brute_staircase(nvars, gens)
+    if listed is None:
+        with pytest.raises(ValueError, match="not finite-dimensional"):
+            staircase_monomials(gb, nvars)
+    else:
+        assert staircase_monomials(gb, nvars) == listed
+    assert _counted_dimension(gb, nvars) == _listed_dimension(gb, nvars)
+
+
+def test_quotient_dimension_refuses_an_infinite_quotient():
+    gb = _monomial_basis(2, [(2, 0), (1, 1)])
+    with pytest.raises(ValueError, match="not finite-dimensional"):
+        quotient_dimension(gb, 2)
+
+
+def test_quotient_dimension_counts_without_listing():
+    # 9 million standard monomials: listing them would take tens of seconds
+    gb = _monomial_basis(2, [(3000, 0), (0, 3000)])
+    assert quotient_dimension(gb, 2) == 9_000_000
+
+
+@pytest.mark.parametrize("family,ranks", [
+    ("A", range(1, 6)), ("B", range(1, 5)), ("C", range(1, 5)),
+    ("D", range(2, 5))])
+def test_quotient_dimension_counts_the_borel_staircases(borel_basis, family,
+                                                         ranks):
+    for rank in ranks:
+        gb = borel_basis(family, rank)
+        nvars = rank + 1 if family == "A" else rank
+        assert quotient_dimension(gb, nvars) == len(
+            staircase_monomials(gb, nvars))
