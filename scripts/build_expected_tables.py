@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Rebuild the packaged registry src/flagchern/data/expected_tables.json from
 itself: it is the only copy of the printed values, sign vectors, global signs
-and notes.  Every column, the slow F(8) sections included, is recomputed with
-the fixed-point oracle, and each annotation keeps its note while its printed
-and recomputed values are rewritten.  The rebuild stops, naming the table,
+and notes.  Every section, the slow F(8) ones included, is recomputed with
+one call of the fixed-point oracle for all its columns, as ``table
+reproduce`` does, and each annotation keeps its note while its printed and
+recomputed values are rewritten.  The rebuild stops, naming the table,
 manifold, column and row, on a difference with no annotation, an annotation
 on a matching cell, or a column that ``tables.check_column`` refuses (a sign
 vector that is not one sign per summand, or a printed list that is not one
 value per row) or whose rows ``tables.row_monomials`` refuses (a row
-that is not a Chern monomial of weighted degree N).
+that is not a Chern monomial of weighted degree N; the message names the
+section's first column).
 It also rechecks the recorded Chern classes of the canonical structure
 against their normal forms in the Borel quotient.  The package computes
 Chern numbers from root data alone and never forms a Chern class as a
@@ -24,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from flagchern.chern import chern_numbers
+from flagchern.chern import chern_numbers_many
 from flagchern.flagmodel import InvariantACS, parse_manifold
 from flagchern.groebner import (MonomialOrder, borel_generators, buchberger,
                                 normal_form)
@@ -51,30 +53,37 @@ def chern_classes(flag, signs) -> list[Polynomial]:
     return e[1:]
 
 
-def rebuild_column(where: str, flag, rows: list[str], col: dict) -> None:
-    """Recompute one column and rewrite its annotations in row order."""
-    where = f"{where} {col['label']}"
+def rebuild_section(where: str, flag, rows: list[str], columns: list) -> None:
+    """Recompute a section's columns in one call, as ``table reproduce``
+    does, and rewrite each column's annotations in row order."""
+    if not columns:
+        return
+    wheres = [f"{where} {col['label']}" for col in columns]
     try:
-        check_column(where, flag, rows, col)
-        monos = row_monomials(where, flag, rows)
-        values = chern_numbers(flag, InvariantACS(tuple(col["signs"])), monos)
+        for col_where, col in zip(wheres, columns):
+            check_column(col_where, flag, rows, col)
+        monos = row_monomials(wheres[0], flag, rows)
+        structures = [InvariantACS(tuple(col["signs"])) for col in columns]
+        values = chern_numbers_many(flag, structures, monos)
     except AssertionError as exc:
         raise SystemExit(str(exc))
-    notes = {a["row"]: a["note"] for a in col["annotations"]}
-    col["annotations"] = []
-    for row, m, printed in zip(rows, monos, col["printed"]):
-        recomputed = col["global_sign"] * values[m]
-        note = notes.pop(row, None)
-        if int(printed) == recomputed and note is not None:
-            raise SystemExit(f"{where} {row}: annotated but matches")
-        if int(printed) != recomputed and note is None:
-            raise SystemExit(f"{where} {row}: unexpected mismatch")
-        if note is not None:
-            col["annotations"].append({"row": row, "printed": printed,
-                                       "recomputed": str(recomputed),
-                                       "note": note})
-    if notes:
-        raise SystemExit(f"{where} {', '.join(notes)}: annotation on no row")
+    for where, col, numbers in zip(wheres, columns, values):
+        notes = {a["row"]: a["note"] for a in col["annotations"]}
+        col["annotations"] = []
+        for row, m, printed in zip(rows, monos, col["printed"]):
+            recomputed = col["global_sign"] * numbers[m]
+            note = notes.pop(row, None)
+            if int(printed) == recomputed and note is not None:
+                raise SystemExit(f"{where} {row}: annotated but matches")
+            if int(printed) != recomputed and note is None:
+                raise SystemExit(f"{where} {row}: unexpected mismatch")
+            if note is not None:
+                col["annotations"].append({"row": row, "printed": printed,
+                                           "recomputed": str(recomputed),
+                                           "note": note})
+        if notes:
+            raise SystemExit(f"{where} {', '.join(notes)}: annotation on "
+                             f"no row")
 
 
 def rebuild(data: dict) -> dict:
@@ -82,10 +91,9 @@ def rebuild(data: dict) -> dict:
     data = copy.deepcopy(data)
     for tid, spec in data["tables"].items():
         for sec in spec.get("sections") or [spec]:
-            flag = parse_manifold(sec["manifold"])
-            for col in sec["columns"]:
-                rebuild_column(f"{tid} {sec['manifold']}", flag, sec["rows"],
-                               col)
+            rebuild_section(f"{tid} {sec['manifold']}",
+                            parse_manifold(sec["manifold"]), sec["rows"],
+                            sec["columns"])
         if "chern_classes" in spec:
             flag, cc = parse_manifold(spec["manifold"]), spec["chern_classes"]
             gb = buchberger(borel_generators(flag.rs.family, flag.rs.rank),

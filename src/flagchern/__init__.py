@@ -23,7 +23,7 @@ from .groebner import (MonomialOrder, GroebnerBasis, buchberger, normal_form,
 from .flagmodel import (FlagManifold, IsotropySummand, InvariantACS, ACSClass,
                         flag_manifold, parse_manifold, t_root_decomposition,
                         enumerate_acs, is_integrable, classify_acs)
-from .chern import (chern_numbers, chern_numbers_schubert,
+from .chern import (chern_numbers, chern_numbers_many, chern_numbers_schubert,
                     todd_polynomial, todd_genus, parse_cmonomial,
                     format_cmonomial, monomials_of_weighted_degree)
 
@@ -38,7 +38,7 @@ __all__ = [
     "flag_manifold", "parse_manifold", "t_root_decomposition",
     "enumerate_acs",
     "is_integrable", "classify_acs",
-    "chern_numbers", "chern_numbers_schubert",
+    "chern_numbers", "chern_numbers_many", "chern_numbers_schubert",
     "todd_polynomial", "todd_genus",
     "parse_cmonomial", "format_cmonomial", "monomials_of_weighted_degree",
     "__version__",

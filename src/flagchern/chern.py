@@ -5,23 +5,30 @@ oracles take c_k as the k-th elementary symmetric function of the signed
 complementary roots, the fixed-point kernel on integer root values and the
 Schubert oracle on Schubert expansions, so both need only the root data.
 Two independent integration oracles are provided, with the same batch
-contract.  ``chern_numbers`` is the fixed-point (Atiyah-Bott /
-Berline-Vergne localization) kernel: an integral over G/K is a sum over the
-torus-fixed points, one per coset W_K w of the Weyl group, evaluated in exact
-integers at the points (1, ..., 1) and (1, 2, ..., r) on the simple roots
-(the second a guard on the first) and divided once by the positive-root
+contract.  ``chern_numbers_many`` is the fixed-point (Atiyah-Bott /
+Berline-Vergne localization) kernel, and ``chern_numbers`` is that kernel
+on one structure: an integral over G/K is a sum over the torus-fixed
+points, one per coset W_K w of the Weyl group, evaluated in exact integers
+at the points (1, ..., 1) and (1, 2, ..., r) on the simple roots (the
+second a guard on the first) and divided once by the positive-root
 product.  It is normalized so the all-plus structure's top Chern class
-integrates to +chi.  It walks the fixed points in chunks of
-``FIXED_POINT_CHUNK``, one list entry per point, so that each step of the sum
-is one C-level pass over a chunk rather than a bytecode loop per point: a
-chunk's root images are transposed into one column per root slot, the
-elementary symmetric functions e_1..e_kmax are built column by column, and
-the monomials are evaluated along the trie of their class degrees
-(``class_degree_trie``), smallest degree first, each node its parent times
-one e_k, keeping only the current path.  ``chern_numbers_schubert`` is the
-second oracle: it multiplies in the Schubert basis of H*(G/B) by Chevalley's
-formula over the Bruhat covers, reads off the coefficient of the point class
-sigma_{w0}, and calibrates it against the positive-root product.  It splits
+integrates to +chi.  It takes several structures of one manifold together,
+a table section's columns for one, and makes one pass over the fixed
+points for all of them.  It walks them in chunks of ``FIXED_POINT_CHUNK``,
+one list entry per point, so that each step of the sum is one C-level pass
+over a chunk rather than a bytecode loop per point.  Per chunk, the root
+images are transposed into one column per root slot, and per sample point
+the K-positive base row and the plus-signed slot columns are built, once
+for all the structures.  Per structure in turn, the elementary symmetric
+functions e_1..e_kmax are built column by column, and the monomials are
+evaluated along the trie of their class degrees (``class_degree_trie``),
+smallest degree first, compiled once per call into flat steps: one row is
+held per depth, each row its parent times one e_k.
+
+``chern_numbers_schubert`` is the second oracle: it multiplies in the
+Schubert basis of H*(G/B) by Chevalley's formula over the Bruhat covers,
+reads off the coefficient of the point class sigma_{w0}, and calibrates it
+against the positive-root product.  It splits
 each monomial's class degrees, largest first, into a head (the largest
 class, times the K-positive roots) and a tail (the rest, from sigma_e), and
 pairs the two halves by Poincare duality, sigma_u sigma_v = sigma_{w0}
@@ -33,7 +40,9 @@ degree first.
 
 The universal Todd polynomials are Hirzebruch's multiplicative sequence for
 x / (1 - e^{-x}), built one weighted degree at a time from td = exp(L), in
-int numerators over one denominator per degree.
+int numerators over one denominator per degree.  The pieces of that
+recurrence are kept, so every degree asked for reads its own piece and no
+degree is built twice.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, neg
 from typing import Iterable, Mapping, Sequence
 
 from .flagmodel import FlagManifold, InvariantACS
@@ -100,6 +109,18 @@ def _top_monomial(flag: FlagManifold, c_monomial) -> tuple[int, ...]:
             f"monomial {format_cmonomial(m)} has weighted degree "
             f"{weighted_degree(m)}, expected {n}")
     return m
+
+
+def _distinct_top_monomials(flag: FlagManifold,
+                            monomials) -> list[tuple[int, ...]]:
+    """The monomials' exponent tuples, each distinct monomial validated once
+    (see ``_top_monomial``), in first-seen order."""
+    seen: dict = {}
+    for m in monomials:
+        key = m if isinstance(m, str) else tuple(m)
+        if key not in seen:
+            seen[key] = _top_monomial(flag, key)
+    return list(dict.fromkeys(seen.values()))
 
 
 def monomials_of_weighted_degree(n_classes: int, degree: int) -> list[tuple[int, ...]]:
@@ -211,7 +232,7 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
     and the name of w0 u is minus that of u).  So no state ever climbs
     above the larger half of the product.
     """
-    monos = [_top_monomial(flag, m) for m in monomials]
+    monos = _distinct_top_monomials(flag, monomials)
     rs = flag.rs
     covers = bruhat_covers(rs)
     starts = covers.starts
@@ -297,7 +318,7 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
 
 # -- Chern numbers: fixed-point oracle ---------------------------------------
 
-# Fixed points per chunk of ``chern_numbers``: long enough that each list
+# Fixed points per chunk of the fixed-point kernel: long enough that each list
 # operation's per-call cost is spread thin, short enough that a chunk's
 # columns stay small.
 FIXED_POINT_CHUNK = 256
@@ -319,9 +340,90 @@ def _generic_points(roots) -> list[tuple[int, ...]]:
     return [(1,) * rank, tuple(range(1, rank + 1)) if rank > 1 else (2,)]
 
 
-def chern_numbers(flag: FlagManifold, acs: InvariantACS,
-                  monomials: Iterable) -> dict[tuple[int, ...], int]:
-    """Exact Chern numbers for a batch of c-monomials by localization.
+def _trie_steps(trie: dict, sequences: Iterable[tuple[int, ...]]) -> list:
+    """The trie as a flat list of steps (depth, k, leaf), in depth-first
+    order.  A step multiplies the row at its depth by e_k: into the row one
+    deeper when ``leaf`` is None, and otherwise summed into the total of the
+    leaf's sequence, numbered in the order of ``sequences``."""
+    leaves = {seq: i for i, seq in enumerate(sequences)}
+    steps = []
+
+    def visit(node, depth, seq):
+        for k, child in node.items():
+            if child:
+                steps.append((depth, k, None))
+                visit(child, depth + 1, seq + (k,))
+            else:
+                steps.append((depth, k, leaves[seq + (k,)]))
+
+    visit(trie, 0, ())
+    return steps
+
+
+def _fixed_point_sums(flag: FlagManifold, slot_signs: list[list[int]],
+                      vals: list[list[int]], monos: list) -> list:
+    """The fixed-point sums of the numerators, totals[structure][sample
+    point][monomial], for the structures' slot signs, the root values
+    ``vals`` at each sample point and the distinct monomials ``monos``.
+
+    Per chunk of ``FIXED_POINT_CHUNK`` fixed points the transpose of the
+    root images and, per sample point, the K-positive base row and the
+    plus-signed slot columns are built once for all structures.  Only
+    e_1..e_kmax and the step rows are built per structure and sample point,
+    in turn, on chunk-sized lists.  e_j += w e_{j-1} runs over the columns,
+    one column per slot; the trie of the monomials' class degrees runs as
+    flat steps (``_trie_steps``), one row held per depth, each row its
+    parent times one e_k.
+    """
+    trie, sequences = class_degree_trie(monos)
+    steps = _trie_steps(trie, sequences.values())
+    # every e_k is at hand, so a step costs one pass whatever its degree
+    degrees = {k for seq in sequences.values() for k in seq}
+    kmax, kmin = max(degrees, default=0), min(degrees, default=0)
+    rows = [None] * (max(map(len, sequences.values()), default=0))
+    n = flag.complex_dim
+    # e_j only feeds e_kmin.. while n - 1 - i slots remain: the j-range of
+    # e_j += w e_{j-1} at slot i, and whether e_1 += w runs there
+    updates = [(range(min(i, kmax), max(1, kmin - n + i), -1),
+                0 < i and kmin - n + i < 1 <= kmax) for i in range(n)]
+    totals = [[[0] * len(monos) for _ in vals] for _ in slot_signs]
+    fixed = flag.fixed_points
+    for start in range(0, len(fixed), FIXED_POINT_CHUNK):
+        point_signs, images = zip(*fixed[start:start + FIXED_POINT_CHUNK])
+        cols = list(zip(*images))
+        for p, val in enumerate(vals):
+            plus = val.__getitem__
+            base = list(point_signs)
+            for col in cols[n:]:
+                base = list(map(mul, base, map(plus, col)))
+            rows[0] = base
+            slots = [list(map(plus, col)) for col in cols[:n]]
+            for signs, acc in zip(slot_signs, totals):
+                acc = acc[p]
+                e = [None]  # e_0 = 1 is never multiplied out
+                for i, (s, w) in enumerate(zip(signs, slots)):
+                    if s < 0:
+                        w = list(map(neg, w))
+                    if i < kmax:
+                        e.append(list(map(mul, w, e[i])) if i else w)
+                    js, raise_e1 = updates[i]
+                    for j in js:
+                        e[j] = list(map(add, e[j], map(mul, w, e[j - 1])))
+                    if raise_e1:
+                        e[1] = list(map(add, e[1], w))
+                for depth, k, leaf in steps:
+                    if leaf is None:
+                        rows[depth + 1] = list(map(mul, rows[depth], e[k]))
+                    else:
+                        acc[leaf] += sum(map(mul, rows[depth], e[k]))
+    return totals
+
+
+def chern_numbers_many(flag: FlagManifold,
+                       structures: Sequence[InvariantACS],
+                       monomials: Iterable) -> list[dict[tuple[int, ...], int]]:
+    """Exact Chern numbers of several structures of one manifold for one
+    batch of c-monomials by localization, one dict per structure in order.
 
     The integral of an invariant class p is the sum over the fixed points
     W_K w of sign(w) p(w x) prod_{K+} beta(w x) / prod_{Phi+} alpha(x), where
@@ -329,129 +431,139 @@ def chern_numbers(flag: FlagManifold, acs: InvariantACS,
     complementary roots.  A point x is given by integer values on the simple
     roots, so every root value, read off the root's simple-root coordinates,
     and every term is an integer.  The sum is taken at both points of
-    ``_generic_points``; the two quotients must agree, and be integers.
+    ``_generic_points``; for each structure the two quotients must agree,
+    and be integers.
 
-    Each step works on ``FIXED_POINT_CHUNK`` fixed points at once, one list
-    entry per point (see the module docstring); e_j += w e_{j-1} runs over
-    the columns of the chunk's root images, one column per root slot.
+    The structures share the fixed points, the root values and the
+    K-positive factor, and differ only in the signs of the complementary
+    slots.  So each distinct monomial is validated once and the sums of all
+    structures are taken in one pass over the fixed points
+    (``_fixed_point_sums``), which holds chunk-sized lists for one
+    structure at a time: the memory held grows with the number of
+    structures only by their sums.
     """
-    monos = [_top_monomial(flag, m) for m in monomials]
-    # every e_k is at hand, so a node costs one step whatever its degree
-    trie, sequences = class_degree_trie(monos)
-    degrees = {k for seq in sequences.values() for k in seq}
-    kmax, kmin = max(degrees, default=0), min(degrees, default=0)
-    fixed = flag.fixed_points
+    monos = _distinct_top_monomials(flag, monomials)
+    if not structures:
+        return []
     roots = flag.rs.coords
-    n = flag.complex_dim
-    signs = [acs.signs[i] for i, s in enumerate(flag.summands()) for _ in s.roots]
     vals = [[sum(a * b for a, b in zip(r, pt)) for r in roots]
             for pt in _generic_points(roots)]
-    # the slots' signed root values, looked up by root position
-    signed = [(val.__getitem__, [-v for v in val].__getitem__) for val in vals]
-    totals = [dict.fromkeys(sequences.values(), 0) for _ in vals]
-
-    def walk(node, row, seq, e, acc):
-        for k, child in node.items():
-            if child:
-                walk(child, list(map(mul, row, e[k])), seq + (k,), e, acc)
-            else:
-                acc[seq + (k,)] += sum(map(mul, row, e[k]))
-
-    for start in range(0, len(fixed), FIXED_POINT_CHUNK):
-        point_signs, images = zip(*fixed[start:start + FIXED_POINT_CHUNK])
-        cols = list(zip(*images))
-        for (plus, minus), acc in zip(signed, totals):
-            base = list(point_signs)
-            for col in cols[n:]:
-                base = list(map(mul, base, map(plus, col)))
-            e = [None]  # e_0 = 1 is never multiplied out
-            for i, (s, col) in enumerate(zip(signs, cols)):
-                w = list(map(plus if s > 0 else minus, col))
-                if i < kmax:
-                    e.append(list(map(mul, w, e[i])) if i else w)
-                # e_j only feeds e_kmin.. while n - 1 - i slots remain
-                for j in range(min(i, kmax), max(1, kmin - n + i), -1):
-                    e[j] = list(map(add, e[j], map(mul, w, e[j - 1])))
-                if 0 < i and kmin - n + i < 1 <= kmax:
-                    e[1] = list(map(add, e[1], w))
-            walk(trie, base, (), e, acc)
+    slot_signs = [[acs.signs[i] for i, s in enumerate(flag.summands())
+                   for _ in s.roots] for acs in structures]
+    totals = _fixed_point_sums(flag, slot_signs, vals, monos)
     # both denominators are positive: every positive root is, at both points
     den, den2 = (math.prod(val[i] for i in flag.rs.positive) for val in vals)
-    out: dict[tuple[int, ...], int] = {}
-    for m, seq in sequences.items():
-        num, num2 = totals[0][seq], totals[1][seq]
-        if num * den2 != num2 * den:
-            raise ArithmeticError("fixed-point sum disagrees between sample points")
-        value, rest = divmod(num, den)
-        if rest:
-            raise ArithmeticError(
-                f"Chern number {format_cmonomial(m)} is not an integer: "
-                f"{Fraction(num, den)}")
-        out[m] = value
+    out = []
+    for nums, nums2 in totals:
+        numbers: dict[tuple[int, ...], int] = {}
+        for m, num, num2 in zip(monos, nums, nums2):
+            if num * den2 != num2 * den:
+                raise ArithmeticError(
+                    "fixed-point sum disagrees between sample points")
+            value, rest = divmod(num, den)
+            if rest:
+                raise ArithmeticError(
+                    f"Chern number {format_cmonomial(m)} is not an integer: "
+                    f"{Fraction(num, den)}")
+            numbers[m] = value
+        out.append(numbers)
     return out
+
+
+def chern_numbers(flag: FlagManifold, acs: InvariantACS,
+                  monomials: Iterable) -> dict[tuple[int, ...], int]:
+    """Exact Chern numbers of one structure for a batch of c-monomials by
+    localization: ``chern_numbers_many`` on that structure alone."""
+    return chern_numbers_many(flag, [acs], monomials)[0]
 
 
 ORACLES = ("weyl", "schubert", "both", "groebner")
 
 
-def chern_numbers_by(flag: FlagManifold, acs: InvariantACS, monos: list,
-                     oracle: str) -> dict[tuple[int, ...], int]:
-    """Chern numbers by ``chern_numbers`` (weyl), ``chern_numbers_schubert``
-    (schubert, or its deprecated alias groebner) or both, which must agree."""
+def chern_numbers_by(flag: FlagManifold, structures: Sequence[InvariantACS],
+                     monos: list,
+                     oracle: str) -> list[dict[tuple[int, ...], int]]:
+    """Chern numbers of each structure, one dict per structure in order, by
+    ``chern_numbers_many`` (weyl), ``chern_numbers_schubert`` per structure
+    (schubert, or its deprecated alias groebner) or both, which must agree
+    on every structure.  Each oracle parses and validates each distinct
+    monomial once (``_distinct_top_monomials``), so a batch may repeat
+    monomials, as ``chern --todd`` does with the requested numbers."""
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}")
     if oracle in ("schubert", "groebner"):
-        return chern_numbers_schubert(flag, acs, monos)
-    weyl = chern_numbers(flag, acs, monos)
+        return [chern_numbers_schubert(flag, acs, monos) for acs in structures]
+    weyl = chern_numbers_many(flag, structures, monos)
     if oracle == "both":
-        schubert = chern_numbers_schubert(flag, acs, monos)
-        if weyl != schubert:
-            raise ArithmeticError(
-                f"oracle disagreement on {flag.name()} {acs.label()}: "
-                f"fixed-point sum {weyl} vs Schubert {schubert}")
+        for acs, numbers in zip(structures, weyl):
+            schubert = chern_numbers_schubert(flag, acs, monos)
+            if numbers != schubert:
+                raise ArithmeticError(
+                    f"oracle disagreement on {flag.name()} {acs.label()}: "
+                    f"fixed-point sum {numbers} vs Schubert {schubert}")
     return weyl
 
 
 # -- Todd polynomials and the Todd genus ------------------------------------
 
-def _todd_series(order: int) -> list[Fraction]:
-    """Coefficients of x/(1 - e^{-x}) up to x^order."""
-    # (1 - e^{-x})/x = sum_{j>=0} (-1)^j x^j / (j+1)!
-    s = [Fraction((-1) ** j, math.factorial(j + 1)) for j in range(order + 1)]
-    inv = [Fraction(1)] + [Fraction(0)] * order
-    for k in range(1, order + 1):
-        inv[k] = -sum(s[j] * inv[k - j] for j in range(1, k + 1))
-    return inv
+@functools.cache
+def _todd_log_coefficient(k: int) -> Fraction:
+    """l_k, the coefficient of x^k in log(x / (1 - e^{-x})), for k >= 1.
+
+    The log is -log s with s = (1 - e^{-x})/x = sum_j (-1)^j x^j / (j+1)!,
+    and (log s)' = s'/s gives k l_k = -k s_k - sum_{j<k} j l_j s_{k-j}."""
+    def s(j):
+        return Fraction((-1) ** j, math.factorial(j + 1))
+    return -(k * s(k) + sum(j * _todd_log_coefficient(j) * s(k - j)
+                            for j in range(1, k))) / k
 
 
-def _series_log(q: list[Fraction]) -> list[Fraction]:
-    """log of a power series with constant term 1, same truncation order."""
-    order = len(q) - 1
-    out = [Fraction(0)] * (order + 1)
-    # l' = q'/q  =>  k*l_k = k*q_k - sum_{j=1}^{k-1} j*l_j*q_{k-j}
-    for k in range(1, order + 1):
-        acc = k * q[k]
-        for j in range(1, k):
-            acc -= j * out[j] * q[k - j]
-        out[k] = acc / k
-    return out
+@functools.cache
+def _power_sum(k: int) -> dict[tuple[int, ...], int]:
+    """p_k in c_1..c_k by Newton's identities, p_k = sum_{i<k}
+    (-1)^{i-1} c_i p_{k-i} + (-1)^{k-1} k c_k.  A c-monomial is keyed by its
+    partition, the class indices in descending order, so c_i times a
+    monomial adds the part i; coefficients are ints."""
+    acc = {(k,): (-1) ** (k - 1) * k}
+    for i in range(1, k):
+        sign = (-1) ** (i - 1)
+        for lam, a in _power_sum(k - i).items():
+            key = tuple(sorted(lam + (i,), reverse=True))
+            acc[key] = acc.get(key, 0) + sign * a
+    return acc
 
 
-def _partition_power_sums(n: int) -> list[dict[tuple[int, ...], int]]:
-    """p_1..p_n in c_1..c_n by Newton's identities, p_k = sum_{i<k}
-    (-1)^{i-1} c_i p_{k-i} + (-1)^{k-1} k c_k, with index 0 unused.  A
-    c-monomial is keyed by its partition, the class indices in descending
-    order, so c_i times a monomial adds the part i; coefficients are ints."""
-    p: list[dict[tuple[int, ...], int]] = [{}]
-    for k in range(1, n + 1):
-        acc = {(k,): (-1) ** (k - 1) * k}
-        for i in range(1, k):
-            sign = (-1) ** (i - 1)
-            for lam, a in p[k - i].items():
-                key = tuple(sorted(lam + (i,), reverse=True))
-                acc[key] = acc.get(key, 0) + sign * a
-        p.append(acc)
-    return p
+@functools.cache
+def _todd_piece(m: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """T_m, the weighted-degree-m part of td = exp(L), as int numerators
+    keyed by partitions (see ``_power_sum``) over one denominator, reduced
+    by their gcd.
+
+    L = sum_k L_k with L_k = l_k p_k, and td' = L' td gives T_0 = 1 and
+    m T_m = sum_{k=1}^m k L_k T_{m-k}, each product already of weighted
+    degree m.  T_m does not depend on the degree of the polynomial it is
+    read for, so the recurrence is kept, grown to the largest degree asked
+    for, and every degree reads its own piece from it.
+    """
+    if m == 0:
+        return {(): 1}, 1
+    ks = [k for k in range(1, m + 1) if _todd_log_coefficient(k)]
+    den = math.lcm(*(_todd_log_coefficient(k).denominator
+                     * _todd_piece(m - k)[1] for k in ks))
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for k in ks:
+        nums, d = _todd_piece(m - k)
+        lk = _todd_log_coefficient(k)
+        scale = k * lk.numerator * (den // (lk.denominator * d))
+        for lam, a in _power_sum(k).items():
+            a_scaled = a * scale
+            for mu, b in nums.items():
+                key = tuple(sorted(lam + mu, reverse=True))
+                acc[key] = get(key, 0) + a_scaled * b
+    den *= m
+    g = math.gcd(den, *acc.values())
+    return {key: a // g for key, a in acc.items() if a}, den // g
 
 
 @dataclass(frozen=True)
@@ -473,45 +585,20 @@ MAX_TODD_DEGREE = 24
 def todd_polynomial(degree: int) -> ToddExpansion:
     """The universal Todd polynomial of the given weighted degree in c_1..c_degree.
 
-    td = exp(L) with L = sum_k L_k, L_k = l_k p_k, where l_k are the
-    coefficients of log(x / (1 - e^{-x})) and p_k the power sums in the
-    Chern classes.  The graded pieces of td follow from td' = L' td:
-    T_0 = 1 and m T_m = sum_{k=1}^m k L_k T_{m-k}, each product already of
-    weighted degree m.  Each T_m is held as int numerators keyed by
-    partitions (see ``_partition_power_sums``) over one denominator,
-    reduced by their gcd, and turned into exponent tuples over c_1..c_degree
-    with ``Fraction`` coefficients only at the end.  A degree outside
-    1..``MAX_TODD_DEGREE`` is refused (ValueError) before anything is built.
+    It is T_degree of Hirzebruch's multiplicative sequence td = exp(L) (see
+    ``_todd_piece``, where l_k are the coefficients of
+    log(x / (1 - e^{-x})) and p_k the power sums in the Chern classes),
+    turned into exponent tuples over c_1..c_degree with ``Fraction``
+    coefficients only at the end.  A degree outside 1..``MAX_TODD_DEGREE``
+    is refused (ValueError) before anything is built.
     """
     if not 1 <= degree <= MAX_TODD_DEGREE:
         raise ValueError(f"the Todd polynomial of degree {degree} is not "
                          f"built; the degree must be in 1..{MAX_TODD_DEGREE}")
-    n = degree
-    series = _series_log(_todd_series(n))  # log of x/(1-e^{-x})
-    psums = _partition_power_sums(n)
-    pieces = [({(): 1}, 1)]  # (numerators, denominator) of T_0..T_m
-    for m in range(1, n + 1):
-        ks = [k for k in range(1, m + 1) if series[k]]
-        den = math.lcm(*(series[k].denominator * pieces[m - k][1]
-                         for k in ks))
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        for k in ks:
-            nums, d = pieces[m - k]
-            lk = series[k]
-            scale = k * lk.numerator * (den // (lk.denominator * d))
-            for lam, a in psums[k].items():
-                a_scaled = a * scale
-                for mu, b in nums.items():
-                    key = tuple(sorted(lam + mu, reverse=True))
-                    acc[key] = get(key, 0) + a_scaled * b
-        den *= m
-        g = math.gcd(den, *acc.values())
-        pieces.append(({key: a // g for key, a in acc.items() if a}, den // g))
-    nums, den = pieces[n]
+    nums, den = _todd_piece(degree)
     coefficients = {}
     for lam, a in nums.items():
-        exps = [0] * n
+        exps = [0] * degree
         for part in lam:
             exps[part - 1] += 1
         coefficients[tuple(exps)] = Fraction(a, den)

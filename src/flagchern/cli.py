@@ -194,7 +194,7 @@ def cmd_chern(args, out) -> int:
         monos = [tuple(top)]
     # one batch serves the requested numbers and the Todd genus
     todd = todd_polynomial(flag.complex_dim).coefficients if args.todd else {}
-    nums = chern_numbers_by(flag, acs, monos + list(todd), args.oracle)
+    [nums] = chern_numbers_by(flag, [acs], monos + list(todd), args.oracle)
     genus = todd_genus(flag, acs, nums) if args.todd else None
     if args.format == "json":
         data = {"manifold": flag.name(), "acs": acs.label(),
@@ -352,13 +352,13 @@ def cmd_verify(args, out) -> int:
         flag = parse_manifold(name)
         acs = InvariantACS((1,) * len(flag.summands()))
         td = todd_polynomial(flag.complex_dim).coefficients
-        nums = chern_numbers_by(flag, acs, list(td), args.oracle)
+        [nums] = chern_numbers_by(flag, [acs], list(td), args.oracle)
         check(f"todd genus 1 on {name}", todd_genus(flag, acs, nums) == 1)
     # projective-space sanity oracle
     for n in range(1, 5):
         flag = parse_manifold(f"F({n + 1};1,{n})")
         c1n = (n,) + (0,) * (n - 1)
-        v = chern_numbers_by(flag, InvariantACS((1,)), [c1n], args.oracle)
+        [v] = chern_numbers_by(flag, [InvariantACS((1,))], [c1n], args.oracle)
         ok = (v[c1n] == (n + 1) ** n
               and flag.euler_characteristic() == n + 1)
         check(f"projective space CP^{n}: c1^{n} = {(n + 1) ** n}, "

@@ -8,10 +8,10 @@ The packaged data file ``data/expected_tables.json`` stores, for each table:
 * annotations for every cell whose printed value is known to differ from the
   recomputed one, with the recomputed value and a diagnosis note.
 
-``reproduce`` recomputes every column from scratch and diffs it against the
-printed values; the two F(8) sections of tab2, marked ``slow`` in the
-registry, are recomputed only when asked (``table --slow``; ``verify``
-always asks).  A reproduction is *clean* when the set of differing cells
+``reproduce`` recomputes every column from scratch, with one oracle call
+for all the columns of a section, and diffs it against the printed values;
+the two F(8) sections of tab2, marked ``slow`` in the registry, are
+recomputed only when asked (``table --slow``; ``verify`` always asks).  A reproduction is *clean* when the set of differing cells
 coincides exactly with the recorded annotations (including the recomputed
 values).  Any other difference is reported as unexplained.
 """
@@ -150,11 +150,10 @@ def check_column(where: str, flag: FlagManifold, rows, spec: dict) -> None:
                              f"for {len(rows)} rows")
 
 
-def _reproduce_column(flag: FlagManifold, rows, monos: list, spec: dict,
-                      oracle: str) -> ColumnResult:
-    check_column(f"{flag.name()} {spec['label']}", flag, rows, spec)
+def _diff_column(rows, monos: list, spec: dict,
+                 values: dict[tuple[int, ...], int]) -> ColumnResult:
+    """A registry column with its recomputed ``values`` and their diffs."""
     col = ColumnResult.from_spec(spec)
-    values = chern_numbers_by(flag, InvariantACS(col.signs), monos, oracle)
     col.recomputed = [col.global_sign * values[m] for m in monos]
     annotations = {a["row"]: a for a in spec.get("annotations", [])}
     for row, p, r in zip(rows, col.printed, col.recomputed):
@@ -199,8 +198,15 @@ def reproduce(table_id: str, oracle: str, slow: bool) -> list[TableResult]:
                 continue
             flag = parse_manifold(sec["manifold"])
             monos = row_monomials(flag.name(), flag, sec["rows"])
-            cols = [_reproduce_column(flag, sec["rows"], monos, c, oracle)
-                    for c in sec["columns"]]
+            for c in sec["columns"]:
+                check_column(f"{flag.name()} {c['label']}", flag,
+                             sec["rows"], c)
+            # one oracle call computes every column of the section
+            structures = [InvariantACS(tuple(c["signs"]))
+                          for c in sec["columns"]]
+            values = chern_numbers_by(flag, structures, monos, oracle)
+            cols = [_diff_column(sec["rows"], monos, c, v)
+                    for c, v in zip(sec["columns"], values)]
             sections.append(SectionResult(
                 manifold=sec["manifold"], rows=sec["rows"], columns=cols,
                 label_note=sec.get("label_note")))

@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from flagchern import chern as chern_module
 from flagchern import rootsys
 from flagchern.chern import (MAX_TODD_DEGREE, chern_numbers,
-                             chern_numbers_schubert,
+                             chern_numbers_many, chern_numbers_schubert,
                              format_cmonomial, monomials_of_weighted_degree,
                              parse_cmonomial, todd_polynomial,
                              weighted_degree)
@@ -19,6 +21,7 @@ from flagchern.flagmodel import InvariantACS, enumerate_acs, is_integrable, \
 from flagchern.polyring import Polynomial
 from flagchern.rootsys import build_root_system
 from flagchern.flagmodel import FlagManifold
+from flagchern.tables import load_registry, row_monomials
 
 
 def projective_space(n):
@@ -179,9 +182,12 @@ def test_chunked_kernel_agrees_with_schubert(name, monkeypatch):
     monos = monomials_of_weighted_degree(n, n)
     structures = enumerate_acs(flag, up_to_conjugation=False)
     assert InvariantACS((-1,) * len(flag.summands())) in structures
-    for acs in structures[::max(1, len(structures) // 8)] + structures[-1:]:
+    picked = structures[::max(1, len(structures) // 8)] + structures[-1:]
+    for acs in picked:
         assert chern_numbers(flag, acs, monos) \
             == chern_numbers_schubert(flag, acs, monos), acs.label()
+    assert chern_numbers_many(flag, picked, monos) \
+        == [chern_numbers_schubert(flag, acs, monos) for acs in picked]
 
 
 def test_kernel_over_more_than_one_chunk():
@@ -209,18 +215,76 @@ def test_kernel_batch_keeps_input_order_and_duplicates():
 
 def test_kernel_guards_refuse_a_missing_fixed_point(monkeypatch):
     # one fixed point short, the sum is no longer a polynomial's integral:
-    # the two sample points disagree, and one point alone gives a fraction
+    # the two sample points disagree, and one point alone gives a fraction;
+    # each structure is checked, alone or in a section call with others
     flag = parse_manifold("F(4)")
     acs = InvariantACS((1,) * 6)
+    several = [acs, InvariantACS((1, -1, 1, 1, -1, 1)),
+               InvariantACS((1, 1, -1, -1, 1, 1))]
+    c1n = (6, 0, 0, 0, 0, 0)
     short = flag.fixed_points[1:]
     monkeypatch.setattr(flag, "fixed_points", short)
     with pytest.raises(ArithmeticError, match="sample points"):
-        chern_numbers(flag, acs, [(6, 0, 0, 0, 0, 0)])
+        chern_numbers(flag, acs, [c1n])
+    for batch in [several, several[::-1]] + [[a] for a in several[1:]]:
+        with pytest.raises(ArithmeticError, match="sample points"):
+            chern_numbers_many(flag, batch, [c1n])
     first = chern_module._generic_points(flag.rs.coords)[0]
     monkeypatch.setattr(chern_module, "_generic_points",
                         lambda roots: [first, first])
     with pytest.raises(ArithmeticError, match="c1\\^6 is not an integer"):
-        chern_numbers(flag, acs, [(6, 0, 0, 0, 0, 0)])
+        chern_numbers(flag, acs, [c1n])
+    for batch in [several, several[::-1]] + [[a] for a in several[1:]]:
+        with pytest.raises(ArithmeticError,
+                           match="c1\\^6 is not an integer"):
+            chern_numbers_many(flag, batch, [c1n])
+
+
+def _registry_sections():
+    for tid, spec in sorted(load_registry()["tables"].items()):
+        for i, sec in enumerate(spec.get("sections") or [spec]):
+            yield pytest.param(sec, id=f"{tid}-{i}")
+
+
+@pytest.mark.parametrize("sec", _registry_sections())
+def test_section_call_equals_one_call_per_column(sec):
+    # the F(8) sections included: the kernel shares a chunk's columns
+    # between the structures, and each result must be its own
+    flag = parse_manifold(sec["manifold"])
+    monos = row_monomials(sec["manifold"], flag, sec["rows"])
+    structures = [InvariantACS(tuple(c["signs"])) for c in sec["columns"]]
+    per_column = [chern_numbers(flag, acs, monos) for acs in structures]
+    assert all(list(numbers) == monos for numbers in per_column)
+    assert chern_numbers_many(flag, structures, monos) == per_column
+    assert chern_numbers_many(flag, structures[::-1], monos) \
+        == per_column[::-1]
+    assert chern_numbers_many(flag, [], monos) == []
+
+
+def test_section_call_holds_about_one_structure_of_memory():
+    # the kernel builds its chunk-sized lists for one structure at a time,
+    # so six columns need the working memory of one.  Each structure adds
+    # only its sums and its result dict, about 3.5 KB here against 130 KB
+    # of chunk lists; the result is the caller's, so the peak is taken
+    # above what the result holds once the call returns
+    sec = load_registry()["tables"]["tabf51"]
+    flag = parse_manifold(sec["manifold"])
+    monos = row_monomials(sec["manifold"], flag, sec["rows"])
+    structures = [InvariantACS(tuple(c["signs"])) for c in sec["columns"]]
+    assert len(structures) == 6
+
+    def working_peak(batch):
+        chern_numbers_many(flag, batch, monos)  # fill the manifold's caches
+        tracemalloc.start()
+        try:
+            result = chern_numbers_many(flag, batch, monos)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == len(batch)
+        return peak - held
+
+    assert working_peak(structures) <= 1.1 * working_peak(structures[:1])
 
 
 @pytest.mark.parametrize("name", ["F(4)", "G2/T", "FD(4;1,3)", "F(5;1,2,2)",
@@ -355,12 +419,28 @@ def power_sums_in_chern(n):
     return p[1:]
 
 
+def log_todd_series(order):
+    """Coefficients of log(x / (1 - e^{-x})) up to x^order: the series is
+    inverted, then its log taken by l' = q'/q."""
+    # (1 - e^{-x})/x = sum_{j>=0} (-1)^j x^j / (j+1)!
+    s = [Fraction((-1) ** j, factorial(j + 1)) for j in range(order + 1)]
+    q = [Fraction(1)] + [Fraction(0)] * order
+    for k in range(1, order + 1):
+        q[k] = -sum(s[j] * q[k - j] for j in range(1, k + 1))
+    log = [Fraction(0)] * (order + 1)
+    # k*l_k = k*q_k - sum_{j=1}^{k-1} j*l_j*q_{k-j}
+    for k in range(1, order + 1):
+        log[k] = (k * q[k] - sum(j * log[j] * q[k - j]
+                                 for j in range(1, k))) / k
+    return log
+
+
 def truncated_power_todd(degree):
     """The Todd polynomial as exp(L) = sum_j L^j / j!, every power of L cut
     back to weighted degree <= degree, then the degree-``degree`` part, in
     ``Polynomial`` arithmetic rather than ``todd_polynomial``'s partitions."""
     n = degree
-    series = chern_module._series_log(chern_module._todd_series(n))
+    series = log_todd_series(n)
     psums = power_sums_in_chern(n)
     L = Polynomial.zero(n)
     for k in range(1, n + 1):
@@ -382,6 +462,35 @@ def truncated_power_todd(degree):
 def test_todd_polynomial_matches_truncated_power_expansion(degree):
     assert dict(todd_polynomial(degree).coefficients) \
         == truncated_power_todd(degree)
+
+
+def _clear_todd_caches():
+    for cached in (todd_polynomial, chern_module._todd_piece,
+                   chern_module._power_sum,
+                   chern_module._todd_log_coefficient):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("order", [
+    list(range(1, 13)), list(range(12, 0, -1)),
+    random.Random(3).sample(range(1, 13), 12),
+    random.Random(4).sample(range(1, 13), 12)])
+def test_todd_pieces_are_shared_across_degrees(order):
+    # every degree reads its piece of one recurrence grown to the largest
+    # degree asked for; in any order it equals a fresh single-degree build
+    fresh = {}
+    for d in range(1, 13):
+        _clear_todd_caches()
+        td = todd_polynomial(d)
+        fresh[d] = (list(td.coefficients.items()), td.denominator)
+    _clear_todd_caches()
+    try:
+        for d in order:
+            td = todd_polynomial(d)
+            assert (list(td.coefficients.items()), td.denominator) \
+                == fresh[d], d
+    finally:
+        _clear_todd_caches()
 
 
 @pytest.mark.parametrize("d", range(1, MAX_TODD_DEGREE + 1))

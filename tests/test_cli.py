@@ -255,6 +255,8 @@ def _patch_out_the_kernel(monkeypatch):
 
     for module in (chern, cli, tables):
         monkeypatch.setattr(module, "chern_numbers", _refuse_calls)
+    # chern_numbers_by reaches the fixed-point sum through the section kernel
+    monkeypatch.setattr(chern, "chern_numbers_many", _refuse_calls)
 
 
 @pytest.fixture(scope="module")
@@ -554,8 +556,9 @@ def test_todd_above_its_degree_bound_is_a_usage_error(monkeypatch, capsys):
     import flagchern.chern as chern
 
     assert chern.MAX_TODD_DEGREE == 24
-    monkeypatch.setattr(chern, "_partition_power_sums", _refuse_calls)
-    monkeypatch.setattr(chern, "chern_numbers", _refuse_calls)
+    for builder in ("_todd_piece", "_power_sum", "chern_numbers",
+                    "chern_numbers_many"):
+        monkeypatch.setattr(chern, builder, _refuse_calls)
     code, out = run_cli("chern", "--manifold", "F(10;5,5)", "--todd",
                         "--oracle", "weyl")
     err = capsys.readouterr().err
