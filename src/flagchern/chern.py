@@ -4,39 +4,29 @@ The Chern classes of a structure are never formed as polynomials.  Both
 oracles take c_k as the k-th elementary symmetric function of the signed
 complementary roots, the fixed-point kernel on integer root values and the
 Schubert oracle on Schubert expansions, so both need only the root data.
-Two independent integration oracles are provided, with the same batch
-contract.  ``chern_numbers_many`` is the fixed-point (Atiyah-Bott /
-Berline-Vergne localization) kernel, and ``chern_numbers`` is that kernel
-on one structure: an integral over G/K is a sum over the torus-fixed
-points, one per coset W_K w of the Weyl group, evaluated in exact integers
-at the points (1, ..., 1) and (1, 2, ..., r) on the simple roots (the
-second a guard on the first) and divided once by the positive-root
-product.  It is normalized so the all-plus structure's top Chern class
-integrates to +chi.  It takes several structures of one manifold together,
-a table section's columns for one, and makes one pass over the fixed
-points for all of them.  It walks them in chunks of ``FIXED_POINT_CHUNK``,
-one list entry per point, so that each step of the sum is one C-level pass
-over a chunk rather than a bytecode loop per point.  Per chunk, the root
-images are transposed into one column per root slot, and per sample point
-the K-positive base row and the plus-signed slot columns are built, once
-for all the structures.  Per structure in turn, the elementary symmetric
-functions e_1..e_kmax are built column by column, and the monomials are
-evaluated along the trie of their class degrees (``class_degree_trie``),
-smallest degree first, compiled once per call into flat steps: one row is
-held per depth, each row its parent times one e_k.
+Two independent integration oracles are provided, with one batch contract:
+several structures of one manifold and a batch of monomials in, one dict
+per structure out, in order; a table section's columns are one call.
+``chern_numbers_many`` is the fixed-point (Atiyah-Bott / Berline-Vergne
+localization) kernel, and ``chern_numbers`` is that kernel on one
+structure: an integral over G/K is a sum over the torus-fixed points, one
+per coset W_K w of the Weyl group, evaluated in exact integers at the
+points (1, ..., 1) and (1, 2, ..., r) on the simple roots (the second a
+guard on the first) and divided once by the positive-root product.  It is
+normalized so the all-plus structure's top Chern class integrates to +chi.
+It makes one pass over the fixed points for all the structures, in chunks
+of ``FIXED_POINT_CHUNK`` (``_fixed_point_sums``): per chunk what the signs
+do not change is built once, and the rest per structure in turn.
 
 ``chern_numbers_schubert`` is the second oracle: it multiplies in the
 Schubert basis of H*(G/B) by Chevalley's formula over the Bruhat covers,
 reads off the coefficient of the point class sigma_{w0}, and calibrates it
-against the positive-root product.  It splits
-each monomial's class degrees, largest first, into a head (the largest
-class, times the K-positive roots) and a tail (the rest, from sigma_e), and
-pairs the two halves by Poincare duality, sigma_u sigma_v = sigma_{w0}
-exactly when v = w0 u, so no product climbs above its larger half.  It uses
-no fixed points, no rational functions and no Groebner basis.  The two
-oracles share only the monomial bookkeeping, the class-degree sequences of
-``class_degree_trie``, which the Schubert oracle reads reversed, largest
-degree first.
+against the positive-root product.  Like the kernel, it builds what the
+signs do not change once per call, and the rest per structure in turn.  It
+uses no fixed points, no rational functions and no Groebner basis.  The two
+oracles share only the bookkeeping: the slot signs of ``_slot_signs``, the
+class-degree sequences of ``class_degree_trie``, which the Schubert oracle
+reads reversed, largest degree first, and the exact division.
 
 The universal Todd polynomials are Hirzebruch's multiplicative sequence for
 x / (1 - e^{-x}), built one weighted degree at a time from td = exp(L), in
@@ -165,6 +155,25 @@ def class_degree_trie(monos: Iterable[tuple[int, ...]]) -> tuple[dict, dict]:
     return trie, sequences
 
 
+def _slot_signs(flag: FlagManifold, acs: InvariantACS) -> list[int]:
+    """The structure's sign on each complementary root slot, summand by
+    summand; ValueError unless it has one sign per summand."""
+    summands = flag.summands()
+    if len(acs.signs) != len(summands):
+        raise ValueError(f"structure {acs.label()} has {len(acs.signs)} signs"
+                         f", but {flag.name()} has {len(summands)} summands")
+    return [s for s, part in zip(acs.signs, summands) for _ in part.roots]
+
+
+def _exact_quotient(m: tuple[int, ...], total: int, den: int) -> int:
+    """total / den, the Chern number of ``m``; ArithmeticError unless exact."""
+    value, rest = divmod(total, den)
+    if rest:
+        raise ArithmeticError(f"Chern number {format_cmonomial(m)} is not an "
+                              f"integer: {Fraction(total, den)}")
+    return value
+
+
 # -- Chern numbers: Schubert-calculus oracle --------------------------------
 
 def _chevalley(state: dict[int, int], pairing: Sequence[int],
@@ -207,9 +216,11 @@ def _schubert_top(rs) -> int:
     return top
 
 
-def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
-                           monomials: Iterable) -> dict[tuple[int, ...], int]:
-    """Exact Chern numbers for a batch of c-monomials by Schubert calculus.
+def chern_numbers_schubert(flag: FlagManifold,
+                           structures: Sequence[InvariantACS],
+                           monomials: Iterable) -> list[dict[tuple[int, ...], int]]:
+    """Exact Chern numbers of several structures of one manifold for one
+    batch of c-monomials by Schubert calculus, one dict per structure.
 
     Pulled back to G/B, the integral of p over G/K is chi times the
     sigma_{w0}-coefficient of p times the K-positive roots, over that of the
@@ -231,8 +242,15 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
     (``rootsys._cover_table`` numbers each length by the name w^-1(2 rho),
     and the name of w0 u is minus that of u).  So no state ever climbs
     above the larger half of the product.
+
+    The structures differ only in the signs of the forms, so the cover table
+    and its checks, the trie of tails, e_K, the coroot pairings and chi are
+    taken once per call, and the rest per structure in turn.
     """
     monos = _distinct_top_monomials(flag, monomials)
+    slot_signs = [_slot_signs(flag, acs) for acs in structures]
+    if not structures:
+        return []
     rs = flag.rs
     covers = bruhat_covers(rs)
     starts = covers.starts
@@ -246,25 +264,9 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
     if sizes != sizes[::-1]:
         raise AssertionError(f"Bruhat level sizes {sizes} are not "
                              f"palindromic")
-    forms = [[s * p for p in coroot_pairings(rs, rs.coords[r])]
-             for s, summand in zip(acs.signs, flag.summands())
-             for r in summand.roots]
-    c1 = [sum(col) for col in zip(*forms)]
-    n = len(forms)
-
-    def times_classes(state, ks):
-        """{k: state * c_k} for the sorted class degrees ks, all from one
-        pass of the recurrence up to c_max(ks)."""
-        top_k = ks[-1]
-        if top_k == 1:
-            return {1: _chevalley(state, c1, covers, {})}
-        partial = [state] + [{} for _ in range(top_k)]
-        for i, f in enumerate(forms):
-            # S_j only feeds S_k while n - 1 - i forms remain to raise it
-            for j in range(min(i + 1, top_k), max(0, ks[0] - n + i), -1):
-                if partial[j - 1]:
-                    _chevalley(partial[j - 1], f, covers, partial[j])
-        return {k: {w: c for w, c in partial[k].items() if c} for k in ks}
+    pairings = [coroot_pairings(rs, rs.coords[r])
+                for summand in flag.summands() for r in summand.roots]
+    n = len(pairings)
 
     def check_length(state, d):
         if state and not starts[d] <= min(state) <= max(state) < starts[d + 1]:
@@ -281,39 +283,53 @@ def chern_numbers_schubert(flag: FlagManifold, acs: InvariantACS,
         for k in seq[1:]:
             node = node.setdefault(k, {})
         node[0] = seq[0]
-    state = _root_product(rs, covers, flag.k_positives)
-    ks = sorted({seq[0] for seq in sequences.values()})
-    heads = times_classes(state, ks) if ks else {}
-    for k, head in heads.items():
-        check_length(head, k_length + k)
-    tops = {}
-
-    def walk(state, node, tail, d):
-        check_length(state, d)
-        if 0 in node:
-            head = heads[node[0]]
-            mirror = starts[top_length - d] + starts[d + 1] - 1
-            tops[(node[0],) + tail] = sum(
-                c * head.get(mirror - v, 0) for v, c in state.items())
-        ks = sorted(k for k in node if k)
-        if ks:
-            children = times_classes(state, ks)
-            for k in ks:
-                walk(children.pop(k), node[k], tail + (k,), d + k)
-
-    walk({0: 1}, tails, (), 0)
+    k_product = _root_product(rs, covers, flag.k_positives)
+    head_ks = sorted({seq[0] for seq in sequences.values()})
     chi = flag.euler_characteristic()
     reference = _schubert_top(rs)
-    out: dict[tuple[int, ...], int] = {}
-    for m in monos:
-        total = tops[sequences[m]] * chi
-        value, rest = divmod(total, reference)
-        if rest:
-            raise ArithmeticError(
-                f"Chern number {format_cmonomial(m)} is not an integer: "
-                f"{Fraction(total, reference)}")
-        out[m] = value
-    return out
+
+    def numbers(signs):
+        """One structure's Chern numbers, from its slot signs."""
+        forms = [[s * p for p in ps] for s, ps in zip(signs, pairings)]
+        c1 = [sum(col) for col in zip(*forms)]
+
+        def times_classes(state, ks):
+            """{k: state * c_k} for the sorted class degrees ks, all from
+            one pass of the recurrence up to c_max(ks)."""
+            top_k = ks[-1]
+            if top_k == 1:
+                return {1: _chevalley(state, c1, covers, {})}
+            partial = [state] + [{} for _ in range(top_k)]
+            for i, f in enumerate(forms):
+                # S_j only feeds S_k while n - 1 - i forms remain to raise it
+                for j in range(min(i + 1, top_k), max(0, ks[0] - n + i), -1):
+                    if partial[j - 1]:
+                        _chevalley(partial[j - 1], f, covers, partial[j])
+            return {k: {w: c for w, c in partial[k].items() if c} for k in ks}
+
+        heads = times_classes(k_product, head_ks) if head_ks else {}
+        for k, head in heads.items():
+            check_length(head, k_length + k)
+        tops = {}
+
+        def walk(state, node, tail, d):
+            check_length(state, d)
+            if 0 in node:
+                head = heads[node[0]]
+                mirror = starts[top_length - d] + starts[d + 1] - 1
+                tops[(node[0],) + tail] = sum(
+                    c * head.get(mirror - v, 0) for v, c in state.items())
+            ks = sorted(k for k in node if k)
+            if ks:
+                children = times_classes(state, ks)
+                for k in ks:
+                    walk(children.pop(k), node[k], tail + (k,), d + k)
+
+        walk({0: 1}, tails, (), 0)
+        return {m: _exact_quotient(m, tops[sequences[m]] * chi, reference)
+                for m in monos}
+
+    return [numbers(signs) for signs in slot_signs]
 
 
 # -- Chern numbers: fixed-point oracle ---------------------------------------
@@ -448,8 +464,7 @@ def chern_numbers_many(flag: FlagManifold,
     roots = flag.rs.coords
     vals = [[sum(a * b for a, b in zip(r, pt)) for r in roots]
             for pt in _generic_points(roots)]
-    slot_signs = [[acs.signs[i] for i, s in enumerate(flag.summands())
-                   for _ in s.roots] for acs in structures]
+    slot_signs = [_slot_signs(flag, acs) for acs in structures]
     totals = _fixed_point_sums(flag, slot_signs, vals, monos)
     # both denominators are positive: every positive root is, at both points
     den, den2 = (math.prod(val[i] for i in flag.rs.positive) for val in vals)
@@ -460,12 +475,7 @@ def chern_numbers_many(flag: FlagManifold,
             if num * den2 != num2 * den:
                 raise ArithmeticError(
                     "fixed-point sum disagrees between sample points")
-            value, rest = divmod(num, den)
-            if rest:
-                raise ArithmeticError(
-                    f"Chern number {format_cmonomial(m)} is not an integer: "
-                    f"{Fraction(num, den)}")
-            numbers[m] = value
+            numbers[m] = _exact_quotient(m, num, den)
         out.append(numbers)
     return out
 
@@ -484,19 +494,19 @@ def chern_numbers_by(flag: FlagManifold, structures: Sequence[InvariantACS],
                      monos: list,
                      oracle: str) -> list[dict[tuple[int, ...], int]]:
     """Chern numbers of each structure, one dict per structure in order, by
-    ``chern_numbers_many`` (weyl), ``chern_numbers_schubert`` per structure
-    (schubert, or its deprecated alias groebner) or both, which must agree
-    on every structure.  Each oracle parses and validates each distinct
-    monomial once (``_distinct_top_monomials``), so a batch may repeat
-    monomials, as ``chern --todd`` does with the requested numbers."""
+    one call of ``chern_numbers_many`` (weyl), of ``chern_numbers_schubert``
+    (schubert, or its deprecated alias groebner) or of both, which must
+    agree on every structure.  Each oracle parses and validates each
+    distinct monomial once (``_distinct_top_monomials``), so a batch may
+    repeat monomials, as ``chern --todd`` does with the requested numbers."""
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}")
     if oracle in ("schubert", "groebner"):
-        return [chern_numbers_schubert(flag, acs, monos) for acs in structures]
+        return chern_numbers_schubert(flag, structures, monos)
     weyl = chern_numbers_many(flag, structures, monos)
     if oracle == "both":
-        for acs, numbers in zip(structures, weyl):
-            schubert = chern_numbers_schubert(flag, acs, monos)
+        schuberts = chern_numbers_schubert(flag, structures, monos)
+        for acs, numbers, schubert in zip(structures, weyl, schuberts):
             if numbers != schubert:
                 raise ArithmeticError(
                     f"oracle disagreement on {flag.name()} {acs.label()}: "
@@ -577,7 +587,7 @@ class ToddExpansion:
 # degree, and builds them in 0.05-0.09 s at degree 20, 0.19-0.34 s at 24
 # (1575 terms) and 0.33-0.44 s at 25 (1958 terms; 2 vCPUs, Python 3.11.7).
 # The cap stays at 24 until a check independent of this builder reaches
-# above it (ROADMAP item 1).
+# above it (ROADMAP item 4).
 MAX_TODD_DEGREE = 24
 
 

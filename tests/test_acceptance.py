@@ -291,7 +291,7 @@ def test_criterion_10_projective_space(n):
     acs = InvariantACS((1,))
     c1n = (n,) + (0,) * (n - 1)
     assert chern_numbers(flag, acs, [c1n]) == {c1n: (n + 1) ** n}
-    assert chern_numbers_schubert(flag, acs, [c1n]) == {c1n: (n + 1) ** n}
+    assert chern_numbers_schubert(flag, [acs], [c1n]) == [{c1n: (n + 1) ** n}]
 
 
 @pytest.mark.parametrize("name", ["F(5;1,2,2)", "FD(3;1,2)", "G2-long"])

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -37,7 +38,7 @@ def test_projective_space_oracle(n):
     acs = InvariantACS((1,) * len(flag.summands()))
     c1n = tuple(n if k == 0 else 0 for k in range(n))
     assert chern_numbers(flag, acs, [c1n]) == {c1n: (n + 1) ** n}
-    assert chern_numbers_schubert(flag, acs, [c1n]) == {c1n: (n + 1) ** n}
+    assert chern_numbers_schubert(flag, [acs], [c1n]) == [{c1n: (n + 1) ** n}]
     top = tuple(1 if k == n - 1 else 0 for k in range(n))
     assert chern_numbers(flag, acs, [top]) == {top: n + 1}
 
@@ -54,7 +55,7 @@ def test_monomial_parsing_round_trip():
     # integration front ends
     flag = parse_manifold("SO(5)/T")
     with pytest.raises(ValueError):
-        chern_numbers_schubert(flag, InvariantACS((1, 1, 1, 1)),
+        chern_numbers_schubert(flag, [InvariantACS((1, 1, 1, 1))],
                                [parse_cmonomial("c4", 4),
                                 parse_cmonomial("c1^2", 4)])
 
@@ -136,8 +137,8 @@ def test_dual_oracles_agree(name, signs):
     acs = InvariantACS(signs)
     n = flag.complex_dim
     monos = monomials_of_weighted_degree(n, n)
-    assert chern_numbers(flag, acs, monos) \
-        == chern_numbers_schubert(flag, acs, monos)
+    assert [chern_numbers(flag, acs, monos)] \
+        == chern_numbers_schubert(flag, [acs], monos)
 
 
 def test_all_plus_top_class_is_euler_characteristic():
@@ -167,8 +168,8 @@ def test_dual_oracles_agree_on_every_structure(name):
     stride = max(1, len(structures) // 32)
     for i, acs in enumerate(structures):
         batch = monos if i % stride == 0 else [monos[0], monos[i % len(monos)]]
-        assert chern_numbers(flag, acs, batch) \
-            == chern_numbers_schubert(flag, acs, batch), acs.label()
+        assert [chern_numbers(flag, acs, batch)] \
+            == chern_numbers_schubert(flag, [acs], batch), acs.label()
 
 
 @pytest.mark.parametrize("name", ["FD(4;1,3)", "F(5;1,2,2)", "SO(7)/U(3)",
@@ -183,11 +184,10 @@ def test_chunked_kernel_agrees_with_schubert(name, monkeypatch):
     structures = enumerate_acs(flag, up_to_conjugation=False)
     assert InvariantACS((-1,) * len(flag.summands())) in structures
     picked = structures[::max(1, len(structures) // 8)] + structures[-1:]
-    for acs in picked:
-        assert chern_numbers(flag, acs, monos) \
-            == chern_numbers_schubert(flag, acs, monos), acs.label()
-    assert chern_numbers_many(flag, picked, monos) \
-        == [chern_numbers_schubert(flag, acs, monos) for acs in picked]
+    schubert = chern_numbers_schubert(flag, picked, monos)
+    for acs, numbers in zip(picked, schubert):
+        assert chern_numbers(flag, acs, monos) == numbers, acs.label()
+    assert chern_numbers_many(flag, picked, monos) == schubert
 
 
 def test_kernel_over_more_than_one_chunk():
@@ -210,7 +210,70 @@ def test_kernel_batch_keeps_input_order_and_duplicates():
     single = {m: chern_numbers(flag, acs, [m])[m] for m in batch}
     result = chern_numbers(flag, acs, batch)
     assert list(result) == list(dict.fromkeys(batch))
-    assert result == single == chern_numbers_schubert(flag, acs, batch)
+    assert result == single
+    assert chern_numbers_schubert(flag, [acs], batch) == [result]
+
+
+@pytest.mark.parametrize("oracle", [chern_numbers_many,
+                                    chern_numbers_schubert])
+def test_batch_contract(oracle):
+    # several structures of one manifold in, one dict per structure out, in
+    # input order, each equal to a call on its structure alone
+    flag = parse_manifold("F(4)")
+    structures = [InvariantACS((1,) * 6), InvariantACS((1, 1, 1, 1, 1, -1)),
+                  InvariantACS((1, 1, -1, -1, -1, -1)), InvariantACS((1,) * 6)]
+    batch = [parse_cmonomial(m, 6)
+             for m in ("c6", "c1^6", "c2c4", "c1^6", "c3^2", "c6")]
+    alone = [oracle(flag, [acs], batch)[0] for acs in structures]
+    assert oracle(flag, structures, batch) == alone
+    assert oracle(flag, structures[::-1], batch) == alone[::-1]
+    # a repeated monomial gets one answer, in first-seen order
+    assert all(list(numbers) == list(dict.fromkeys(batch))
+               for numbers in alone)
+    # three different structures, the first repeated last
+    assert len({tuple(n.values()) for n in alone}) == 3
+    assert alone[0] == alone[3]
+    # no structures, no numbers; the monomials are still checked
+    assert oracle(flag, [], batch) == []
+    with pytest.raises(ValueError, match="weighted degree 5, expected 6"):
+        oracle(flag, [], batch + [parse_cmonomial("c5", 6)])
+
+
+@pytest.mark.parametrize("oracle", [chern_numbers_many,
+                                    chern_numbers_schubert])
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1,) * 5, (1, -1) * 3 + (1,)])
+def test_both_oracles_refuse_a_wrong_sign_count(oracle, signs):
+    # F(4) has 6 summands: a structure needs one sign for each
+    flag = parse_manifold("F(4)")
+    acs = InvariantACS(signs)
+    message = re.escape(f"structure {acs.label()} has {len(signs)} signs, "
+                        f"but F(4) has 6 summands")
+    for batch in ([acs], [InvariantACS((1,) * 6), acs]):
+        with pytest.raises(ValueError, match=message):
+            oracle(flag, batch, [(6, 0, 0, 0, 0, 0)])
+
+
+def test_schubert_builds_the_k_positive_product_once_per_call(monkeypatch):
+    # e_K does not depend on the signs: one Schubert call over the four
+    # columns of a section builds it once, not once per column
+    sec = next(s for s in load_registry()["tables"]["tab2"]["sections"]
+               if s["manifold"] == "F(6;1,2,3)")
+    flag = parse_manifold(sec["manifold"])
+    monos = row_monomials(sec["manifold"], flag, sec["rows"])
+    structures = [InvariantACS(tuple(c["signs"])) for c in sec["columns"]]
+    assert len(structures) == 4
+    chern_module._schubert_top(flag.rs)  # the reference product, cached
+    calls = []
+    real = chern_module._root_product
+
+    def counting(rs, covers, roots):
+        calls.append(roots)
+        return real(rs, covers, roots)
+
+    monkeypatch.setattr(chern_module, "_root_product", counting)
+    assert chern_numbers_schubert(flag, structures, monos) \
+        == chern_numbers_many(flag, structures, monos)
+    assert calls == [flag.k_positives]
 
 
 def test_kernel_guards_refuse_a_missing_fixed_point(monkeypatch):
@@ -248,8 +311,8 @@ def _registry_sections():
 
 @pytest.mark.parametrize("sec", _registry_sections())
 def test_section_call_equals_one_call_per_column(sec):
-    # the F(8) sections included: the kernel shares a chunk's columns
-    # between the structures, and each result must be its own
+    # the F(8) sections included: each oracle shares what the signs do not
+    # change between the structures, and each result must be its own
     flag = parse_manifold(sec["manifold"])
     monos = row_monomials(sec["manifold"], flag, sec["rows"])
     structures = [InvariantACS(tuple(c["signs"])) for c in sec["columns"]]
@@ -259,6 +322,7 @@ def test_section_call_equals_one_call_per_column(sec):
     assert chern_numbers_many(flag, structures[::-1], monos) \
         == per_column[::-1]
     assert chern_numbers_many(flag, [], monos) == []
+    assert chern_numbers_schubert(flag, structures, monos) == per_column
 
 
 def test_section_call_holds_about_one_structure_of_memory():
@@ -346,9 +410,9 @@ def test_schubert_batch_builds_the_cover_table_once(monkeypatch):
         flag = parse_manifold(name)
         n = flag.complex_dim
         monos = monomials_of_weighted_degree(n, n)
-        for acs in enumerate_acs(flag)[:3]:
-            assert chern_numbers_schubert(flag, acs, monos) \
-                == chern_numbers(flag, acs, monos)
+        structures = enumerate_acs(flag)[:3]
+        assert chern_numbers_schubert(flag, structures, monos) \
+            == chern_numbers_many(flag, structures, monos)
     assert calls == [("A", 4)]
 
 
@@ -373,10 +437,10 @@ def test_schubert_oracle_checks_its_final_state(monkeypatch):
         monkeypatch.setattr(chern_module, "bruhat_covers",
                             lambda rs, s=starts: replace(real, starts=s))
         with pytest.raises(AssertionError, match=message):
-            chern_numbers_schubert(flag, acs, [c1n])
+            chern_numbers_schubert(flag, [acs], [c1n])
     monkeypatch.undo()
-    assert chern_numbers_schubert(flag, acs, [c1n]) \
-        == chern_numbers(flag, acs, [c1n])
+    assert chern_numbers_schubert(flag, [acs], [c1n]) \
+        == [chern_numbers(flag, acs, [c1n])]
 
     # a cover table whose top index is wrong misreads the positive-root
     # product, which calibrates every number
@@ -390,7 +454,7 @@ def test_schubert_oracle_checks_its_final_state(monkeypatch):
     monkeypatch.setattr(rootsys, "_cover_table", wrong_top)
     flag = parse_manifold("F(4)")
     with pytest.raises(AssertionError, match="w0"):
-        chern_numbers_schubert(flag, acs, [c1n])
+        chern_numbers_schubert(flag, [acs], [c1n])
 
 
 def test_schubert_oracle_refuses_a_fractional_number(monkeypatch):
@@ -399,11 +463,11 @@ def test_schubert_oracle_refuses_a_fractional_number(monkeypatch):
     flag = parse_manifold("F(4)")
     acs = InvariantACS((1,) * 6)
     c1n = (6, 0, 0, 0, 0, 0)
-    assert chern_numbers_schubert(flag, acs, [c1n]) == {c1n: 46080}
+    assert chern_numbers_schubert(flag, [acs], [c1n]) == [{c1n: 46080}]
     monkeypatch.setattr(chern_module, "_schubert_top", lambda rs: 7 * 24)
     with pytest.raises(ArithmeticError,
                        match="^Chern number c1\\^6 is not an integer: 46080/7$"):
-        chern_numbers_schubert(flag, acs, [c1n])
+        chern_numbers_schubert(flag, [acs], [c1n])
 
 
 def power_sums_in_chern(n):

@@ -321,8 +321,8 @@ def test_exit_code_internal_on_oracle_disagreement(monkeypatch):
     # chern and table share one oracle dispatch, chern.chern_numbers_by
     import flagchern.chern as chern
 
-    def wrong(flag, acs, monos):
-        return {m: 10 ** 9 for m in monos}
+    def wrong(flag, structures, monos):
+        return [{m: 10 ** 9 for m in monos} for _ in structures]
 
     monkeypatch.setattr(chern, "chern_numbers_schubert", wrong)
     assert run_cli("chern", "--manifold", "SO(5)/T",

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import flagchern
@@ -212,3 +213,12 @@ def test_root_data_and_polynomial_halves_share_no_import():
                 for stem in half}
     assert {stem: c for stem, c in crossing.items() if c} == {}
     assert package_imports(src / "cli.py") >= {"chern", "groebner"}
+
+
+def test_both_oracles_keep_one_call_shape():
+    # chern_numbers_by calls each oracle once with the same arguments: a
+    # manifold, its structures and one batch of monomials
+    shapes = [list(inspect.signature(f).parameters)
+              for f in (flagchern.chern_numbers_many,
+                        flagchern.chern_numbers_schubert)]
+    assert shapes[0] == shapes[1] == ["flag", "structures", "monomials"]
