@@ -22,7 +22,7 @@ from .groebner import (MonomialOrder, GroebnerBasis, buchberger, normal_form,
                        quotient_dimension, borel_generators)
 from .flagmodel import (FlagManifold, IsotropySummand, InvariantACS, ACSClass,
                         flag_manifold, parse_manifold, t_root_decomposition,
-                        enumerate_acs, is_integrable, classify_acs)
+                        enumerate_acs, classify_acs)
 from .chern import (chern_numbers, chern_numbers_many, chern_numbers_schubert,
                     todd_polynomial, todd_genus, parse_cmonomial,
                     format_cmonomial, monomials_of_weighted_degree)
@@ -36,8 +36,7 @@ __all__ = [
     "quotient_dimension", "borel_generators",
     "FlagManifold", "IsotropySummand", "InvariantACS", "ACSClass",
     "flag_manifold", "parse_manifold", "t_root_decomposition",
-    "enumerate_acs",
-    "is_integrable", "classify_acs",
+    "enumerate_acs", "classify_acs",
     "chern_numbers", "chern_numbers_many", "chern_numbers_schubert",
     "todd_polynomial", "todd_genus",
     "parse_cmonomial", "format_cmonomial", "monomials_of_weighted_degree",

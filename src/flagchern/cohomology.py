@@ -6,8 +6,10 @@ A :class:`PresentationCase` packages a polynomial presentation of a
 cohomology ring — ideal generators, claimed multiplicative relations, and a
 claimed top-degree class.  ``verify_relations`` checks that every claimed
 relation lies in the ideal; ``top_class_certificate`` produces the nonzero
-scalar relating the claimed top class to the canonical top normal monomial
-(its nonvanishing certifies that the class generates the top cohomology).
+scalar relating the claimed top class to the top staircase monomial (its
+nonvanishing certifies that the class generates the top cohomology).  The
+quotient dimension and that monomial come from one walk over the staircase
+of ``groebner`` that lists no monomial below the top degree.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import comb, factorial
 
 from .groebner import (GroebnerBasis, MonomialOrder, _complete_homogeneous,
                        borel_generators, buchberger, normal_form,
-                       staircase_monomials)
+                       quotient_dimension, top_staircase_monomial)
 from .polyring import Polynomial
 
 
@@ -132,7 +134,7 @@ def projectivized_tangent_presentation(n: int) -> PresentationCase:
 def presentation_case(tag: str) -> PresentationCase:
     """Build a named case: a-full:N, b-full:N, c-full:N, so6-groebner,
     proj-tangent:N."""
-    kind, _, arg = tag.partition(":")
+    kind, sep, arg = tag.partition(":")
     kind = kind.lower()
     if kind in ("a-full", "b-full", "c-full"):
         if not arg:
@@ -155,6 +157,9 @@ def presentation_case(tag: str) -> PresentationCase:
                                 generators=tuple(gens), relations=tuple(rels),
                                 top_class=top, expected_quotient_dim=dim)
     if kind == "so6-groebner":
+        if sep:
+            raise ValueError(f"case so6-groebner takes no parameter; "
+                             f"got {tag!r}")
         gens = borel_generators("D", 3)
         y = Polynomial.variable(3, 1)
         z = Polynomial.variable(3, 2)
@@ -194,21 +199,10 @@ def verify_claimed_basis(case: PresentationCase, gb: GroebnerBasis) -> bool:
     return set(gb.generators) == set(case.claimed_basis)
 
 
-def top_normal_monomial(mons: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The unique monomial of maximal total degree among the staircase
-    monomials ``mons``."""
-    top_deg = max(sum(m) for m in mons)
-    tops = [m for m in mons if sum(m) == top_deg]
-    if len(tops) != 1:
-        raise ValueError(f"top staircase degree {top_deg} is not "
-                         f"one-dimensional: {tops}")
-    return tops[0]
-
-
 def top_class_certificate(case: PresentationCase, gb: GroebnerBasis,
                           mono: tuple[int, ...]) -> Fraction:
     """The scalar lambda with NF(top_class * extra_factors) = lambda * mono,
-    the canonical top normal monomial of ``gb``.  lambda = 0 raises
+    the top staircase monomial of ``gb``.  lambda = 0 raises
     :class:`CertificateError`."""
     r = normal_form(case.top_class, gb)
     for f in case.extra_factors:
@@ -227,14 +221,15 @@ def top_class_certificate(case: PresentationCase, gb: GroebnerBasis,
 def verify_case(case: PresentationCase) -> dict:
     """Run every check the case supports; returns a summary dict."""
     gb = case.groebner()
-    mons = staircase_monomials(gb, case.nvars)
+    dim = quotient_dimension(gb, case.nvars)
     out = {"case": case.name, "relations_ok": verify_relations(case, gb),
-           "quotient_dim": len(mons),
-           "quotient_dim_ok": len(mons) == case.expected_quotient_dim}
+           "quotient_dim": dim,
+           "quotient_dim_ok": dim == case.expected_quotient_dim}
     if case.claimed_basis:
         out["claimed_basis_ok"] = verify_claimed_basis(case, gb)
     try:
-        lam = top_class_certificate(case, gb, top_normal_monomial(mons))
+        lam = top_class_certificate(
+            case, gb, top_staircase_monomial(gb, case.nvars))
         out["certificate"] = lam
         out["certificate_ok"] = True
     except CertificateError as exc:

@@ -335,16 +335,10 @@ def enumerate_acs(flag: FlagManifold, up_to_conjugation: bool = True) -> list[In
         (1, -1), repeat=_summand_count(flag) - len(head))]
 
 
-def is_integrable(flag: FlagManifold, acs: InvariantACS) -> bool:
-    """True iff the K-roots together with the +1 roots form a closed root
-    subset: no entry of ``flag.closure_table`` adds two +1 roots to a -1 root."""
-    s = acs.signs
-    return not any(s[i] == p and s[j] == q and s[k] != r
-                   for i, p, j, q, k, r in flag.closure_table)
-
-
 def integrable_sign_vectors(flag: FlagManifold) -> set[tuple[int, ...]]:
-    """Every sign vector that ``is_integrable`` accepts, conjugates included.
+    """Every integrable sign vector, conjugates included: those that break
+    no entry of ``flag.closure_table``, so that the K-roots and the +1 roots
+    form a closed root subset (Borel and Hirzebruch, Amer. J. Math. 80, 1958).
 
     The vectors are grown one summand at a time, and each entry of
     ``flag.closure_table`` is tested as soon as its largest summand index is

@@ -214,48 +214,47 @@ def _slices(lts: list[tuple[int, ...]]):
         yield a, b, [e[1:] for e in lts if e[0] <= a]
 
 
-def _staircase(lts: list[tuple[int, ...]], nvars: int) -> list[tuple[int, ...]]:
+def _staircase(lts: list[tuple[int, ...]], nvars: int
+               ) -> tuple[int, int, list[tuple[int, ...]]]:
+    """The number of monomials under the staircase of ``lts``, their largest
+    total degree (-1 when there are none), and the monomials of that degree
+    in increasing lex order, walked run by run without listing the rest; a
+    quotient that is not finite-dimensional raises ValueError."""
     if any(not any(e) for e in lts):  # the ideal holds 1
-        return []
+        return 0, -1, []
     if nvars == 0:
-        return [()]
-    out = []
+        return 1, 0, [()]
+    count, top, tops = 0, -1, []
     for a, b, cut in _slices(lts):
-        tails = _staircase(cut, nvars - 1)
-        if b is None:
-            if tails:
-                raise ValueError("quotient is not finite-dimensional")
-        else:
-            out += [(x, *t) for x in range(a, b) for t in tails]
-    return out
-
-
-def _staircase_count(lts: list[tuple[int, ...]], nvars: int) -> int:
-    if any(not any(e) for e in lts):
-        return 0
-    if nvars == 0:
-        return 1
-    total = 0
-    for a, b, cut in _slices(lts):
-        width = _staircase_count(cut, nvars - 1)
+        width, deg, tails = _staircase(cut, nvars - 1)
         if b is None:
             if width:
                 raise ValueError("quotient is not finite-dimensional")
-        else:
-            total += (b - a) * width
-    return total
-
-
-def staircase_monomials(gb: GroebnerBasis, nvars: int) -> list[tuple[int, ...]]:
-    """All monomials outside the leading-term ideal, in increasing lex order;
-    a quotient that is not finite-dimensional raises ValueError."""
-    return _staircase(gb.leading_terms(), nvars)
+        elif width:
+            count += (b - a) * width
+            # the slices of a run are equal: its top degree is at x_0 = b - 1
+            if b - 1 + deg > top:
+                top, tops = b - 1 + deg, []
+            if b - 1 + deg == top:
+                tops += [(b - 1, *t) for t in tails]
+    return count, top, tops
 
 
 def quotient_dimension(gb: GroebnerBasis, nvars: int) -> int:
     """Vector-space dimension of the quotient ring: the number of monomials
-    under the staircase, counted run by run without listing them."""
-    return _staircase_count(gb.leading_terms(), nvars)
+    under the staircase, counted run by run without listing them; a
+    quotient that is not finite-dimensional raises ValueError."""
+    return _staircase(gb.leading_terms(), nvars)[0]
+
+
+def top_staircase_monomial(gb: GroebnerBasis, nvars: int) -> tuple[int, ...]:
+    """The unique monomial of largest total degree under the staircase; a
+    top degree with more than one monomial, or none, raises ValueError."""
+    _, top, tops = _staircase(gb.leading_terms(), nvars)
+    if len(tops) != 1:
+        raise ValueError(f"top staircase degree {top} is not "
+                         f"one-dimensional: {tops}")
+    return tops[0]
 
 
 # -- Borel presentations ------------------------------------------------

@@ -87,15 +87,16 @@ def test_second_chern_command_reuses_the_manifold(monkeypatch):
 @pytest.mark.parametrize("name", ["F(4)", "F(5;1,2,2)", "G2-long",
                                   "FD(4;1,1,1,1)"])
 def test_acs_list_gives_each_structure_its_integrability(name):
-    # one prefix enumeration serves the whole list; its verdicts are those
-    # of is_integrable on each structure
-    from flagchern.flagmodel import enumerate_acs, is_integrable
+    # one prefix enumeration serves the whole list; each structure's verdict
+    # is its membership in the integrable sign vectors
+    from flagchern.flagmodel import enumerate_acs, integrable_sign_vectors
 
     flag = parse_manifold(name)
+    integrable = integrable_sign_vectors(flag)
     code, out = run_cli("acs", "list", name, "--format", "json")
     assert code == 0
     assert json.loads(out)["structures"] == [
-        {"signs": acs.label(), "integrable": is_integrable(flag, acs)}
+        {"signs": acs.label(), "integrable": acs.signs in integrable}
         for acs in enumerate_acs(flag)]
 
 
@@ -220,6 +221,14 @@ def test_cohomology_verify_csv_holds_the_markdown_items():
     code, md = run_cli("cohomology", "verify", "--case", "so6-groebner")
     assert md.splitlines()[1:] == [f"  {k}: {v}" for k, v in rows[3:]]
     assert dict(rows[1:])["certificate"] == "-2"
+
+
+def test_cohomology_verify_refuses_a_parameter_on_so6(capsys):
+    # so6-groebner is one fixed case: a parameter is refused, not dropped
+    assert run_cli("cohomology", "verify", "--case", "so6-groebner:3") \
+        == (1, "")
+    assert capsys.readouterr().err == ("usage error: case so6-groebner takes "
+                                       "no parameter; got 'so6-groebner:3'\n")
 
 
 def test_verify_sweep(monkeypatch):

@@ -1,15 +1,16 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
+from operator import le
 
 import pytest
 
 from flagchern.cohomology import (CASE_EXAMPLES, CertificateError,
-                                  presentation_case,
-                                  staircase_monomials, top_class_certificate,
-                                  top_normal_monomial, verify_case,
-                                  verify_claimed_basis, verify_relations)
+                                  presentation_case, top_class_certificate,
+                                  verify_case, verify_claimed_basis,
+                                  verify_relations)
 from flagchern.groebner import MonomialOrder, buchberger, normal_form, \
-    quotient_dimension
+    quotient_dimension, top_staircase_monomial
 from flagchern.polyring import Polynomial
 
 
@@ -38,7 +39,7 @@ def test_so6_claimed_basis_is_the_computed_reduced_basis():
     case = presentation_case("so6-groebner")
     gb = case.groebner()
     assert verify_claimed_basis(case, gb)
-    mono = top_normal_monomial(staircase_monomials(gb, 3))
+    mono = top_staircase_monomial(gb, 3)
     assert mono == (0, 2, 4)
     lam = top_class_certificate(case, gb, mono)
     assert lam != 0 and lam == Fraction(-2)
@@ -48,7 +49,7 @@ def test_certificate_rejects_zero_class():
     case = presentation_case("so6-groebner")
     gb = case.groebner()
     zero_class = case.generators[0]  # an ideal member reduces to 0
-    mono = top_normal_monomial(staircase_monomials(gb, 3))
+    mono = top_staircase_monomial(gb, 3)
     with pytest.raises(CertificateError):
         top_class_certificate(replace(case, top_class=zero_class), gb, mono)
 
@@ -62,7 +63,7 @@ def test_certificate_independent_of_monomial_order():
         # reuse the claimed top class against each order's staircase
         r = normal_form(base.top_class, gb)
         assert not r.is_zero()
-        lams.append(len(staircase_monomials(gb, base.nvars)))
+        lams.append(quotient_dimension(gb, base.nvars))
     assert lams == [24, 24, 24]
 
 
@@ -76,15 +77,24 @@ def test_su3_full_flag_products():
     assert normal_form(x1 ** 3, gb).is_zero()
     top = normal_form(x1 * x2 ** 2, gb)
     assert not top.is_zero()
-    assert set(top.terms) == {top_normal_monomial(staircase_monomials(gb, 3))}
+    assert set(top.terms) == {top_staircase_monomial(gb, 3)}
 
 
 def test_staircase_count_equals_quotient_dimension():
+    # the walker against a listing of the monomials that no leading term
+    # divides; the pure powers bound every exponent by the largest one
     for tag in ("a-full:3", "b-full:2", "so6-groebner"):
         case = presentation_case(tag)
         gb = case.groebner()
-        assert len(staircase_monomials(gb, case.nvars)) \
-            == quotient_dimension(gb, case.nvars)
+        lts = gb.leading_terms()
+        listed = [m for m in itertools.product(range(max(map(max, lts))),
+                                               repeat=case.nvars)
+                  if not any(all(map(le, e, m)) for e in lts)]
+        assert quotient_dimension(gb, case.nvars) == len(listed) \
+            == case.expected_quotient_dim
+        top = max(map(sum, listed))
+        assert [m for m in listed if sum(m) == top] \
+            == [top_staircase_monomial(gb, case.nvars)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -100,7 +110,7 @@ def test_proj_tangent_top_class():
     case = presentation_case("proj-tangent:3")
     gb = case.groebner()
     # the unique top staircase monomial has the full degree 2n+1 = 7
-    mono = top_normal_monomial(staircase_monomials(gb, 2))
+    mono = top_staircase_monomial(gb, 2)
     assert sum(mono) == 7
     assert top_class_certificate(case, gb, mono) != 0
 
@@ -111,3 +121,8 @@ def test_unknown_case_rejected():
             presentation_case(tag)
     with pytest.raises(ValueError):
         presentation_case("a-full")
+    # so6-groebner is one fixed case: a parameter is refused, not dropped
+    for tag in ("so6-groebner:3", "so6-groebner:"):
+        with pytest.raises(ValueError, match="case so6-groebner takes no "
+                                             "parameter; got " + repr(tag)):
+            presentation_case(tag)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from flagchern import flagmodel
 from flagchern.flagmodel import (ACSClass, InvariantACS, classify_acs,
                                  enumerate_acs, inner_summand_actions,
-                                 integrable_sign_vectors, is_integrable,
-                                 parse_manifold)
+                                 integrable_sign_vectors, parse_manifold)
 from flagchern import rootsys
 from flagchern.rootsys import weyl_group, weyl_order
 from flagchern.tables import load_registry
@@ -208,28 +207,24 @@ def test_three_summand_integrability_pattern():
     # conjugation classes are integrable
     for name in ("F(6;1,2,3)", "F(7;1,2,4)", "F(5;1,2,2)"):
         flag = parse_manifold(name)
-        verdicts = [is_integrable(flag, a) for a in enumerate_acs(flag)]
+        integrable = integrable_sign_vectors(flag)
+        verdicts = [a.signs in integrable for a in enumerate_acs(flag)]
         assert sorted(verdicts) == [False, True, True, True]
-        assert is_integrable(flag, InvariantACS((1, 1, 1)))
+        assert (1, 1, 1) in integrable
 
 
 def test_g2_partial_integrability():
-    long_flag = parse_manifold("G2-long")
-    verdicts = {a.signs: is_integrable(long_flag, a)
-                for a in enumerate_acs(long_flag)}
-    assert verdicts[(1, 1, 1)] is True
-    assert sum(verdicts.values()) == 1  # only the all-plus one
-
-    short_flag = parse_manifold("G2-short")
-    verdicts = {a.signs: is_integrable(short_flag, a)
-                for a in enumerate_acs(short_flag)}
-    assert verdicts == {(1, 1): True, (1, -1): False}
+    # only the all-plus structure and its conjugate
+    assert integrable_sign_vectors(parse_manifold("G2-long")) == {
+        (1, 1, 1), (-1, -1, -1)}
+    assert integrable_sign_vectors(parse_manifold("G2-short")) == {
+        (1, 1), (-1, -1)}
 
 
 def test_full_flag_all_plus_is_integrable():
     for name in ("F(4)", "F(5)", "G2/T", "SO(5)/T", "Sp(2)/T", "Sp(3)/T"):
         flag = parse_manifold(name)
-        assert is_integrable(flag, InvariantACS((1,) * len(flag.summands())))
+        assert (1,) * len(flag.summands()) in integrable_sign_vectors(flag)
 
 
 @given(st.sampled_from(["F(4)", "F(5;1,2,2)", "FD(3;1,2)", "G2/T"]),
@@ -239,8 +234,9 @@ def test_integrability_invariant_under_conjugation(name, data):
     flag = parse_manifold(name)
     s = len(flag.summands())
     signs = tuple(data.draw(st.sampled_from([1, -1])) for _ in range(s))
-    acs = InvariantACS(signs)
-    assert is_integrable(flag, acs) == is_integrable(flag, acs.conjugate())
+    integrable = integrable_sign_vectors(flag)
+    conjugate = InvariantACS(signs).conjugate().signs
+    assert (signs in integrable) == (conjugate in integrable)
 
 
 def test_classes_partition_the_census():
@@ -248,14 +244,15 @@ def test_classes_partition_the_census():
     classes = classify_acs(flag)
     members = [m.signs for c in classes for m in c.members]
     assert len(members) == len(set(members)) == 32
+    integrable = integrable_sign_vectors(flag)
     for c in classes:
         for m in c.members:
-            assert is_integrable(flag, m) == c.integrable
+            assert (m.signs in integrable) == c.integrable
 
 
 def reference_classify(flag):
-    """The classification as a sweep over all 2^s sign vectors: each is
-    tested by ``is_integrable`` on its own, and each orbit is built by
+    """The classification as a sweep over all 2^s sign vectors: each reads
+    its verdict from ``integrable_sign_vectors``, and each orbit is built by
     applying every action entry by entry."""
     s = len(flag.summands())
     actions = inner_summand_actions(flag)
@@ -269,7 +266,8 @@ def reference_classify(flag):
             out.add(tuple(img))
         return out
 
-    integrable = {v: is_integrable(flag, InvariantACS(v))
+    accepted = integrable_sign_vectors(flag)
+    integrable = {v: v in accepted
                   for v in itertools.product((1, -1), repeat=s)}
     seen = set()
     classes = []
@@ -355,11 +353,15 @@ def test_class_sizes_add_up_to_the_census(name):
 
 @pytest.mark.parametrize("name", CLASSIFIED)
 def test_prefix_enumerator_finds_exactly_the_integrable_vectors(name):
+    # the pruned growth against a sweep of every sign vector over the same
+    # closure table; the table itself is checked against the closedness
+    # definition by test_is_integrable_matches_closure_definition
     flag = parse_manifold(name)
     s = len(flag.summands())
     assert integrable_sign_vectors(flag) == {
         v for v in itertools.product((1, -1), repeat=s)
-        if is_integrable(flag, InvariantACS(v))}
+        if not any(v[i] == p and v[j] == q and v[k] != r
+                   for i, p, j, q, k, r in flag.closure_table)}
 
 
 def test_prefix_enumerator_refuses_too_many_summands():
@@ -558,9 +560,9 @@ def test_is_integrable_matches_closure_definition(name):
     flag = parse_manifold(name)
     k_roots = reference_k_roots(flag)
     s = len(flag.summands())
-    for signs in itertools.product((1, -1), repeat=s):
-        assert is_integrable(flag, InvariantACS(signs)) \
-            == reference_is_integrable(flag, k_roots, signs), signs
+    assert integrable_sign_vectors(flag) == {
+        signs for signs in itertools.product((1, -1), repeat=s)
+        if reference_is_integrable(flag, k_roots, signs)}
 
 
 @pytest.mark.parametrize("name", [

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from flagchern.groebner import (GroebnerBasis, MonomialOrder,
                                 _complete_homogeneous, borel_generators,
                                 buchberger, normal_form, quotient_dimension,
-                                s_polynomial, staircase_monomials)
+                                s_polynomial, top_staircase_monomial)
 from flagchern.polyring import Polynomial
 
 
@@ -239,20 +240,6 @@ def _monomial_basis(nvars, exps_list):
                          MonomialOrder("lex"))
 
 
-def _listed_dimension(gb, nvars):
-    try:
-        return len(staircase_monomials(gb, nvars))
-    except ValueError:
-        return None
-
-
-def _counted_dimension(gb, nvars):
-    try:
-        return quotient_dimension(gb, nvars)
-    except ValueError:
-        return None
-
-
 @st.composite
 def monomial_ideal(draw):
     nvars = draw(st.integers(2, 4))
@@ -282,15 +269,25 @@ def _brute_staircase(nvars, gens):
 @given(monomial_ideal())
 @settings(max_examples=200, deadline=None)
 def test_quotient_dimension_counts_the_listed_staircase(ideal):
+    # the walker's count and top monomial against the brute-force listing
     nvars, gens = ideal
     gb = _monomial_basis(nvars, gens)
     listed = _brute_staircase(nvars, gens)
     if listed is None:
-        with pytest.raises(ValueError, match="not finite-dimensional"):
-            staircase_monomials(gb, nvars)
-    else:
-        assert staircase_monomials(gb, nvars) == listed
-    assert _counted_dimension(gb, nvars) == _listed_dimension(gb, nvars)
+        for walk in (quotient_dimension, top_staircase_monomial):
+            with pytest.raises(ValueError, match="not finite-dimensional"):
+                walk(gb, nvars)
+        return
+    assert quotient_dimension(gb, nvars) == len(listed)
+    top = max(map(sum, listed), default=-1)
+    tops = [m for m in listed if sum(m) == top]
+    if len(tops) == 1:
+        assert top_staircase_monomial(gb, nvars) == tops[0]
+    else:  # no monomial at all, or several of the top degree
+        with pytest.raises(ValueError, match=re.escape(
+                f"top staircase degree {top} is not one-dimensional: "
+                f"{tops}")):
+            top_staircase_monomial(gb, nvars)
 
 
 def test_quotient_dimension_refuses_an_infinite_quotient():
@@ -310,8 +307,15 @@ def test_quotient_dimension_counts_without_listing():
     ("D", range(2, 5))])
 def test_quotient_dimension_counts_the_borel_staircases(borel_basis, family,
                                                          ranks):
-    for rank in ranks:
-        gb = borel_basis(family, rank)
-        nvars = rank + 1 if family == "A" else rank
-        assert quotient_dimension(gb, nvars) == len(
-            staircase_monomials(gb, nvars))
+    # |W| monomials, the top one in the degree of the number of positive
+    # roots: (n+1)! and n(n+1)/2 for A_n, 2^n n! and n^2 for B_n and C_n,
+    # 2^(n-1) n! and n(n-1) for D_n
+    for n in ranks:
+        gb = borel_basis(family, n)
+        nvars = n + 1 if family == "A" else n
+        order, top = {"A": (factorial(n + 1), n * (n + 1) // 2),
+                      "B": (2 ** n * factorial(n), n * n),
+                      "C": (2 ** n * factorial(n), n * n),
+                      "D": (2 ** (n - 1) * factorial(n), n * (n - 1))}[family]
+        assert quotient_dimension(gb, nvars) == order
+        assert sum(top_staircase_monomial(gb, nvars)) == top

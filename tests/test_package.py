@@ -222,3 +222,28 @@ def test_both_oracles_keep_one_call_shape():
               for f in (flagchern.chern_numbers_many,
                         flagchern.chern_numbers_schubert)]
     assert shapes[0] == shapes[1] == ["flag", "structures", "monomials"]
+
+
+# public names that only the benchmark reads, each with the file that pins it
+PINNED_BY_BENCHMARK = {
+    "chern_numbers": "perfbench/tracing.py",
+    "monomials_of_weighted_degree": "perfbench/tests/test_bench_reference.py",
+}
+
+
+def test_every_public_name_has_a_program_reader():
+    # a public name that no module but __init__ and no script reads is dead
+    # API; importing a name does not read it
+    sources = [p for p in (REPO / "src" / "flagchern").glob("*.py")
+               if p.name != "__init__.py"] + [*(REPO / "scripts").glob("*.py")]
+    read = set()
+    for p in sources:
+        for n in ast.walk(ast.parse(p.read_text())):
+            if isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    unread = set(flagchern.__all__) - read - {"__version__"}
+    assert unread == set(PINNED_BY_BENCHMARK)
+    for name, path in PINNED_BY_BENCHMARK.items():
+        assert name in (REPO / path).read_text()
