@@ -630,7 +630,7 @@ def orientation_sign(flag: FlagManifold, acs: InvariantACS) -> int:
 
 
 def todd_genus(flag: FlagManifold, acs: InvariantACS,
-               numbers: Mapping[tuple[int, ...], int]) -> Fraction:
+               numbers: Mapping[tuple[int, ...], int]) -> int:
     """Integral of the top Todd polynomial of the tangent bundle.
 
     Evaluated against the fundamental class oriented by the structure itself
@@ -639,10 +639,15 @@ def todd_genus(flag: FlagManifold, acs: InvariantACS,
     numbers, in that all-plus orientation, of at least the Todd polynomial's
     monomials, from either oracle.  The sum is taken in integers, each
     coefficient's numerator over the polynomial's one denominator, and
-    divided once.
+    divided once, exactly: the genus is the index of the spin^c Dirac
+    operator, so a remainder raises ArithmeticError.
     """
     td = todd_polynomial(flag.complex_dim)
     den = td.denominator
     total = sum(c.numerator * (den // c.denominator) * numbers[m]
                 for m, c in td.coefficients.items())
-    return orientation_sign(flag, acs) * Fraction(total, den)
+    genus, rest = divmod(total, den)
+    if rest:
+        raise ArithmeticError(f"Todd genus of {flag.name()} {acs.label()} is "
+                              f"not an integer: {Fraction(total, den)}")
+    return orientation_sign(flag, acs) * genus

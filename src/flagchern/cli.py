@@ -288,11 +288,10 @@ def _is_term(term, nvars: int) -> bool:
 
 def cmd_groebner(args, out) -> int:
     gens = _load_ideal(args.ideal)
-    nvars = gens[0].nvars
     order = MonomialOrder(args.order)
     gb = buchberger(gens, order)
     try:
-        qdim = quotient_dimension(gb, nvars)
+        qdim = quotient_dimension(gb)
     except ValueError:
         qdim = None
     if args.format == "json":

@@ -221,7 +221,7 @@ def top_class_certificate(case: PresentationCase, gb: GroebnerBasis,
 def verify_case(case: PresentationCase) -> dict:
     """Run every check the case supports; returns a summary dict."""
     gb = case.groebner()
-    dim = quotient_dimension(gb, case.nvars)
+    dim = quotient_dimension(gb)
     out = {"case": case.name, "relations_ok": verify_relations(case, gb),
            "quotient_dim": dim,
            "quotient_dim_ok": dim == case.expected_quotient_dim}
@@ -229,7 +229,7 @@ def verify_case(case: PresentationCase) -> dict:
         out["claimed_basis_ok"] = verify_claimed_basis(case, gb)
     try:
         lam = top_class_certificate(
-            case, gb, top_staircase_monomial(gb, case.nvars))
+            case, gb, top_staircase_monomial(gb))
         out["certificate"] = lam
         out["certificate_ok"] = True
     except CertificateError as exc:

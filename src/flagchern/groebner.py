@@ -240,17 +240,17 @@ def _staircase(lts: list[tuple[int, ...]], nvars: int
     return count, top, tops
 
 
-def quotient_dimension(gb: GroebnerBasis, nvars: int) -> int:
+def quotient_dimension(gb: GroebnerBasis) -> int:
     """Vector-space dimension of the quotient ring: the number of monomials
     under the staircase, counted run by run without listing them; a
     quotient that is not finite-dimensional raises ValueError."""
-    return _staircase(gb.leading_terms(), nvars)[0]
+    return _staircase(gb.leading_terms(), gb.generators[0].nvars)[0]
 
 
-def top_staircase_monomial(gb: GroebnerBasis, nvars: int) -> tuple[int, ...]:
+def top_staircase_monomial(gb: GroebnerBasis) -> tuple[int, ...]:
     """The unique monomial of largest total degree under the staircase; a
     top degree with more than one monomial, or none, raises ValueError."""
-    _, top, tops = _staircase(gb.leading_terms(), nvars)
+    _, top, tops = _staircase(gb.leading_terms(), gb.generators[0].nvars)
     if len(tops) != 1:
         raise ValueError(f"top staircase degree {top} is not "
                          f"one-dimensional: {tops}")

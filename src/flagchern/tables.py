@@ -8,12 +8,15 @@ The packaged data file ``data/expected_tables.json`` stores, for each table:
 * annotations for every cell whose printed value is known to differ from the
   recomputed one, with the recomputed value and a diagnosis note.
 
-``reproduce`` recomputes every column from scratch, with one oracle call
-for all the columns of a section, and diffs it against the printed values;
-the two F(8) sections of tab2, marked ``slow`` in the registry, are
-recomputed only when asked (``table --slow``; ``verify`` always asks).  A reproduction is *clean* when the set of differing cells
-coincides exactly with the recorded annotations (including the recomputed
-values).  Any other difference is reported as unexplained.
+``reproduce_section`` checks a section's rows and columns, recomputes every
+column from scratch with one oracle call for all of them, and diffs it
+against the printed values.  ``reproduce`` runs it on each section of a
+table, and the rebuild script on each section of the registry.  The two F(8)
+sections of tab2, marked ``slow`` in the registry, are recomputed only when
+asked (``table --slow``; ``verify`` always asks).  A reproduction is *clean*
+when the set of differing cells coincides exactly with the recorded
+annotations (including the recomputed values).  Any other difference is
+reported as unexplained.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import csv
 import functools
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from importlib import resources
 
 # chern_numbers is not called here, but perfbench/tests/test_bench_tracing.py
@@ -176,40 +179,37 @@ def _diff_column(rows, monos: list, spec: dict,
     return col
 
 
+def _section(sec: dict, columns: list[ColumnResult]) -> SectionResult:
+    return SectionResult(manifold=sec["manifold"], rows=sec["rows"],
+                         columns=columns, label_note=sec.get("label_note"))
+
+
+def reproduce_section(where: str, sec: dict, oracle: str) -> SectionResult:
+    """Recompute a registry section, all its columns in one oracle call, and
+    diff it against the printed values.  Refuses (AssertionError, naming
+    ``where``) a row that ``row_monomials`` or a column that
+    ``check_column`` refuses."""
+    flag = parse_manifold(sec["manifold"])
+    monos = row_monomials(where, flag, sec["rows"])
+    for c in sec["columns"]:
+        check_column(f"{where} {c['label']}", flag, sec["rows"], c)
+    structures = [InvariantACS(tuple(c["signs"])) for c in sec["columns"]]
+    values = chern_numbers_by(flag, structures, monos, oracle)
+    return _section(sec, [_diff_column(sec["rows"], monos, c, v)
+                          for c, v in zip(sec["columns"], values)])
+
+
 def reproduce(table_id: str, oracle: str, slow: bool) -> list[TableResult]:
     """Recompute the named table(s) and diff against the printed values."""
     reg = load_registry()
     results = []
     for tid in resolve(table_id):
         spec = reg["tables"][tid]
-        raw_sections = spec.get("sections")
-        if raw_sections is None:
-            raw_sections = [{"manifold": spec["manifold"],
-                             "rows": spec["rows"],
-                             "label_note": spec.get("label_note"),
-                             "columns": spec["columns"]}]
-        sections = []
-        for sec in raw_sections:
-            if sec.get("slow") and not slow:
-                sections.append(SectionResult(
-                    manifold=sec["manifold"], rows=sec["rows"],
-                    columns=[ColumnResult.from_spec(c) for c in sec["columns"]],
-                    label_note=sec.get("label_note")))
-                continue
-            flag = parse_manifold(sec["manifold"])
-            monos = row_monomials(flag.name(), flag, sec["rows"])
-            for c in sec["columns"]:
-                check_column(f"{flag.name()} {c['label']}", flag,
-                             sec["rows"], c)
-            # one oracle call computes every column of the section
-            structures = [InvariantACS(tuple(c["signs"]))
-                          for c in sec["columns"]]
-            values = chern_numbers_by(flag, structures, monos, oracle)
-            cols = [_diff_column(sec["rows"], monos, c, v)
-                    for c, v in zip(sec["columns"], values)]
-            sections.append(SectionResult(
-                manifold=sec["manifold"], rows=sec["rows"], columns=cols,
-                label_note=sec.get("label_note")))
+        sections = [
+            _section(sec, [ColumnResult.from_spec(c) for c in sec["columns"]])
+            if sec.get("slow") and not slow
+            else reproduce_section(sec["manifold"], sec, oracle)
+            for sec in spec.get("sections") or [spec]]
         results.append(TableResult(table_id=tid, title=spec["title"],
                                    sections=sections,
                                    notes=list(spec.get("notes", []))))
@@ -217,12 +217,6 @@ def reproduce(table_id: str, oracle: str, slow: bool) -> list[TableResult]:
 
 
 # -- rendering ---------------------------------------------------------------
-
-def _status(diff: CellDiff | None) -> str:
-    if diff is None:
-        return ""
-    return " [annotated]" if diff.annotated else " [UNEXPLAINED]"
-
 
 def to_markdown(results: list[TableResult]) -> str:
     out = []
@@ -242,15 +236,16 @@ def to_markdown(results: list[TableResult]) -> str:
             out.append("| " + " | ".join(header) + " |")
             out.append("|" + "---|" * len(header))
             # a column has at most one diff per row
-            by_row = [{d.row: d for d in col.diffs} for col in sec.columns]
+            marks = [{d.row: " [annotated]" if d.annotated
+                      else " [UNEXPLAINED]" for d in col.diffs}
+                     for col in sec.columns]
             for i, row in enumerate(sec.rows):
                 cells = [row]
-                for col, diffs in zip(sec.columns, by_row):
+                for col, mark in zip(sec.columns, marks):
                     if col.skipped:
                         cells.append(f"{col.printed[i]} (printed)")
                     else:
-                        cells.append(f"{col.recomputed[i]}"
-                                     + _status(diffs.get(row)))
+                        cells.append(f"{col.recomputed[i]}{mark.get(row, '')}")
                 out.append("| " + " | ".join(cells) + " |")
             for col in sec.columns:
                 for d in col.diffs:
@@ -287,31 +282,26 @@ def to_csv(results: list[TableResult]) -> str:
     return buf.getvalue()
 
 
+def _json_level(obj) -> dict:
+    """A result object's own fields, nested results and tuples as lists and
+    printed and recomputed values as decimal strings (several exceed 64
+    bits), plus its derived ``ok`` and ``skipped`` flags."""
+    out = {}
+    for key, value in vars(obj).items():
+        if key in ("printed", "recomputed") and value is not None:
+            value = (str(value) if isinstance(value, int)
+                     else [str(v) for v in value])
+        elif isinstance(value, (list, tuple)):  # each list holds one type
+            value = ([_json_level(v) for v in value]
+                     if value and is_dataclass(value[0]) else list(value))
+        out[key] = value
+    for flag in ("ok", "skipped"):
+        if hasattr(type(obj), flag):
+            out[flag] = getattr(obj, flag)
+    return out
+
+
 def to_json_obj(results: list[TableResult]) -> dict:
     """JSON-ready dict; printed and recomputed values as decimal strings,
     signs and global signs as JSON integers."""
-    out = {"tables": []}
-    for res in results:
-        t = {"table_id": res.table_id, "title": res.title,
-             "ok": res.ok, "notes": res.notes, "sections": []}
-        for sec in res.sections:
-            s = {"manifold": sec.manifold, "rows": sec.rows,
-                 "label_note": sec.label_note, "skipped": sec.skipped,
-                 "columns": []}
-            for col in sec.columns:
-                c = {"label": col.label,
-                     "signs": list(col.signs),
-                     "global_sign": col.global_sign,
-                     "printed": [str(v) for v in col.printed],
-                     "recomputed": (None if col.recomputed is None
-                                    else [str(v) for v in col.recomputed]),
-                     "skipped": col.skipped,
-                     "note": col.note,
-                     "diffs": [{"row": d.row, "printed": str(d.printed),
-                                "recomputed": str(d.recomputed),
-                                "annotated": d.annotated, "note": d.note}
-                               for d in col.diffs]}
-                s["columns"].append(c)
-            t["sections"].append(s)
-        out["tables"].append(t)
-    return out
+    return {"tables": [_json_level(res) for res in results]}

@@ -250,11 +250,11 @@ def test_criterion_08_recorded_basis():
 def test_criterion_08_quotient_dimensions(borel_basis):
     from math import factorial
     for n in range(1, 5):
-        assert quotient_dimension(borel_basis("A", n), n + 1) \
+        assert quotient_dimension(borel_basis("A", n)) \
             == factorial(n + 1)
     for fam in ("B", "C"):
         for n in range(1, 4):
-            assert quotient_dimension(borel_basis(fam, n), n) \
+            assert quotient_dimension(borel_basis(fam, n)) \
                 == 2 ** n * factorial(n)
 
 

@@ -15,7 +15,7 @@ from flagchern import rootsys
 from flagchern.chern import (MAX_TODD_DEGREE, chern_numbers,
                              chern_numbers_many, chern_numbers_schubert,
                              format_cmonomial, monomials_of_weighted_degree,
-                             parse_cmonomial, todd_polynomial,
+                             parse_cmonomial, todd_genus, todd_polynomial,
                              weighted_degree)
 from flagchern.flagmodel import InvariantACS, enumerate_acs, \
     integrable_sign_vectors, parse_manifold
@@ -111,6 +111,17 @@ def test_todd_genus_need_not_be_one_when_non_integrable(weyl_todd_genus):
               for acs in enumerate_acs(flag)}
     assert genera[(1, 1, 1)] == 1
     assert any(g != 1 for g in genera.values())
+
+
+def test_todd_genus_is_an_integer_or_refused():
+    # td_1 = c1/2 on F(2) = CP^1: c1 = 2 gives 1, and c1 = 3 is no genus
+    flag = parse_manifold("F(2)")
+    genus = todd_genus(flag, InvariantACS((1,)), {(1,): 2})
+    assert genus == 1 and type(genus) is int
+    with pytest.raises(ArithmeticError,
+                       match=re.escape("Todd genus of F(2) (+) is not an "
+                                       "integer: 3/2")):
+        todd_genus(flag, InvariantACS((1,)), {(1,): 3})
 
 
 @given(st.sampled_from(["F(5;1,2,2)", "FD(3;1,2)", "G2-long"]), st.data())

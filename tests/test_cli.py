@@ -180,6 +180,20 @@ def test_table_list_and_reproduce():
     assert data["tables"][0]["ok"] is True
 
 
+# tab2 has one computed and two skipped (slow) F(8) sections, tab5 an
+# annotated cell; a golden file is the output of
+# PYTHONPATH=src python -m flagchern table reproduce <tid> --oracle weyl \
+#     --format <fmt> > tests/golden/<tid>.<fmt>
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+@pytest.mark.parametrize("tid", ["tab2", "tab5"])
+def test_table_reproduce_matches_the_golden_bytes(tid, fmt):
+    code, out = run_cli("table", "reproduce", tid, "--oracle", "weyl",
+                        "--format", fmt)
+    assert code == 0
+    assert out.encode() == (REPO / "tests" / "golden" / f"{tid}.{fmt}"
+                            ).read_bytes()
+
+
 def test_groebner_so6_preset():
     code, out = run_cli("groebner", "--ideal", "so6", "--order", "lex",
                         "--format", "json")

@@ -32,14 +32,14 @@ def test_a_full_rank6_relations_reduce_to_zero():
 ])
 def test_quotient_dimensions(tag, dim):
     case = presentation_case(tag)
-    assert quotient_dimension(case.groebner(), case.nvars) == dim
+    assert quotient_dimension(case.groebner()) == dim
 
 
 def test_so6_claimed_basis_is_the_computed_reduced_basis():
     case = presentation_case("so6-groebner")
     gb = case.groebner()
     assert verify_claimed_basis(case, gb)
-    mono = top_staircase_monomial(gb, 3)
+    mono = top_staircase_monomial(gb)
     assert mono == (0, 2, 4)
     lam = top_class_certificate(case, gb, mono)
     assert lam != 0 and lam == Fraction(-2)
@@ -49,7 +49,7 @@ def test_certificate_rejects_zero_class():
     case = presentation_case("so6-groebner")
     gb = case.groebner()
     zero_class = case.generators[0]  # an ideal member reduces to 0
-    mono = top_staircase_monomial(gb, 3)
+    mono = top_staircase_monomial(gb)
     with pytest.raises(CertificateError):
         top_class_certificate(replace(case, top_class=zero_class), gb, mono)
 
@@ -63,7 +63,7 @@ def test_certificate_independent_of_monomial_order():
         # reuse the claimed top class against each order's staircase
         r = normal_form(base.top_class, gb)
         assert not r.is_zero()
-        lams.append(quotient_dimension(gb, base.nvars))
+        lams.append(quotient_dimension(gb))
     assert lams == [24, 24, 24]
 
 
@@ -77,7 +77,7 @@ def test_su3_full_flag_products():
     assert normal_form(x1 ** 3, gb).is_zero()
     top = normal_form(x1 * x2 ** 2, gb)
     assert not top.is_zero()
-    assert set(top.terms) == {top_staircase_monomial(gb, 3)}
+    assert set(top.terms) == {top_staircase_monomial(gb)}
 
 
 def test_staircase_count_equals_quotient_dimension():
@@ -90,11 +90,11 @@ def test_staircase_count_equals_quotient_dimension():
         listed = [m for m in itertools.product(range(max(map(max, lts))),
                                                repeat=case.nvars)
                   if not any(all(map(le, e, m)) for e in lts)]
-        assert quotient_dimension(gb, case.nvars) == len(listed) \
+        assert quotient_dimension(gb) == len(listed) \
             == case.expected_quotient_dim
         top = max(map(sum, listed))
         assert [m for m in listed if sum(m) == top] \
-            == [top_staircase_monomial(gb, case.nvars)]
+            == [top_staircase_monomial(gb)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -110,7 +110,7 @@ def test_proj_tangent_top_class():
     case = presentation_case("proj-tangent:3")
     gb = case.groebner()
     # the unique top staircase monomial has the full degree 2n+1 = 7
-    mono = top_staircase_monomial(gb, 2)
+    mono = top_staircase_monomial(gb)
     assert sum(mono) == 7
     assert top_class_certificate(case, gb, mono) != 0
 

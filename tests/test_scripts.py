@@ -91,8 +91,7 @@ def test_build_script_regenerates_the_packaged_registry(tmp_path):
     ("so5t", lambda t: t["columns"][0]["signs"].append(1),
      "so5t SO(5)/T J = (+,+,+,+): 5 signs for 4 summands"),
     ("so5t", lambda t: t.update(rows=["c1^3"] + t["rows"][1:]),
-     "so5t SO(5)/T J = (+,+,+,+): monomial c1^3 has weighted degree 3, "
-     "expected 4"),
+     "so5t SO(5)/T: monomial c1^3 has weighted degree 3, expected 4"),
     ("so5t", lambda t: t["columns"][0]["printed"].pop(),
      "so5t SO(5)/T J = (+,+,+,+): 4 printed values for 5 rows"),
     ("so5t", lambda t: t["chern_classes"]["printed"].__setitem__(
