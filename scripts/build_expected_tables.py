@@ -7,10 +7,11 @@ reproduce``, under the fixed-point oracle, and each annotation keeps its
 note while its printed and recomputed values are rewritten.  The rebuild
 stops, naming the table, manifold, column and row, on a difference with no
 annotation, an annotation on a matching cell, or a column that
-``tables.check_column`` refuses (a sign vector that is not one sign per
-summand, or a printed list that is not one value per row); it names the
-section for a row that ``tables.row_monomials`` refuses (a row that is not
-a Chern monomial of weighted degree N).  It also rechecks the recorded
+``tables.check_column`` refuses (signs that are not one +-1 per summand, a
+printed list that is not one value per row, or a printed or annotated
+value that is not a decimal integer); it names the section for a row
+that ``tables.row_monomials`` refuses (a row that is not a Chern monomial
+of weighted degree N).  It also rechecks the recorded
 Chern classes of the canonical structure against their normal forms in the
 Borel quotient.  The package computes Chern numbers from root data alone
 and never forms a Chern class as a polynomial, so this script builds

@@ -25,8 +25,8 @@ against the positive-root product.  Like the kernel, it builds what the
 signs do not change once per call, and the rest per structure in turn.  It
 uses no fixed points, no rational functions and no Groebner basis.  The two
 oracles share only the bookkeeping: the slot signs of ``_slot_signs``, the
-class-degree sequences of ``class_degree_trie``, which the Schubert oracle
-reads reversed, largest degree first, and the exact division.
+batch of class-degree sequences of ``_class_sequences``, which the Schubert
+oracle reads reversed, largest degree first, and the exact division.
 
 The universal Todd polynomials are Hirzebruch's multiplicative sequence for
 x / (1 - e^{-x}), built one weighted degree at a time from td = exp(L), in
@@ -43,7 +43,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .flagmodel import FlagManifold, InvariantACS
 from .rootsys import (BruhatCovers, bruhat_covers, coroot_pairings,
@@ -101,16 +101,19 @@ def _top_monomial(flag: FlagManifold, c_monomial) -> tuple[int, ...]:
     return m
 
 
-def _distinct_top_monomials(flag: FlagManifold,
-                            monomials) -> list[tuple[int, ...]]:
-    """The monomials' exponent tuples, each distinct monomial validated once
-    (see ``_top_monomial``), in first-seen order."""
-    seen: dict = {}
+def _class_sequences(flag: FlagManifold,
+                     monomials) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each distinct monomial's exponent tuple, validated once (see
+    ``_top_monomial``), mapped to its class degrees, smallest first, in
+    first-seen order: c1^2c3 has the sequence (1, 1, 3).  Every sequence
+    sums to N, so none is a proper prefix of another."""
+    checked: dict = {}
     for m in monomials:
         key = m if isinstance(m, str) else tuple(m)
-        if key not in seen:
-            seen[key] = _top_monomial(flag, key)
-    return list(dict.fromkeys(seen.values()))
+        if key not in checked:
+            checked[key] = _top_monomial(flag, key)
+    return {m: tuple(k + 1 for k, e in enumerate(m) for _ in range(e))
+            for m in checked.values()}
 
 
 def monomials_of_weighted_degree(n_classes: int, degree: int) -> list[tuple[int, ...]]:
@@ -130,29 +133,6 @@ def monomials_of_weighted_degree(n_classes: int, degree: int) -> list[tuple[int,
 
     rec(0, degree, [])
     return out
-
-
-def class_degree_trie(monos: Iterable[tuple[int, ...]]) -> tuple[dict, dict]:
-    """The trie of the monomials' class-degree sequences, smallest degree
-    first, and each monomial's sequence, in first-seen order of the
-    monomials.
-
-    c1^2c3 has the sequence (1, 1, 3).  A trie node maps a degree to its
-    child node; a leaf is an empty dict.  Every sequence sums to the same
-    weighted degree, so none is a proper prefix of another and each leaf is
-    one sequence.  Smallest first gives fewer nodes on a full batch than
-    largest first (83 against 138 for the 42 monomials of degree 10), which
-    is what a walk that spends one step per node wants.
-    """
-    trie: dict = {}
-    sequences: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for m in monos:
-        seq = tuple(k + 1 for k, e in enumerate(m) for _ in range(e))
-        sequences[m] = seq
-        node = trie
-        for k in seq:
-            node = node.setdefault(k, {})
-    return trie, sequences
 
 
 def _slot_signs(flag: FlagManifold, acs: InvariantACS) -> list[int]:
@@ -247,7 +227,9 @@ def chern_numbers_schubert(flag: FlagManifold,
     and its checks, the trie of tails, e_K, the coroot pairings and chi are
     taken once per call, and the rest per structure in turn.
     """
-    monos = _distinct_top_monomials(flag, monomials)
+    # each monomial's class degrees, largest first
+    sequences = {m: seq[::-1]
+                 for m, seq in _class_sequences(flag, monomials).items()}
     slot_signs = [_slot_signs(flag, acs) for acs in structures]
     if not structures:
         return []
@@ -273,9 +255,6 @@ def chern_numbers_schubert(flag: FlagManifold,
             raise AssertionError(
                 f"Schubert state of degree {d} leaves its length range")
 
-    # each monomial's class degrees, largest first
-    sequences = {m: seq[::-1]
-                 for m, seq in class_degree_trie(monos)[1].items()}
     # 0 marks the end of a tail, and maps to the head that completes it
     tails: dict = {}
     for seq in sequences.values():
@@ -327,7 +306,7 @@ def chern_numbers_schubert(flag: FlagManifold,
 
         walk({0: 1}, tails, (), 0)
         return {m: _exact_quotient(m, tops[sequences[m]] * chi, reference)
-                for m in monos}
+                for m in sequences}
 
     return [numbers(signs) for signs in slot_signs]
 
@@ -356,53 +335,52 @@ def _generic_points(roots) -> list[tuple[int, ...]]:
     return [(1,) * rank, tuple(range(1, rank + 1)) if rank > 1 else (2,)]
 
 
-def _trie_steps(trie: dict, sequences: Iterable[tuple[int, ...]]) -> list:
-    """The trie as a flat list of steps (depth, k, leaf), in depth-first
-    order.  A step multiplies the row at its depth by e_k: into the row one
-    deeper when ``leaf`` is None, and otherwise summed into the total of the
-    leaf's sequence, numbered in the order of ``sequences``."""
-    leaves = {seq: i for i, seq in enumerate(sequences)}
-    steps = []
-
-    def visit(node, depth, seq):
-        for k, child in node.items():
-            if child:
-                steps.append((depth, k, None))
-                visit(child, depth + 1, seq + (k,))
-            else:
-                steps.append((depth, k, leaves[seq + (k,)]))
-
-    visit(trie, 0, ())
+def _trie_steps(sequences: Iterable[tuple[int, ...]]) -> list:
+    """The class-degree sequences as flat steps (depth, k, leaf), one per
+    distinct nonempty prefix.  A step multiplies the row at its depth by
+    e_k: into the row one deeper when ``leaf`` is None, and otherwise summed
+    into the total of sequence number ``leaf``.  In sorted order each
+    sequence shares with the one before it exactly the prefix whose rows are
+    still held, so only the rest of it is stepped through.  Smallest degree
+    first gives fewer steps on a full batch than largest first (83 against
+    138 for the 42 monomials of degree 10)."""
+    steps, prev = [], ()
+    for seq, leaf in sorted((seq, i) for i, seq in enumerate(sequences)):
+        held = next((d for d, (a, b) in enumerate(zip(seq, prev))
+                     if a != b), 0)
+        steps += [(d, seq[d], None) for d in range(held, len(seq) - 1)]
+        steps.append((len(seq) - 1, seq[-1], leaf))
+        prev = seq
     return steps
 
 
 def _fixed_point_sums(flag: FlagManifold, slot_signs: list[list[int]],
-                      vals: list[list[int]], monos: list) -> list:
+                      vals: list[list[int]],
+                      sequences: Collection[tuple[int, ...]]) -> list:
     """The fixed-point sums of the numerators, totals[structure][sample
     point][monomial], for the structures' slot signs, the root values
-    ``vals`` at each sample point and the distinct monomials ``monos``.
+    ``vals`` at each sample point and the class-degree sequences of the
+    distinct monomials.
 
     Per chunk of ``FIXED_POINT_CHUNK`` fixed points the transpose of the
     root images and, per sample point, the K-positive base row and the
     plus-signed slot columns are built once for all structures.  Only
     e_1..e_kmax and the step rows are built per structure and sample point,
     in turn, on chunk-sized lists.  e_j += w e_{j-1} runs over the columns,
-    one column per slot; the trie of the monomials' class degrees runs as
-    flat steps (``_trie_steps``), one row held per depth, each row its
-    parent times one e_k.
+    one column per slot; the sequences run as flat steps (``_trie_steps``),
+    one row held per depth, each row its parent times one e_k.
     """
-    trie, sequences = class_degree_trie(monos)
-    steps = _trie_steps(trie, sequences.values())
+    steps = _trie_steps(sequences)
     # every e_k is at hand, so a step costs one pass whatever its degree
-    degrees = {k for seq in sequences.values() for k in seq}
+    degrees = {k for seq in sequences for k in seq}
     kmax, kmin = max(degrees, default=0), min(degrees, default=0)
-    rows = [None] * (max(map(len, sequences.values()), default=0))
+    rows = [None] * max(map(len, sequences), default=0)
     n = flag.complex_dim
     # e_j only feeds e_kmin.. while n - 1 - i slots remain: the j-range of
     # e_j += w e_{j-1} at slot i, and whether e_1 += w runs there
     updates = [(range(min(i, kmax), max(1, kmin - n + i), -1),
                 0 < i and kmin - n + i < 1 <= kmax) for i in range(n)]
-    totals = [[[0] * len(monos) for _ in vals] for _ in slot_signs]
+    totals = [[[0] * len(sequences) for _ in vals] for _ in slot_signs]
     fixed = flag.fixed_points
     for start in range(0, len(fixed), FIXED_POINT_CHUNK):
         point_signs, images = zip(*fixed[start:start + FIXED_POINT_CHUNK])
@@ -458,20 +436,20 @@ def chern_numbers_many(flag: FlagManifold,
     structure at a time: the memory held grows with the number of
     structures only by their sums.
     """
-    monos = _distinct_top_monomials(flag, monomials)
+    sequences = _class_sequences(flag, monomials)
     if not structures:
         return []
     roots = flag.rs.coords
     vals = [[sum(a * b for a, b in zip(r, pt)) for r in roots]
             for pt in _generic_points(roots)]
     slot_signs = [_slot_signs(flag, acs) for acs in structures]
-    totals = _fixed_point_sums(flag, slot_signs, vals, monos)
+    totals = _fixed_point_sums(flag, slot_signs, vals, sequences.values())
     # both denominators are positive: every positive root is, at both points
     den, den2 = (math.prod(val[i] for i in flag.rs.positive) for val in vals)
     out = []
     for nums, nums2 in totals:
         numbers: dict[tuple[int, ...], int] = {}
-        for m, num, num2 in zip(monos, nums, nums2):
+        for m, num, num2 in zip(sequences, nums, nums2):
             if num * den2 != num2 * den:
                 raise ArithmeticError(
                     "fixed-point sum disagrees between sample points")
@@ -497,7 +475,7 @@ def chern_numbers_by(flag: FlagManifold, structures: Sequence[InvariantACS],
     one call of ``chern_numbers_many`` (weyl), of ``chern_numbers_schubert``
     (schubert, or its deprecated alias groebner) or of both, which must
     agree on every structure.  Each oracle parses and validates each
-    distinct monomial once (``_distinct_top_monomials``), so a batch may
+    distinct monomial once (``_class_sequences``), so a batch may
     repeat monomials, as ``chern --todd`` does with the requested numbers."""
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}")

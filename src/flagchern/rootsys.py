@@ -150,9 +150,6 @@ def reflect(c: tuple[int, ...], k: int, coroot: Coroot) -> tuple[int, ...]:
     return tuple(out)
 
 
-_ROOT_SYSTEMS: dict = {}
-
-
 def check_rank(rank: int) -> None:
     """Refuse (ValueError) a rank above ``MAX_RANK``."""
     if rank > MAX_RANK:
@@ -161,7 +158,27 @@ def check_rank(rank: int) -> None:
 
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Standard realization of the root system of the given family and rank
-    (one object per family and rank).
+    (one object per family and rank, built by ``_root_system``).  An
+    unsupported family, or a rank above ``MAX_RANK`` or too small for the
+    family, is refused (ValueError) before any root is built, and a refusal
+    is never kept."""
+    family = family.upper()
+    if family not in SUPPORTED_FAMILIES:
+        raise ValueError(f"unsupported family {family!r}; expected one of {SUPPORTED_FAMILIES}")
+    check_rank(rank)
+    if family == "G2":
+        if rank != 2:
+            raise ValueError("G2 has rank 2")
+    else:
+        least = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
+        if rank < least:
+            raise ValueError(f"{family}_n needs rank >= {least}")
+    return _root_system(family, rank)
+
+
+@functools.cache
+def _root_system(family: str, rank: int) -> RootSystem:
+    """The root system of a supported family and rank.
 
     Only the simple roots are written down: e_i - e_{i+1}, ending in
     e_n - e_{n+1} for A_n, e_n for B_n, 2e_n for C_n and e_{n-1} + e_n for
@@ -172,21 +189,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     of the simple roots e_k under the simple reflections ``reflect``; the
     ambient vector of s_k(c) is that of c minus (c_k - s_k(c)_k) alpha_k.
     """
-    family = family.upper()
-    if family not in SUPPORTED_FAMILIES:
-        raise ValueError(f"unsupported family {family!r}; expected one of {SUPPORTED_FAMILIES}")
-    key = (family, rank)
-    if key in _ROOT_SYSTEMS:
-        return _ROOT_SYSTEMS[key]
-    check_rank(rank)
     if family == "G2":
-        if rank != 2:
-            raise ValueError("G2 has rank 2")
         den, simples = 3, [(3, -3, 0), (-1, 2, -1)]
     else:
-        least = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
-        if rank < least:
-            raise ValueError(f"{family}_n needs rank >= {least}")
         dim = rank + 1 if family == "A" else rank
         rows = [[int(j == i) - int(j == i + 1) for j in range(dim)]
                 for i in range(rank)]
@@ -216,7 +221,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     # canonical order of positives: by height, then by vector (stable sort)
     positive = sorted((p for p, c in enumerate(coords) if sum(c) > 0),
                       key=lambda p: sum(coords[p]))
-    rs = RootSystem(
+    return RootSystem(
         family=family,
         rank=rank,
         vectors=tuple(tuple(Fraction(x, den) for x in v) for v, _ in ordered),
@@ -227,8 +232,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         cartan=cartan,
         gram=gram,
     )
-    _ROOT_SYSTEMS[key] = rs
-    return rs
 
 
 def weyl_order(rs: RootSystem) -> int:

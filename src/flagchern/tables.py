@@ -25,6 +25,7 @@ import csv
 import functools
 import io
 import json
+import re
 from dataclasses import dataclass, field, is_dataclass
 from importlib import resources
 
@@ -130,6 +131,9 @@ class TableResult:
                    for d in c.diffs if d.annotated)
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def row_monomials(where: str, flag: FlagManifold, rows) -> list:
     """The rows as exponent tuples, parsed once per section for all its
     columns.  Refuses (AssertionError, naming ``where``) a row that is not a
@@ -142,15 +146,28 @@ def row_monomials(where: str, flag: FlagManifold, rows) -> list:
 
 def check_column(where: str, flag: FlagManifold, rows, spec: dict) -> None:
     """Refuses (AssertionError, naming ``where``) a column without one sign
-    per isotropy summand of ``flag`` and one printed value per row; pairing
-    values with rows would drop cells silently."""
+    of +-1 per isotropy summand of ``flag``, a global sign of +-1 and one
+    printed value per row, as pairing values with rows would drop cells
+    silently, or with a printed or annotated value that is not a decimal
+    integer string (naming its row too)."""
     n = len(flag.summands())
     if len(spec["signs"]) != n:
         raise AssertionError(f"{where}: {len(spec['signs'])} signs for {n} "
                              f"summands")
+    if not {1, -1}.issuperset([*spec["signs"], spec["global_sign"]]):
+        raise AssertionError(f"{where}: signs {spec['signs']} and global "
+                             f"sign {spec['global_sign']} are not all +-1")
     if len(spec["printed"]) != len(rows):
         raise AssertionError(f"{where}: {len(spec['printed'])} printed values "
                              f"for {len(rows)} rows")
+    values = [(row, "printed", v) for row, v in zip(rows, spec["printed"])]
+    values += [(a["row"], f"annotated {key}", a[key])
+               for a in spec.get("annotations", [])
+               for key in ("printed", "recomputed")]
+    for row, what, v in values:
+        if not (isinstance(v, str) and _DECIMAL.fullmatch(v)):
+            raise AssertionError(f"{where} {row}: {what} value {v!r} is not "
+                                 f"a decimal integer")
 
 
 def _diff_column(rows, monos: list, spec: dict,

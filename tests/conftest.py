@@ -20,6 +20,20 @@ def reproduce_cached():
 
 
 @pytest.fixture
+def cold_root_systems(monkeypatch):
+    """A call swaps in an empty root-system cache for the rest of the test,
+    so every table built on a root system starts cold; the warm cache comes
+    back when the test ends, or at ``monkeypatch.undo()``."""
+    import flagchern.rootsys as rootsys
+
+    def swap():
+        monkeypatch.setattr(rootsys, "_root_system",
+                            functools.cache(rootsys._root_system.__wrapped__))
+
+    return swap
+
+
+@pytest.fixture
 def weyl_todd_genus():
     """The Todd genus from one fixed-point batch of its monomials."""
     from flagchern.chern import chern_numbers, todd_genus, todd_polynomial

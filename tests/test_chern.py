@@ -226,6 +226,74 @@ def test_kernel_batch_keeps_input_order_and_duplicates():
     assert chern_numbers_schubert(flag, [acs], batch) == [result]
 
 
+def test_kernel_steps_once_per_distinct_prefix():
+    # the 42 monomials of weighted degree 10 have 83 distinct nonempty
+    # prefixes of class degrees smallest first, and 138 largest first
+    monos = monomials_of_weighted_degree(10, 10)
+    smallest = list(
+        chern_module._class_sequences(parse_manifold("F(5)"), monos).values())
+    largest = [seq[::-1] for seq in smallest]
+    for sequences, count in ((smallest, 83), (largest, 138)):
+        steps = chern_module._trie_steps(sequences)
+        assert len(steps) == count == len(
+            {seq[:d] for seq in sequences for d in range(1, len(seq) + 1)})
+        # replay: a step extends the prefix held at its depth by k, and
+        # each leaf closes its own sequence, once
+        path, leaves = [], []
+        for depth, k, leaf in steps:
+            assert depth <= len(path)
+            path[depth:] = [k]
+            if leaf is not None:
+                assert tuple(path) == sequences[leaf]
+                leaves.append(leaf)
+        assert sorted(leaves) == list(range(len(sequences)))
+
+
+@pytest.mark.parametrize("name", ["F(5;1,2,2)", "G2/T"])
+def test_shuffled_batch_with_repeats_keeps_its_own_order(name):
+    flag = parse_manifold(name)
+    n = flag.complex_dim
+    monos = monomials_of_weighted_degree(n, n)
+    structures = enumerate_acs(flag)[:4]
+    expected = chern_numbers_many(flag, structures, monos)
+    batch = monos + monos[::3] + [format_cmonomial(m) for m in monos[1::4]]
+    random.Random(n).shuffle(batch)
+    order = list(dict.fromkeys(parse_cmonomial(m, n) if isinstance(m, str)
+                               else m for m in batch))
+    for oracle in (chern_numbers_many, chern_numbers_schubert):
+        got = oracle(flag, structures, batch)
+        assert [list(numbers) for numbers in got] == [order] * len(structures)
+        assert got == expected
+
+
+@pytest.mark.parametrize("name", [
+    "F(4)", "F(5;1,2,2)", "F(6;1,2,3)", "G2/T", "G2-long", "SO(7)/U(3)",
+    "FD(4;1,3)", "FB(3;1,1,1)", "FC(3;1,1,1)",
+])
+def test_c1_power_matches_the_borel_hirzebruch_closed_form(name):
+    # int c_1^N = N! prod <delta_J, beta^vee> / <rho, beta^vee> over the
+    # complementary positive roots beta, where c_1 is the class of delta_J,
+    # the sum of the complementary positive roots signed by J (Borel and
+    # Hirzebruch, Amer. J. Math. 80, 1958); every structure, conjugates too
+    flag = parse_manifold(name)
+    rs, n = flag.rs, flag.complex_dim
+    c1n = (n,) + (0,) * (n - 1)
+    structures = enumerate_acs(flag, up_to_conjugation=False)
+    two_rho = [sum(c) for c in zip(*(rs.coords[p] for p in rs.positive))]
+    rho_pairings = rootsys.coroot_pairings(rs, two_rho)
+    kept = [p not in flag.k_positives for p in rs.positive]
+    for acs, numbers in zip(structures,
+                            chern_numbers_many(flag, structures, [c1n])):
+        delta = [sum(c) for c in zip(*(
+            [s * x for x in rs.coords[r]]
+            for s, part in zip(acs.signs, flag.summands())
+            for r in part.roots))]
+        closed = factorial(n) * prod(
+            Fraction(2 * d, r) for d, r, k in zip(
+                rootsys.coroot_pairings(rs, delta), rho_pairings, kept) if k)
+        assert numbers[c1n] == closed, acs.label()
+
+
 @pytest.mark.parametrize("oracle", [chern_numbers_many,
                                     chern_numbers_schubert])
 def test_batch_contract(oracle):
@@ -406,7 +474,8 @@ def test_sample_points_are_regular_and_distinct():
             assert all(sum(map(mul, c, point)) for c in coords)
 
 
-def test_schubert_batch_builds_the_cover_table_once(monkeypatch):
+def test_schubert_batch_builds_the_cover_table_once(monkeypatch,
+                                                   cold_root_systems):
     # one cover table per (family, rank), however many manifolds,
     # structures and monomials use it
     calls = []
@@ -417,7 +486,7 @@ def test_schubert_batch_builds_the_cover_table_once(monkeypatch):
         return real(rs)
 
     monkeypatch.setattr(rootsys, "_cover_table", counting)
-    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})  # fresh, cold tables
+    cold_root_systems()  # fresh, cold tables
     for name in ("F(5;1,2,2)", "F(5)", "F(5;2,3)"):
         flag = parse_manifold(name)
         n = flag.complex_dim
@@ -428,7 +497,8 @@ def test_schubert_batch_builds_the_cover_table_once(monkeypatch):
     assert calls == [("A", 4)]
 
 
-def test_schubert_oracle_checks_its_final_state(monkeypatch):
+def test_schubert_oracle_checks_its_final_state(monkeypatch,
+                                                cold_root_systems):
     # the duality pairing reads w0 u off the length boundaries: moving an
     # inner boundary, alone or with its mirror image, or dropping the last,
     # is refused before a misplaced state is paired
@@ -462,7 +532,7 @@ def test_schubert_oracle_checks_its_final_state(monkeypatch):
         covers = real_table(rs)
         return replace(covers, top=covers.top - 1)
 
-    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})  # fresh, cold tables
+    cold_root_systems()  # fresh, cold tables
     monkeypatch.setattr(rootsys, "_cover_table", wrong_top)
     flag = parse_manifold("F(4)")
     with pytest.raises(AssertionError, match="w0"):

@@ -54,13 +54,13 @@ def test_decompose_needs_a_manifold_name(capsys):
                             "required: manifold\n")
 
 
-def test_second_chern_command_reuses_the_manifold(monkeypatch):
+def test_second_chern_command_reuses_the_manifold(monkeypatch,
+                                                  cold_root_systems):
     # the summands and the fixed points are built by the first command on a
     # manifold, and read by every later one in the process
     import flagchern.flagmodel as flagmodel
-    import flagchern.rootsys as rootsys
 
-    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
+    cold_root_systems()
     calls = {"decomposition": 0, "walk": 0}
 
     def counted(key, func):
@@ -432,8 +432,8 @@ def test_huge_fixed_point_count_is_refused_before_enumeration(monkeypatch,
     assert err.startswith("usage error: F(10) has chi = 3628800 fixed points")
 
 
-def test_huge_weyl_group_is_refused_by_the_schubert_oracle(monkeypatch,
-                                                           capsys):
+def test_huge_weyl_group_is_refused_by_the_schubert_oracle(
+        monkeypatch, capsys, cold_root_systems):
     # F(9;1,8) is CP^8, with 9 fixed points, but its Schubert oracle walks
     # |W(A8)| = 362880 Weyl elements; it is refused before W is built, and
     # the refusal points to the fixed-point oracle
@@ -441,7 +441,7 @@ def test_huge_weyl_group_is_refused_by_the_schubert_oracle(monkeypatch,
 
     monkeypatch.setattr(rootsys, "_cover_table", _refuse_calls)
     monkeypatch.setattr(rootsys, "weyl_group", _refuse_calls)
-    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})  # fresh, cold tables
+    cold_root_systems()  # fresh, cold tables
     for oracle in ("schubert", "both"):
         code, out = run_cli("chern", "--manifold", "F(9;1,8)",
                             "--oracle", oracle)
@@ -536,6 +536,15 @@ def test_point_manifold_is_a_usage_error(argv, capsys):
      "6 printed values for 5 rows"),
     (lambda t: t.update(rows=["c1^3"] + t["rows"][1:]),
      "monomial c1^3 has weighted degree 3, expected 4"),
+    (lambda t: t["columns"][0]["signs"].__setitem__(0, 2),
+     "signs [2, 1, 1, 1] and global sign -1 are not all +-1"),
+    (lambda t: t["columns"][0].update(global_sign=0),
+     "signs [1, 1, 1, 1] and global sign 0 are not all +-1"),
+    (lambda t: t["columns"][0]["printed"].__setitem__(0, "12x"),
+     "c1^4: printed value '12x' is not a decimal integer"),
+    (lambda t: t["columns"][0]["annotations"].append(
+        {"row": "c4", "printed": "-8", "recomputed": "8.0", "note": "x"}),
+     "c4: annotated recomputed value '8.0' is not a decimal integer"),
 ])
 def test_malformed_registry_column_is_an_internal_error(monkeypatch, capsys,
                                                         modify, message):
@@ -690,8 +699,8 @@ def test_ideal_file_with_an_infinite_quotient_has_no_dimension(tmp_path):
     assert json.loads(out)["quotient_dimension"] is None
 
 
-def test_huge_ranks_are_refused_before_any_root_is_built(monkeypatch,
-                                                         capsys):
+def test_huge_ranks_are_refused_before_any_root_is_built(
+        monkeypatch, capsys, cold_root_systems):
     # a rank just above the bound would build its roots if the check were
     # missing, and reflect would then fail; the refusal allocates nothing
     import flagchern.rootsys as rootsys
@@ -700,7 +709,7 @@ def test_huge_ranks_are_refused_before_any_root_is_built(monkeypatch,
         raise AssertionError("a root was generated")
 
     monkeypatch.setattr(rootsys, "reflect", unreachable)
-    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
+    cold_root_systems()
     top = rootsys.MAX_RANK
     for argv in (["decompose", f"F({top + 2})"],
                  ["decompose", f"F({top + 2};1,{top + 1})"],

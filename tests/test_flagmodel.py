@@ -108,9 +108,9 @@ def test_decompose_counts_chi_without_building_w_k(monkeypatch, capsys):
     assert data["euler_characteristic"] == 924  # binomial(12, 6)
 
 
-def test_isotropy_weyl_group_is_built_on_first_use(monkeypatch):
+def test_isotropy_weyl_group_is_built_on_first_use(cold_root_systems):
     # fresh root systems give fresh manifolds, whose w_k no test has built
-    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
+    cold_root_systems()
     flag = parse_manifold("F(8;1,3,4)")
     assert "w_k" not in vars(flag)
     assert len(flag.w_k) == 1 * 6 * 24
@@ -433,9 +433,9 @@ def test_one_manifold_per_root_system_and_theta():
         parse_manifold("F(4;2,2)")
 
 
-def test_fresh_root_systems_give_fresh_manifolds(monkeypatch):
+def test_fresh_root_systems_give_fresh_manifolds(cold_root_systems):
     flag = parse_manifold("F(5;1,2,2)")
-    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
+    cold_root_systems()
     fresh = parse_manifold("F(5;1,2,2)")
     assert fresh is not flag and fresh.rs is not flag.rs
     assert fresh is parse_manifold("F(5;1,2,2)")
@@ -590,7 +590,8 @@ def test_closure_table_holds_each_violation_once(name):
 
 @pytest.mark.parametrize("name", ["F(6)", "F(6;1,2,3)", "FB(3;1,2)",
                                   "G2-long"])
-def test_rootsys_solves_no_linear_system(monkeypatch, name):
+def test_rootsys_solves_no_linear_system(monkeypatch, cold_root_systems,
+                                         name):
     # the roots' simple-root coordinates come from generating the roots, so
     # rootsys solves no system even from cold caches; flagmodel solves one,
     # over Theta, for the kappa-images of the removed simple roots
@@ -606,7 +607,7 @@ def test_rootsys_solves_no_linear_system(monkeypatch, name):
 
     monkeypatch.setattr(rootsys, "_solve", unreachable)
     monkeypatch.setattr(flagmodel, "_solve", counted)
-    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})  # fresh, cold tables
+    cold_root_systems()  # fresh, cold tables
     flag = parse_manifold(name)
     flag.summands()
     classify_acs(flag)

@@ -123,12 +123,12 @@ def module_memos(path: Path) -> list[str]:
 
 
 def test_no_module_level_memos():
-    # per-type tables are memoised with functools.cache or cached_property;
-    # the root-system registry stays, as it normalises the family name
+    # per-type tables, root systems included, are memoised with
+    # functools.cache or cached_property
     memos = {f"{p.stem}.{name}"
              for p in (REPO / "src" / "flagchern").glob("*.py")
              for name in module_memos(p)}
-    assert memos == {"rootsys._ROOT_SYSTEMS"}
+    assert memos == set()
 
 
 def scoped_nodes(path: Path):

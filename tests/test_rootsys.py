@@ -126,8 +126,9 @@ def test_integral_roots_and_simple_reflections(family, rank):
             assert roots[perm[i]] == image
 
 
-def test_reflections_and_coroots_are_built_on_first_use(monkeypatch):
-    monkeypatch.setattr(rootsys, "_ROOT_SYSTEMS", {})
+def test_reflections_and_coroots_are_built_on_first_use(monkeypatch,
+                                                       cold_root_systems):
+    cold_root_systems()
     rs = build_root_system("B", 4)
     assert "reflections" not in vars(rs) and "coroots" not in vars(rs)
     calls = []
@@ -239,6 +240,15 @@ def test_root_system_json_round_trip(family, rank):
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         build_root_system("E", 8)
+
+
+def test_one_root_system_per_family_and_rank_and_no_refusal_kept():
+    assert build_root_system("b", 3) is build_root_system("B", 3)
+    kept = rootsys._root_system.cache_info().currsize
+    for family, rank in (("E", 8), ("G2", 3), ("D", 2), ("A", MAX_RANK + 1)):
+        with pytest.raises(ValueError):
+            build_root_system(family, rank)
+    assert rootsys._root_system.cache_info().currsize == kept
 
 
 def test_a_family_order_formula():
