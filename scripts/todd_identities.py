@@ -22,10 +22,8 @@ def main() -> None:
         td = todd_polynomial(n)
         d = td.denominator
         parts = []
-        for exps, coeff in sorted(td.coefficients.items()):
-            k = coeff * d
-            assert k.denominator == 1 and weighted_degree(exps) == n
-            k = int(k)
+        for exps, k in sorted(td.numerators.items()):
+            assert weighted_degree(exps) == n
             sign = "-" if k < 0 else "+"
             mag = abs(k)
             head = "" if mag == 1 else str(mag)

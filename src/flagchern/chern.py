@@ -556,8 +556,7 @@ def _todd_piece(m: int) -> tuple[dict[tuple[int, ...], int], int]:
 
 @dataclass(frozen=True)
 class ToddExpansion:
-    degree: int
-    coefficients: Mapping[tuple[int, ...], Fraction]
+    numerators: Mapping[tuple[int, ...], int]  # coefficients times denominator
     denominator: int  # the least common denominator of the coefficients
 
 
@@ -576,21 +575,21 @@ def todd_polynomial(degree: int) -> ToddExpansion:
     It is T_degree of Hirzebruch's multiplicative sequence td = exp(L) (see
     ``_todd_piece``, where l_k are the coefficients of
     log(x / (1 - e^{-x})) and p_k the power sums in the Chern classes),
-    turned into exponent tuples over c_1..c_degree with ``Fraction``
-    coefficients only at the end.  A degree outside 1..``MAX_TODD_DEGREE``
+    keyed by exponent tuples over c_1..c_degree, its coefficients as int
+    numerators over one denominator.  A degree outside 1..``MAX_TODD_DEGREE``
     is refused (ValueError) before anything is built.
     """
     if not 1 <= degree <= MAX_TODD_DEGREE:
         raise ValueError(f"the Todd polynomial of degree {degree} is not "
                          f"built; the degree must be in 1..{MAX_TODD_DEGREE}")
     nums, den = _todd_piece(degree)
-    coefficients = {}
+    numerators = {}
     for lam, a in nums.items():
         exps = [0] * degree
         for part in lam:
             exps[part - 1] += 1
-        coefficients[tuple(exps)] = Fraction(a, den)
-    return ToddExpansion(degree, coefficients, den)
+        numerators[tuple(exps)] = a
+    return ToddExpansion(numerators, den)
 
 
 def orientation_sign(flag: FlagManifold, acs: InvariantACS) -> int:
@@ -615,15 +614,14 @@ def todd_genus(flag: FlagManifold, acs: InvariantACS,
     (not the fixed all-plus orientation used by ``chern_numbers``), so every
     integrable structure has genus exactly 1.  ``numbers`` holds the Chern
     numbers, in that all-plus orientation, of at least the Todd polynomial's
-    monomials, from either oracle.  The sum is taken in integers, each
-    coefficient's numerator over the polynomial's one denominator, and
-    divided once, exactly: the genus is the index of the spin^c Dirac
-    operator, so a remainder raises ArithmeticError.
+    monomials, from either oracle.  The sum is taken in integers, over the
+    polynomial's numerators, and divided once by its denominator, exactly:
+    the genus is the index of the spin^c Dirac operator, so a remainder
+    raises ArithmeticError.
     """
     td = todd_polynomial(flag.complex_dim)
     den = td.denominator
-    total = sum(c.numerator * (den // c.denominator) * numbers[m]
-                for m, c in td.coefficients.items())
+    total = sum(a * numbers[m] for m, a in td.numerators.items())
     genus, rest = divmod(total, den)
     if rest:
         raise ArithmeticError(f"Todd genus of {flag.name()} {acs.label()} is "

@@ -193,7 +193,7 @@ def cmd_chern(args, out) -> int:
         top = [0] * (flag.complex_dim - 1) + [1]
         monos = [tuple(top)]
     # one batch serves the requested numbers and the Todd genus
-    todd = todd_polynomial(flag.complex_dim).coefficients if args.todd else {}
+    todd = todd_polynomial(flag.complex_dim).numerators if args.todd else {}
     [nums] = chern_numbers_by(flag, [acs], monos + list(todd), args.oracle)
     genus = todd_genus(flag, acs, nums) if args.todd else None
     if args.format == "json":
@@ -220,9 +220,6 @@ def cmd_table(args, out) -> int:
         for tid in tables.table_ids():
             out.write(tid + "\n")
         return EXIT_OK
-    if not args.table_id:
-        raise UsageError("table reproduce needs a table id "
-                         f"(one of: {', '.join(tables.table_ids())})")
     results = tables.reproduce(args.table_id, args.oracle, args.slow)
     if args.format == "json":
         _dump_json(tables.to_json_obj(results), out)
@@ -350,7 +347,7 @@ def cmd_verify(args, out) -> int:
                  "G2-short", "SO(5)/T", "Sp(2)/T"]:
         flag = parse_manifold(name)
         acs = InvariantACS((1,) * len(flag.summands()))
-        td = todd_polynomial(flag.complex_dim).coefficients
+        td = todd_polynomial(flag.complex_dim).numerators
         [nums] = chern_numbers_by(flag, [acs], list(td), args.oracle)
         check(f"todd genus 1 on {name}", todd_genus(flag, acs, nums) == 1)
     # projective-space sanity oracle
@@ -416,12 +413,14 @@ def build_parser() -> _Parser:
     q.add_argument("--todd", action="store_true",
                    help="also compute the Todd genus")
 
-    q = sub.add_parser("table", parents=[fmt, oracle],
-                       help="reproduce a reference table and diff it")
+    q = sub.add_parser("table", help="reproduce a reference table and diff it")
+    actions = q.add_subparsers(dest="action", required=True)
+    q = actions.add_parser("reproduce", parents=[fmt, oracle],
+                           help="recompute a table and diff it")
     q.add_argument("--slow", action="store_true",
                    help="include the F(8) sections of tab2")
-    q.add_argument("action", choices=["reproduce", "list"])
-    q.add_argument("table_id", nargs="?")
+    q.add_argument("table_id")
+    actions.add_parser("list", help="list the table ids")
 
     q = sub.add_parser("groebner", parents=[fmt],
                        help="reduced Groebner basis of a named or file ideal")

@@ -24,16 +24,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter, neg, sub
 
 from .rootsys import (
     RootSystem,
     Vector,
-    _solve,
     build_root_system,
     check_rank,
     height_product,
@@ -55,7 +52,7 @@ MAX_FIXED_POINTS = 100_000
 class IsotropySummand:
     t_root: Vector
     roots: tuple[int, ...]  # positions of the positive complementary roots
-    coeffs: tuple[int, ...]  # t_root over the kappa-images of removed simples
+    coeffs: tuple[int, ...]  # the roots' coordinates on the removed simples
 
     @property
     def dim_complex(self) -> int:
@@ -279,10 +276,11 @@ def t_root_decomposition(flag: FlagManifold) -> tuple[IsotropySummand, ...]:
     roots have equal kappa exactly when their difference lies in span(Theta),
     that is when their coordinates on the removed simple roots agree, so the
     summands group the complementary positive roots by those coordinates c.
-    The T-root kappa(alpha) = sum_j c_j kappa(alpha_j) is built once per
-    summand from the kappa-images of the removed simples alpha_j, which one
-    system in the Gram matrix of Theta gives; they are summed as integer
-    vectors over a common denominator.
+    The T-root kappa(alpha) is the mean of the summand's root vectors: a
+    reflection in a root of Theta changes only Theta-coordinates, so W_K maps
+    the summand onto itself and fixes the sum of its roots, which is
+    therefore orthogonal to span(Theta); each root is kappa(alpha) plus a
+    part in span(Theta), so the sum is |summand| kappa(alpha).
 
     The order is by height over the simple T-roots (the kappa-images of the
     removed simple roots), ties broken so that multiples of earlier removed
@@ -294,27 +292,11 @@ def t_root_decomposition(flag: FlagManifold) -> tuple[IsotropySummand, ...]:
     for p in flag.complementary_pos:
         c = rs.coords[p]
         groups.setdefault(tuple(c[i] for i in removed), []).append(p)
-
-    simples = rs.simples
-    kappas = [simples[i] for i in removed]
-    kept = [i for i in range(rs.rank) if i not in removed]
-    if kept:
-        # the scale of the Gram matrix (9 for G2) cancels in the projection
-        proj = _solve([[rs.gram[i][j] for j in kept] for i in kept],
-                      [[rs.gram[t][a] for t in kept] for a in removed])
-        kappas = [tuple(x - sum(c * simples[t][i] for c, t in zip(cs, kept))
-                        for i, x in enumerate(a)) for a, cs in zip(kappas, proj)]
-    den = math.lcm(*(x.denominator for k in kappas for x in k))
-    # each kappa-image as its nonzero entries (i, den * x)
-    sparse = [[(i, int(x * den)) for i, x in enumerate(k) if x] for k in kappas]
     summands = []
     for cvec, roots in groups.items():
-        total = [0] * rs.ambient_dim
-        for c, k in zip(cvec, sparse):
-            if c:
-                for i, x in k:
-                    total[i] += c * x
-        t_root = tuple(Fraction(x, den) for x in total)
+        n = len(roots)
+        t_root = rs.vectors[roots[0]] if n == 1 else tuple(
+            sum(xs) / n for xs in zip(*map(rs.vectors.__getitem__, roots)))
         summands.append(IsotropySummand(t_root, tuple(roots), cvec))
     summands.sort(key=lambda s: (s.height, tuple(-c for c in s.coeffs)))
     return tuple(summands)

@@ -107,24 +107,6 @@ class RootSystem:
         }
 
 
-def _solve(matrix, rhs) -> list[list[Fraction]]:
-    """Solve a small square rational system matrix * x = b for every row b
-    of ``rhs`` at once, by Gauss-Jordan elimination."""
-    n = len(matrix)
-    m = [[Fraction(matrix[i][j]) for j in range(n)]
-         + [Fraction(b[i]) for b in rhs] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [[m[i][n + k] for i in range(n)] for k in range(len(rhs))]
-
-
 def _coroot(gram, beta: tuple[int, ...]) -> Coroot:
     """The Cartan integers <alpha_i, beta^vee> = 2 (alpha_i, beta) / (beta,
     beta) of a root beta, given in simple-root coordinates, over the simple

@@ -13,7 +13,8 @@ column from scratch with one oracle call for all of them, and diffs it
 against the printed values.  ``reproduce`` runs it on each section of a
 table, and the rebuild script on each section of the registry.  The two F(8)
 sections of tab2, marked ``slow`` in the registry, are recomputed only when
-asked (``table --slow``; ``verify`` always asks).  A reproduction is *clean*
+asked (``table reproduce --slow``; ``verify`` always asks); otherwise their
+columns get the checks that need no manifold.  A reproduction is *clean*
 when the set of differing cells coincides exactly with the recorded
 annotations (including the recomputed values).  Any other difference is
 reported as unexplained.
@@ -146,14 +147,21 @@ def row_monomials(where: str, flag: FlagManifold, rows) -> list:
 
 def check_column(where: str, flag: FlagManifold, rows, spec: dict) -> None:
     """Refuses (AssertionError, naming ``where``) a column without one sign
-    of +-1 per isotropy summand of ``flag``, a global sign of +-1 and one
-    printed value per row, as pairing values with rows would drop cells
-    silently, or with a printed or annotated value that is not a decimal
-    integer string (naming its row too)."""
+    per isotropy summand of ``flag``, or one that ``_check_values``
+    refuses."""
     n = len(flag.summands())
     if len(spec["signs"]) != n:
         raise AssertionError(f"{where}: {len(spec['signs'])} signs for {n} "
                              f"summands")
+    _check_values(where, rows, spec)
+
+
+def _check_values(where: str, rows, spec: dict) -> None:
+    """The checks of ``check_column`` that need no manifold: refuses
+    (AssertionError, naming ``where``) a column whose signs and global sign
+    are not all +-1, without one printed value per row, as pairing values
+    with rows would drop cells silently, or with a printed or annotated
+    value that is not a decimal integer string (naming its row too)."""
     if not {1, -1}.issuperset([*spec["signs"], spec["global_sign"]]):
         raise AssertionError(f"{where}: signs {spec['signs']} and global "
                              f"sign {spec['global_sign']} are not all +-1")
@@ -216,6 +224,14 @@ def reproduce_section(where: str, sec: dict, oracle: str) -> SectionResult:
                           for c, v in zip(sec["columns"], values)])
 
 
+def _skipped_section(sec: dict) -> SectionResult:
+    """A slow section left uncomputed, its columns checked as far as
+    ``_check_values`` goes without parsing the manifold."""
+    for c in sec["columns"]:
+        _check_values(f"{sec['manifold']} {c['label']}", sec["rows"], c)
+    return _section(sec, [ColumnResult.from_spec(c) for c in sec["columns"]])
+
+
 def reproduce(table_id: str, oracle: str, slow: bool) -> list[TableResult]:
     """Recompute the named table(s) and diff against the printed values."""
     reg = load_registry()
@@ -223,8 +239,7 @@ def reproduce(table_id: str, oracle: str, slow: bool) -> list[TableResult]:
     for tid in resolve(table_id):
         spec = reg["tables"][tid]
         sections = [
-            _section(sec, [ColumnResult.from_spec(c) for c in sec["columns"]])
-            if sec.get("slow") and not slow
+            _skipped_section(sec) if sec.get("slow") and not slow
             else reproduce_section(sec["manifold"], sec, oracle)
             for sec in spec.get("sections") or [spec]]
         results.append(TableResult(table_id=tid, title=spec["title"],

@@ -39,7 +39,7 @@ def weyl_todd_genus():
     from flagchern.chern import chern_numbers, todd_genus, todd_polynomial
 
     def genus(flag, acs):
-        monos = list(todd_polynomial(flag.complex_dim).coefficients)
+        monos = list(todd_polynomial(flag.complex_dim).numerators)
         return todd_genus(flag, acs, chern_numbers(flag, acs, monos))
 
     return genus

@@ -365,6 +365,11 @@ def test_exit_code_internal_on_oracle_disagreement(monkeypatch):
     ("verify", "quick"),
     ("verify", "all"),
     ("verify", "--slow"),
+    # table list reads no table id and none of reproduce's options
+    ("table", "list", "tab2"),
+    ("table", "list", "--slow"),
+    ("table", "list", "--oracle", "weyl"),
+    ("table", "list", "--format", "json"),
 ])
 def test_options_of_other_subcommands_are_refused(argv, capsys):
     # an option goes only on the subcommands that read it, so one given to
@@ -560,6 +565,39 @@ def test_malformed_registry_column_is_an_internal_error(monkeypatch, capsys,
         err = capsys.readouterr().err
         assert err.startswith("internal invariant violation: ")
         assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("slow", [[], ["--slow"]])
+def test_malformed_cell_of_a_slow_section_is_an_internal_error(
+        monkeypatch, capsys, slow):
+    # a skipped slow section gets the column checks that need no manifold,
+    # so its F(8) manifold is parsed only under --slow
+    import copy
+
+    import flagchern.tables as tables
+
+    registry = copy.deepcopy(tables.load_registry())
+    sec = registry["tables"]["tab2"]["sections"][1]
+    assert sec["manifold"] == "F(8;1,2,5)" and sec["slow"]
+    sec["columns"][0]["printed"][0] = "12x"
+    monkeypatch.setattr(tables, "load_registry", lambda: registry)
+    parsed = []
+    real_parse = tables.parse_manifold
+
+    def parse(name):
+        parsed.append(name)
+        return real_parse(name)
+
+    monkeypatch.setattr(tables, "parse_manifold", parse)
+    assert main(["table", "reproduce", "tab2", "--format", "csv",
+                 *slow]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal invariant violation: F(8;1,2,5) "
+                            "J1 = (+,+,+) c1^17: printed value '12x' is not "
+                            "a decimal integer\n")
+    assert ("F(8;1,2,5)" in parsed) == bool(slow)
+    assert "F(8;1,3,4)" not in parsed
 
 
 @pytest.mark.parametrize("argv", [

@@ -527,8 +527,11 @@ def reference_is_integrable(flag, k_roots, signs):
                for a in plus for b in plus)
 
 
+# in FB(4;1,2), FC(4;1,1) and FD(6;2,2) Theta holds the last simple roots,
+# so long and short roots share a summand
 @pytest.mark.parametrize("name", registry_manifolds() + [
-    "FB(7;3,4)", "FC(6;2,2,2)", "FD(7;2,5)", "F(12;3,4,5)"])
+    "FB(7;3,4)", "FC(6;2,2,2)", "FD(7;2,5)", "F(12;3,4,5)", "FB(4;1,2)",
+    "FC(4;1,1)", "FD(6;2,2)"])
 def test_k_roots_and_summands_match_projection_and_kappa(name):
     flag = parse_manifold(name)
     rs = flag.rs
@@ -586,31 +589,3 @@ def test_closure_table_holds_each_violation_once(name):
     assert len(table) == len(triples)
     assert {frozenset([(i, p), (j, q), (k, -r)])
             for i, p, j, q, k, r in table} == triples
-
-
-@pytest.mark.parametrize("name", ["F(6)", "F(6;1,2,3)", "FB(3;1,2)",
-                                  "G2-long"])
-def test_rootsys_solves_no_linear_system(monkeypatch, cold_root_systems,
-                                         name):
-    # the roots' simple-root coordinates come from generating the roots, so
-    # rootsys solves no system even from cold caches; flagmodel solves one,
-    # over Theta, for the kappa-images of the removed simple roots
-    def unreachable(*args):
-        raise AssertionError("rootsys solved a linear system")
-
-    calls = []
-    real = flagmodel._solve
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(rootsys, "_solve", unreachable)
-    monkeypatch.setattr(flagmodel, "_solve", counted)
-    cold_root_systems()  # fresh, cold tables
-    flag = parse_manifold(name)
-    flag.summands()
-    classify_acs(flag)
-    rootsys.bruhat_covers(flag.rs)
-    theta = flag.rs.rank - len(flag.removed_indices)
-    assert len(calls) == (1 if theta else 0)
