@@ -60,12 +60,12 @@ def rebuild_section(where: str, sec: dict) -> None:
         res = reproduce_section(where, sec, "weyl")
     except AssertionError as exc:
         raise SystemExit(str(exc))
-    for col, result in zip(sec["columns"], res.columns):
+    for col, result in zip(sec["columns"], res["columns"]):
         col_where = f"{where} {col['label']}"
         notes = {a["row"]: a["note"] for a in col["annotations"]}
         col["annotations"] = []
         for row, printed, recomputed in zip(sec["rows"], col["printed"],
-                                            result.recomputed):
+                                            result["recomputed"]):
             note = notes.pop(row, None)
             if int(printed) == recomputed and note is not None:
                 raise SystemExit(f"{col_where} {row}: annotated but matches")

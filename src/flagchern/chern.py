@@ -90,7 +90,7 @@ def parse_cmonomial(text: str, n: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def _top_monomial(flag: FlagManifold, c_monomial) -> tuple[int, ...]:
+def top_monomial(flag: FlagManifold, c_monomial) -> tuple[int, ...]:
     """Exponent tuple of a c-monomial, which must have weighted degree N."""
     n = flag.complex_dim
     m = parse_cmonomial(c_monomial, n) if isinstance(c_monomial, str) else tuple(c_monomial)
@@ -104,14 +104,14 @@ def _top_monomial(flag: FlagManifold, c_monomial) -> tuple[int, ...]:
 def _class_sequences(flag: FlagManifold,
                      monomials) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Each distinct monomial's exponent tuple, validated once (see
-    ``_top_monomial``), mapped to its class degrees, smallest first, in
+    ``top_monomial``), mapped to its class degrees, smallest first, in
     first-seen order: c1^2c3 has the sequence (1, 1, 3).  Every sequence
     sums to N, so none is a proper prefix of another."""
     checked: dict = {}
     for m in monomials:
         key = m if isinstance(m, str) else tuple(m)
         if key not in checked:
-            checked[key] = _top_monomial(flag, key)
+            checked[key] = top_monomial(flag, key)
     return {m: tuple(k + 1 for k, e in enumerate(m) for _ in range(e))
             for m in checked.values()}
 

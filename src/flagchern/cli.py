@@ -227,7 +227,7 @@ def cmd_table(args, out) -> int:
         out.write(tables.to_csv(results))
     else:
         out.write(tables.to_markdown(results))
-    if not all(r.ok for r in results):
+    if not all(r["ok"] for r in results):
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -251,11 +251,13 @@ def _load_ideal(spec: str):
             cohomology.int_parameter("--ideal proj-tangent:<n>", rest))
         return list(case.generators)
     try:
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"--ideal: not a preset ({_GB_PRESETS}) and not a "
                          f"readable file: {exc}")
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise UsageError(f"--ideal: {spec} is not JSON: {exc}") from None
     if not isinstance(data, dict) or not {"nvars", "generators"} <= set(data):
         raise UsageError(f"--ideal: {spec} needs the keys 'nvars' and "
                          f"'generators'")
@@ -337,8 +339,9 @@ def cmd_verify(args, out) -> int:
 
     for tid in sorted(tables.load_registry()["tables"]):
         for r in tables.reproduce(tid, args.oracle, slow=True):
-            check(f"table {r.table_id} (annotated cells: {r.n_annotated})",
-                  r.ok)
+            n = sum(d["annotated"] for s in r["sections"]
+                    for c in s["columns"] for d in c["diffs"])
+            check(f"table {r['table_id']} (annotated cells: {n})", r["ok"])
     for tag in cohomology.CASE_EXAMPLES:
         summary = cohomology.verify_case(cohomology.presentation_case(tag))
         check(f"cohomology {tag}", summary["ok"])

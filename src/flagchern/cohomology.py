@@ -14,13 +14,14 @@ of ``groebner`` that lists no monomial below the top degree.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .groebner import (GroebnerBasis, MonomialOrder, _complete_homogeneous,
-                       borel_generators, buchberger, normal_form,
-                       quotient_dimension, top_staircase_monomial)
+from .groebner import (GroebnerBasis, MonomialOrder, borel_generators,
+                       buchberger, normal_form, quotient_dimension,
+                       top_staircase_monomial)
 from .polyring import Polynomial
 
 
@@ -31,15 +32,10 @@ class CertificateError(ValueError):
 @dataclass(frozen=True)
 class PresentationCase:
     name: str
-    nvars: int
     generators: tuple[Polynomial, ...]
     relations: tuple[Polynomial, ...]
     top_class: Polynomial
     expected_quotient_dim: int
-    # extra linear forms multiplied in before reduction (positive roots of
-    # the isotropy group, for partial-flag quotients presented inside the
-    # ambient full-flag ring)
-    extra_factors: tuple[Polynomial, ...] = ()
     # claimed reduced Groebner basis, when the reference prints one
     claimed_basis: tuple[Polynomial, ...] = ()
 
@@ -54,6 +50,20 @@ class PresentationCase:
 
 
 # -- relation families --------------------------------------------------------
+
+def _complete_homogeneous(nvars: int, k: int, first_var: int,
+                          square: bool = False) -> Polynomial:
+    """h_k in the variables x_{first_var}..x_{nvars-1} (0-indexed), or in
+    their squares when ``square`` is set."""
+    terms = {}
+    varset = range(first_var, nvars)
+    for combo in itertools.combinations_with_replacement(varset, k):
+        e = [0] * nvars
+        for i in combo:
+            e[i] += 2 if square else 1
+        terms[tuple(e)] = Fraction(1)
+    return Polynomial(nvars, terms)
+
 
 def relations_a_full(n: int) -> list[Polynomial]:
     """The n claimed relations in H*(SU(n+1)/T): for p = 1..n the complete
@@ -125,7 +135,7 @@ def projectivized_tangent_presentation(n: int) -> PresentationCase:
     # top cohomology class: the basis monomials are x^a y^b with
     # a <= n+1, b <= n, so the top one is x^{n+1} y^n
     return PresentationCase(
-        name=f"proj-tangent:{n}", nvars=2,
+        name=f"proj-tangent:{n}",
         generators=(r1, r2), relations=(r1, r2),
         top_class=_monomial(2, (n + 1, n)),
         expected_quotient_dim=(n + 2) * (n + 1))
@@ -141,21 +151,19 @@ def presentation_case(tag: str) -> PresentationCase:
             raise ValueError(f"case {tag!r} needs a rank, e.g. {kind}:3")
         n = int_parameter(f"--case {kind}:<n>", arg)
         if kind == "a-full":
-            nvars = n + 1
             gens = borel_generators("A", n)
             rels = relations_a_full(n)
-            top = _monomial(nvars, list(range(n + 1)))
+            top = _monomial(n + 1, range(n + 1))
             dim = factorial(n + 1)
         else:
             family = "B" if kind != "c-full" else "C"
-            nvars = n
             gens = borel_generators(family, n)
             rels = relations_bc_full(n)
-            top = _monomial(nvars, [2 * i - 1 for i in range(1, n + 1)])
+            top = _monomial(n, [2 * i - 1 for i in range(1, n + 1)])
             dim = 2 ** n * factorial(n)
-        return PresentationCase(name=f"{kind}:{n}", nvars=nvars,
-                                generators=tuple(gens), relations=tuple(rels),
-                                top_class=top, expected_quotient_dim=dim)
+        return PresentationCase(name=f"{kind}:{n}", generators=tuple(gens),
+                                relations=tuple(rels), top_class=top,
+                                expected_quotient_dim=dim)
     if kind == "so6-groebner":
         if sep:
             raise ValueError(f"case so6-groebner takes no parameter; "
@@ -163,13 +171,12 @@ def presentation_case(tag: str) -> PresentationCase:
         gens = borel_generators("D", 3)
         y = Polynomial.variable(3, 1)
         z = Polynomial.variable(3, 2)
-        # the isotropy U(1) x U(2) has one positive root, whose linear form
-        # is y - z in these coordinates
+        # the class of SO(6)/(U(1) x U(2)) times the linear form y - z of
+        # the isotropy's one positive root, in the ambient full-flag ring
         return PresentationCase(
-            name="so6-groebner", nvars=3, generators=tuple(gens),
+            name="so6-groebner", generators=tuple(gens),
             relations=tuple(_so6_claimed_basis()),
-            top_class=y ** 2 * z ** 3 - y * z ** 4,
-            extra_factors=(y - z,),
+            top_class=(y ** 2 * z ** 3 - y * z ** 4) * (y - z),
             expected_quotient_dim=24,
             claimed_basis=_so6_claimed_basis())
     if kind == "proj-tangent":
@@ -201,12 +208,10 @@ def verify_claimed_basis(case: PresentationCase, gb: GroebnerBasis) -> bool:
 
 def top_class_certificate(case: PresentationCase, gb: GroebnerBasis,
                           mono: tuple[int, ...]) -> Fraction:
-    """The scalar lambda with NF(top_class * extra_factors) = lambda * mono,
-    the top staircase monomial of ``gb``.  lambda = 0 raises
+    """The scalar lambda with NF(top_class) = lambda * mono, the top
+    staircase monomial of ``gb``.  lambda = 0 raises
     :class:`CertificateError`."""
     r = normal_form(case.top_class, gb)
-    for f in case.extra_factors:
-        r = normal_form(r * f, gb)
     if r.is_zero():
         raise CertificateError(
             f"case {case.name}: claimed top class reduces to 0 — it does "

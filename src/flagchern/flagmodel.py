@@ -71,9 +71,6 @@ class InvariantACS:
         if not {1, -1}.issuperset(self.signs):
             raise ValueError("signs must be +-1")
 
-    def conjugate(self) -> "InvariantACS":
-        return InvariantACS(tuple(-s for s in self.signs))
-
     def label(self) -> str:
         return "(" + ",".join(map(_SIGN_TEXT.__getitem__, self.signs)) + ")"
 

@@ -20,7 +20,6 @@ come from root data alone (see ``chern``).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,20 +263,6 @@ def _power_sum(nvars: int, k: int) -> Polynomial:
     for i in range(nvars):
         e = [0] * nvars
         e[i] = k
-        terms[tuple(e)] = Fraction(1)
-    return Polynomial(nvars, terms)
-
-
-def _complete_homogeneous(nvars: int, k: int, first_var: int,
-                          square: bool = False) -> Polynomial:
-    """h_k in the variables x_{first_var}..x_{nvars-1} (0-indexed), or in
-    their squares when ``square`` is set."""
-    terms = {}
-    varset = range(first_var, nvars)
-    for combo in itertools.combinations_with_replacement(varset, k):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 2 if square else 1
         terms[tuple(e)] = Fraction(1)
     return Polynomial(nvars, terms)
 

@@ -92,9 +92,6 @@ class Polynomial:
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = Fraction(other)
@@ -138,8 +135,6 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(self.nvars, other)
         return NotImplemented
 
     def __hash__(self) -> int:

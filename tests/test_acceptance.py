@@ -16,12 +16,13 @@ from flagchern.flagmodel import (FlagManifold, InvariantACS, classify_acs,
 from flagchern.groebner import buchberger, MonomialOrder, quotient_dimension
 from flagchern.polyring import Polynomial
 from flagchern.rootsys import build_root_system
+from flagchern.tables import to_markdown
 
 
 def column_by_prefix(table, prefix):
-    for sec in table.sections:
-        for col in sec.columns:
-            if col.label.startswith(prefix):
+    for sec in table["sections"]:
+        for col in sec["columns"]:
+            if col["label"].startswith(prefix):
                 return col
     raise KeyError(prefix)
 
@@ -30,40 +31,42 @@ def column_by_prefix(table, prefix):
 
 def test_criterion_01_f714_c1_14_exact(reproduce_cached):
     res = reproduce_cached("tab-dif", oracle="both")[0]
-    assert res.ok and res.n_annotated == 0
-    values = {col.label.split(" ")[0]: col.recomputed[0]
-              for col in res.sections[0].columns}
+    assert res["ok"]
+    assert not any(c["diffs"] for s in res["sections"] for c in s["columns"])
+    values = {col["label"].split(" ")[0]: col["recomputed"][0]
+              for col in res["sections"][0]["columns"]}
     assert values == {"J1": 4169710642825728, "J2": 3967580897280000,
                       "J3": 5340215200320000, "J4": 68881612800}
-    for col in res.sections[0].columns:
-        assert col.printed == col.recomputed
+    for col in res["sections"][0]["columns"]:
+        assert col["printed"] == col["recomputed"]
 
 
 # 2. c1-power rows on the three-block flags, including the zero ------------
 
 def test_criterion_02_c1_power_rows_fast(reproduce_cached):
     res = reproduce_cached("tab2", oracle="both")[0]
-    assert res.ok
-    f6 = next(s for s in res.sections if s.manifold == "F(6;1,2,3)")
-    values = {c.label.split(" ")[0]: c.recomputed[0] for c in f6.columns}
+    assert res["ok"]
+    f6 = next(s for s in res["sections"] if s["manifold"] == "F(6;1,2,3)")
+    values = {c["label"].split(" ")[0]: c["recomputed"][0]
+              for c in f6["columns"]}
     assert values["J4"] == 0
     assert sorted(values.values()) == sorted(
         [-166320000000, 187110000000, -156539053440, 0])
-    assert all(c.printed == c.recomputed for c in f6.columns)
+    assert all(c["printed"] == c["recomputed"] for c in f6["columns"])
 
 
 def test_criterion_02_c1_power_rows_f8(reproduce_cached):
     res = reproduce_cached("tab2", oracle="weyl", slow=True)[0]
-    assert res.ok
-    f825 = next(s for s in res.sections if s.manifold == "F(8;1,2,5)")
-    f834 = next(s for s in res.sections if s.manifold == "F(8;1,3,4)")
-    assert not f825.skipped and not f834.skipped
+    assert res["ok"]
+    f825 = next(s for s in res["sections"] if s["manifold"] == "F(8;1,2,5)")
+    f834 = next(s for s in res["sections"] if s["manifold"] == "F(8;1,3,4)")
+    assert not f825["skipped"] and not f834["skipped"]
     # F(8;1,3,4) is printed exactly; F(8;1,2,5) carries exactly one
     # annotated cell (a printed value missing one trailing zero)
-    assert all(not c.diffs for c in f834.columns)
-    diffs = [d for c in f825.columns for d in c.diffs]
-    assert len(diffs) == 1 and diffs[0].annotated
-    assert (diffs[0].printed, diffs[0].recomputed) \
+    assert all(not c["diffs"] for c in f834["columns"])
+    diffs = [d for c in f825["columns"] for d in c["diffs"]]
+    assert len(diffs) == 1 and diffs[0]["annotated"]
+    assert (diffs[0]["printed"], diffs[0]["recomputed"]) \
         == (1250749500000000, 12507495000000000)
 
 
@@ -71,20 +74,21 @@ def test_criterion_02_c1_power_rows_f8(reproduce_cached):
 
 def test_criterion_03_f522_table(reproduce_cached):
     res = reproduce_cached("tab3", oracle="both")[0]
-    assert res.ok
-    sec = res.sections[0]
-    i_c8 = sec.rows.index("c8")
-    i_c18 = sec.rows.index("c1^8")
-    assert all(c.recomputed[i_c8] == 30 for c in sec.columns)
-    assert {c.recomputed[i_c18] for c in sec.columns} \
+    assert res["ok"]
+    sec = res["sections"][0]
+    i_c8 = sec["rows"].index("c8")
+    i_c18 = sec["rows"].index("c1^8")
+    assert all(c["recomputed"][i_c8] == 30 for c in sec["columns"])
+    assert {c["recomputed"][i_c18] for c in sec["columns"]} \
         == {15805440, 14696640, 2240}
     j1 = column_by_prefix(res, "J1")
     j4 = column_by_prefix(res, "J4")
-    assert j1.printed == j4.printed        # printed identically
-    assert j1.recomputed == j4.recomputed  # and genuinely equal
+    assert j1["printed"] == j4["printed"]        # printed identically
+    assert j1["recomputed"] == j4["recomputed"]  # and genuinely equal
     # the single annotated cell: a sign typo in the third column
-    diffs = [(c.label.split(" ")[0], d.row, d.printed, d.recomputed)
-             for c in sec.columns for d in c.diffs]
+    diffs = [(c["label"].split(" ")[0], d["row"], d["printed"],
+              d["recomputed"])
+             for c in sec["columns"] for d in c["diffs"]]
     assert diffs == [("J3", "c2c6", 10, -10)]
 
 
@@ -92,25 +96,26 @@ def test_criterion_03_f522_table(reproduce_cached):
 
 def test_criterion_04_f4_table(reproduce_cached):
     res = reproduce_cached("tab5", oracle="both")[0]
-    assert res.ok
-    sec = res.sections[0]
+    assert res["ok"]
+    sec = res["sections"][0]
     j = column_by_prefix(res, "J ")
-    assert j.recomputed[sec.rows.index("c1^6")] == 46080
-    i_c6 = sec.rows.index("c6")
-    assert {abs(c.recomputed[i_c6]) for c in sec.columns} == {24}
-    diffs = [(c.label.split(" ")[0], d.row, d.printed, d.recomputed)
-             for c in sec.columns for d in c.diffs]
+    assert j["recomputed"][sec["rows"].index("c1^6")] == 46080
+    i_c6 = sec["rows"].index("c6")
+    assert {abs(c["recomputed"][i_c6]) for c in sec["columns"]} == {24}
+    diffs = [(c["label"].split(" ")[0], d["row"], d["printed"],
+              d["recomputed"])
+             for c in sec["columns"] for d in c["diffs"]]
     assert diffs == [("I2", "c1c5", -96, -48)]
 
 
 def test_criterion_04_f5_tables(reproduce_cached):
     for res in reproduce_cached("f5-all", oracle="both"):
-        assert res.ok, res.table_id
+        assert res["ok"], res["table_id"]
     res1 = reproduce_cached("f5-all", oracle="both")[0]
     i1 = column_by_prefix(res1, "I1")
-    ann = [d for d in i1.diffs if d.row == "c2^3c4"]
-    assert len(ann) == 1 and ann[0].annotated
-    assert (ann[0].printed, ann[0].recomputed) == (7257760, 725760)
+    ann = [d for d in i1["diffs"] if d["row"] == "c2^3c4"]
+    assert len(ann) == 1 and ann[0]["annotated"]
+    assert (ann[0]["printed"], ann[0]["recomputed"]) == (7257760, 725760)
 
 
 def test_criterion_04_typo_cell_satisfies_riemann_roch(reproduce_cached):
@@ -120,19 +125,19 @@ def test_criterion_04_typo_cell_satisfies_riemann_roch(reproduce_cached):
     # printed one; the degree-9 identity with denominator 7257600 is
     # regenerated coefficient-for-coefficient (see test_chern)
     res = reproduce_cached("f5-all", oracle="both")[0]
-    sec = res.sections[0]
+    sec = res["sections"][0]
     i1 = column_by_prefix(res, "I1")
     td = todd_polynomial(10)
     assert td.denominator == 479001600
 
     def genus(values):
-        table = dict(zip(sec.rows, values))
+        table = dict(zip(sec["rows"], values))
         return Fraction(sum(a * table[format_cmonomial(m)]
                             for m, a in td.numerators.items()),
                         td.denominator)
 
-    assert genus(i1.recomputed).denominator == 1
-    assert genus(i1.printed).denominator != 1
+    assert genus(i1["recomputed"]).denominator == 1
+    assert genus(i1["printed"]).denominator != 1
     assert todd_polynomial(9).denominator == 7257600
 
 
@@ -145,26 +150,28 @@ BCDG_TABLES = ["tabso1", "tabso21", "tabg21", "tabg22", "tabsp31",
 @pytest.mark.parametrize("tid", BCDG_TABLES)
 def test_criterion_05_bcdg_tables(tid, reproduce_cached):
     res = reproduce_cached(tid, oracle="both")[0]
-    assert res.ok, [(c.label, d.row, d.printed, d.recomputed)
-                    for s in res.sections for c in s.columns
-                    for d in c.unexplained]
-    for sec in res.sections:
-        for col in sec.columns:
-            mapping = col.mapping()   # computed -> printed column mapping
-            assert "signs=(" in mapping and "global_sign=" in mapping
+    assert res["ok"], [(c["label"], d["row"], d["printed"], d["recomputed"])
+                       for s in res["sections"] for c in s["columns"]
+                       for d in c["diffs"] if not d["annotated"]]
+    # each column's computed -> printed mapping is emitted
+    lines = to_markdown([res]).splitlines()
+    for sec in res["sections"]:
+        for col in sec["columns"]:
+            assert any(line.startswith(f"- column `{col['label']}`: signs=(")
+                       and "global_sign=" in line for line in lines)
 
 
 @pytest.mark.parametrize("tid,chi", [("g2t", 12), ("so8u4", 8)])
 def test_criterion_05_canonical_columns_exact(tid, chi, reproduce_cached):
     res = reproduce_cached(tid, oracle="both")[0]
-    sec = res.sections[0]
-    col = sec.columns[0]
-    assert all(s == 1 for s in col.signs) and col.global_sign == 1
-    assert col.printed == col.recomputed and not col.diffs
+    sec = res["sections"][0]
+    col = sec["columns"][0]
+    assert all(s == 1 for s in col["signs"]) and col["global_sign"] == 1
+    assert col["printed"] == col["recomputed"] and not col["diffs"]
     top = format_cmonomial(tuple(
-        1 if k == len(parse_cmonomial(sec.rows[0], 6)) - 1 else 0
+        1 if k == len(parse_cmonomial(sec["rows"][0], 6)) - 1 else 0
         for k in range(6)))
-    assert col.recomputed[sec.rows.index(top)] == chi
+    assert col["recomputed"][sec["rows"].index(top)] == chi
 
 
 # 6. Todd genus 1 on canonical and integrable structures -------------------
@@ -267,7 +274,7 @@ def test_criterion_09_dual_oracle_over_all_fast_tables(reproduce_cached):
     # on every monomial of every fast table
     for tid in ["tab-dif", "tab2", "tab3", "tab5", "f5-all"] + BCDG_TABLES:
         for res in reproduce_cached(tid, oracle="both"):
-            assert res.ok, res.table_id
+            assert res["ok"], res["table_id"]
 
 
 EULER = [("F(6;1,2,3)", 60), ("F(7;1,2,4)", 105), ("F(8;1,2,5)", 168),
@@ -307,7 +314,9 @@ def test_criterion_10_conjugation_parity(name):
     rng = random.Random(20260823)
     monos = monomials_of_weighted_degree(n, n)
     for _ in range(5):
-        acs = InvariantACS(tuple(rng.choice([1, -1]) for _ in range(s)))
+        signs = tuple(rng.choice([1, -1]) for _ in range(s))
+        acs = InvariantACS(signs)
+        conjugate = InvariantACS(tuple(-x for x in signs))
         mono = rng.choice(monos)
-        assert chern_numbers(flag, acs.conjugate(), [mono])[mono] \
+        assert chern_numbers(flag, conjugate, [mono])[mono] \
             == (-1) ** n * chern_numbers(flag, acs, [mono])[mono]

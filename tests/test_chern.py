@@ -134,7 +134,8 @@ def test_conjugation_parity(name, data):
     acs = InvariantACS(signs)
     mono = data.draw(st.sampled_from(monomials_of_weighted_degree(n, n)))
     a = chern_numbers(flag, acs, [mono])[mono]
-    b = chern_numbers(flag, acs.conjugate(), [mono])[mono]
+    conjugate = InvariantACS(tuple(-s for s in signs))
+    b = chern_numbers(flag, conjugate, [mono])[mono]
     assert b == (-1) ** n * a
 
 

@@ -324,20 +324,16 @@ def test_exit_code_zero_on_success():
 
 def test_exit_code_mismatch(monkeypatch):
     # a table whose reproduction carries an unexplained diff exits 2
-    import flagchern.cli as cli
+    import copy
+
     import flagchern.tables as tables
 
-    real_reproduce = tables.reproduce
-
-    def broken_reproduce(table_id, oracle="weyl", slow=False):
-        results = real_reproduce(table_id, oracle=oracle, slow=slow)
-        col = results[0].sections[0].columns[0]
-        col.diffs.append(tables.CellDiff(row="c4", printed=1, recomputed=2,
-                                         note=None, annotated=False))
-        return results
-
-    monkeypatch.setattr(cli.tables, "reproduce", broken_reproduce)
-    assert run_cli("table", "reproduce", "so5t", "--oracle", "weyl")[0] == 2
+    registry = copy.deepcopy(tables.load_registry())
+    col = registry["tables"]["so5t"]["columns"][0]
+    col["printed"][0] = str(int(col["printed"][0]) + 1)
+    monkeypatch.setattr(tables, "load_registry", lambda: registry)
+    code, out = run_cli("table", "reproduce", "so5t", "--oracle", "weyl")
+    assert code == 2 and out.count("[UNEXPLAINED]") == 1
 
 
 def test_exit_code_internal_on_oracle_disagreement(monkeypatch):
@@ -697,6 +693,20 @@ def test_ideal_file_without_its_keys_is_a_usage_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == (f"usage error: --ideal: {path} needs the keys 'nvars' "
                    f"and 'generators'\n")
+
+
+@pytest.mark.parametrize("content,reason", [
+    (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte"),
+])
+def test_ideal_file_that_is_not_json_is_a_usage_error(tmp_path, capsys,
+                                                      content, reason):
+    path = tmp_path / "ideal.json"
+    path.write_bytes(content)
+    assert main(["groebner", "--ideal", str(path)]) == 1
+    assert capsys.readouterr().err \
+        == f"usage error: --ideal: {path} is not JSON: {reason}\n"
 
 
 NOT_TERMS = (": each generator must be a list of [exponents, numerator, "

@@ -88,7 +88,7 @@ def test_staircase_count_equals_quotient_dimension():
         gb = case.groebner()
         lts = gb.leading_terms()
         listed = [m for m in itertools.product(range(max(map(max, lts))),
-                                               repeat=case.nvars)
+                                               repeat=case.top_class.nvars)
                   if not any(all(map(le, e, m)) for e in lts)]
         assert quotient_dimension(gb) == len(listed) \
             == case.expected_quotient_dim

@@ -181,7 +181,7 @@ def test_census_up_to_conjugation(name, count):
     # conjugation-reduced list contains one of each +/- pair
     seen = set(a.signs for a in acs)
     for a in acs:
-        assert a.conjugate().signs not in seen
+        assert tuple(-s for s in a.signs) not in seen
 
 
 @pytest.mark.parametrize("name,n_classes", [
@@ -235,7 +235,7 @@ def test_integrability_invariant_under_conjugation(name, data):
     s = len(flag.summands())
     signs = tuple(data.draw(st.sampled_from([1, -1])) for _ in range(s))
     integrable = integrable_sign_vectors(flag)
-    conjugate = InvariantACS(signs).conjugate().signs
+    conjugate = tuple(-s for s in signs)
     assert (signs in integrable) == (conjugate in integrable)
 
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagchern.cohomology import _complete_homogeneous
 from flagchern.groebner import (GroebnerBasis, MonomialOrder,
-                                _complete_homogeneous, borel_generators,
-                                buchberger, normal_form, quotient_dimension,
-                                s_polynomial, top_staircase_monomial)
+                                borel_generators, buchberger, normal_form,
+                                quotient_dimension, s_polynomial,
+                                top_staircase_monomial)
 from flagchern.polyring import Polynomial
 
 

@@ -1,5 +1,6 @@
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import flagchern
@@ -247,3 +248,77 @@ def test_every_public_name_has_a_program_reader():
     assert unread == set(PINNED_BY_BENCHMARK)
     for name, path in PINNED_BY_BENCHMARK.items():
         assert name in (REPO / path).read_text()
+
+
+# public methods and properties that only the benchmark reads, each with the
+# file that pins it
+METHODS_PINNED_BY_BENCHMARK = {
+    "FlagManifold.w_k": "perfbench/tests/test_bench_reference.py",
+}
+
+
+def attribute_reads(node: ast.AST) -> Counter:
+    """How often each name is read inside ``node``, as a name or as an
+    attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_public_method_has_a_program_reader():
+    # a public method or property of a package class that nothing in the
+    # package or the scripts reads, outside its own body, is dead API; as
+    # for __all__, any read of the name counts
+    src = sorted((REPO / "src" / "flagchern").glob("*.py"))
+    trees = {p: ast.parse(p.read_text())
+             for p in src + sorted((REPO / "scripts").glob("*.py"))}
+    reads = sum((attribute_reads(t) for t in trees.values()), Counter())
+    unread = {f"{cls.name}.{node.name}"
+              for p in src for cls in trees[p].body
+              if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")
+              and reads[node.name] == attribute_reads(node)[node.name]}
+    assert unread == set(METHODS_PINNED_BY_BENCHMARK)
+    for name, path in METHODS_PINNED_BY_BENCHMARK.items():
+        assert name.split(".")[1] in (REPO / path).read_text()
+
+
+def private_reads_across_modules(path: Path) -> set[str]:
+    """Each ``module._name`` that ``path`` imports from another flagchern
+    module, or reads as an attribute of one it imported; dunder names are
+    not private."""
+    modules = {p.stem for p in path.parent.glob("*.py")}
+    found, aliases, attributes = set(), {}, []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "flagchern":
+                continue
+            module = module.removeprefix("flagchern").lstrip(".")
+            for alias in node.names:
+                if not module and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    found.add(f"{module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            aliases |= {alias.asname or alias.name: alias.name.split(".")[-1]
+                        for alias in node.names
+                        if alias.name.startswith("flagchern.")}
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)):
+            attributes.append(node)
+    found |= {f"{aliases[n.value.id]}.{n.attr}" for n in attributes
+              if n.value.id in aliases}
+    return {name for name in found
+            if name.rpartition(".")[2].startswith("_")
+            and not name.endswith("__")}
+
+
+def test_private_names_stay_in_their_module():
+    # a module reads only the public names of the other flagchern modules
+    crossing = {p.stem: private_reads_across_modules(p)
+                for p in (REPO / "src" / "flagchern").glob("*.py")}
+    assert {stem: c for stem, c in crossing.items() if c} == {}

@@ -17,6 +17,12 @@ ANNOTATED = {
 FAST = sorted(set(ANNOTATED) - {"tab-dif"})
 
 
+def diffs(res):
+    """(column label, diff) of every diff of a table result."""
+    return [(c["label"], d) for s in res["sections"] for c in s["columns"]
+            for d in c["diffs"]]
+
+
 def test_registry_ids_and_aliases():
     reg = load_registry()
     assert set(reg["tables"]) == set(ANNOTATED)
@@ -44,19 +50,16 @@ def test_printed_values_are_decimal_strings():
 def test_fast_tables_reproduce_cleanly(tid, reproduce_cached):
     # both oracles, so every cell is also cross-checked by normal forms
     res = reproduce_cached(tid, oracle="both")[0]
-    assert res.ok, [
-        (c.label, d.row, d.printed, d.recomputed)
-        for s in res.sections for c in s.columns for d in c.unexplained]
-    assert res.n_annotated == ANNOTATED[tid]
+    assert res["ok"], [(label, d["row"], d["printed"], d["recomputed"])
+                       for label, d in diffs(res) if not d["annotated"]]
+    assert sum(d["annotated"] for _, d in diffs(res)) == ANNOTATED[tid]
 
 
 def test_every_annotated_cell_carries_a_note(reproduce_cached):
     for tid in FAST:
         for res in reproduce_cached(tid):
-            for sec in res.sections:
-                for col in sec.columns:
-                    for d in col.diffs:
-                        assert d.annotated and d.note
+            for _, d in diffs(res):
+                assert d["annotated"] and d["note"]
 
 
 def test_slow_columns_sit_in_slow_sections():
@@ -69,19 +72,20 @@ def test_slow_columns_sit_in_slow_sections():
 
 def test_slow_sections_skipped_by_default(reproduce_cached):
     res = reproduce_cached("tab2")[0]
-    skipped = [s for s in res.sections if s.skipped]
-    computed = [s for s in res.sections if not s.skipped]
-    assert {s.manifold for s in skipped} == {"F(8;1,2,5)", "F(8;1,3,4)"}
-    assert [s.manifold for s in computed] == ["F(6;1,2,3)"]
-    assert res.ok
+    skipped = [s for s in res["sections"] if s["skipped"]]
+    computed = [s for s in res["sections"] if not s["skipped"]]
+    assert {s["manifold"] for s in skipped} == {"F(8;1,2,5)", "F(8;1,3,4)"}
+    assert [s["manifold"] for s in computed] == ["F(6;1,2,3)"]
+    assert res["ok"]
 
 
 def test_column_mappings_are_emitted(reproduce_cached):
     res = reproduce_cached("so5t")[0]
-    for sec in res.sections:
-        for col in sec.columns:
-            text = col.mapping()
-            assert "signs=(" in text and "global_sign=" in text
+    lines = to_markdown([res]).splitlines()
+    for sec in res["sections"]:
+        for col in sec["columns"]:
+            assert any(line.startswith(f"- column `{col['label']}`: signs=(")
+                       and "global_sign=" in line for line in lines)
 
 
 def test_renderers(reproduce_cached):
@@ -99,20 +103,27 @@ def test_renderers(reproduce_cached):
     col = parsed["tables"][0]["sections"][0]["columns"][0]
     assert all(isinstance(v, str) for v in col["printed"])
     assert all(isinstance(v, str) for v in col["recomputed"])
+    # the JSON has the results' keys, and their ints as decimal strings
+    res = results[0]
+    assert parsed["tables"][0].keys() == res.keys()
+    assert col["recomputed"] == [
+        str(v) for v in res["sections"][0]["columns"][0]["recomputed"]]
 
 
 def test_dual_oracle_on_a_table():
     res = reproduce("so5t", oracle="both", slow=False)[0]
-    assert res.ok
+    assert res["ok"]
 
 
 def test_f8_sections_reproduce_with_slow_enabled(reproduce_cached):
     res = reproduce_cached("tab2", slow=True)[0]
-    assert res.ok
+    assert res["ok"]
     # one annotated cell: the dropped trailing zero in the fourth column of
     # the F(8;1,2,5) section
-    cells = [(s.manifold, c.label, d.row, d.printed, d.recomputed)
-             for s in res.sections for c in s.columns for d in c.diffs]
+    cells = [(s["manifold"], c["label"], d["row"], d["printed"],
+              d["recomputed"])
+             for s in res["sections"] for c in s["columns"]
+             for d in c["diffs"]]
     assert cells == [("F(8;1,2,5)", cells[0][1], "c1^17",
                       1250749500000000, 12507495000000000)]
 
