@@ -40,10 +40,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .flagmodel import FlagManifold, InvariantACS
 from .rootsys import (BruhatCovers, bruhat_covers, coroot_pairings,
@@ -554,8 +553,7 @@ def _todd_piece(m: int) -> tuple[dict[tuple[int, ...], int], int]:
     return {key: a // g for key, a in acc.items() if a}, den // g
 
 
-@dataclass(frozen=True)
-class ToddExpansion:
+class ToddExpansion(NamedTuple):
     numerators: Mapping[tuple[int, ...], int]  # coefficients times denominator
     denominator: int  # the least common denominator of the coefficients
 

@@ -262,7 +262,8 @@ def _load_ideal(spec: str):
         raise UsageError(f"--ideal: {spec} needs the keys 'nvars' and "
                          f"'generators'")
     nvars, gens = data["nvars"], data["generators"]
-    if not (isinstance(nvars, int) and nvars > 0 and isinstance(gens, list)
+    # type(...) is int: JSON's true and false load as bools, which are ints
+    if not (type(nvars) is int and nvars > 0 and isinstance(gens, list)
             and gens):
         raise UsageError(f"--ideal: {spec} needs a positive 'nvars' and a "
                          f"nonempty list of 'generators'")
@@ -281,8 +282,8 @@ def _load_ideal(spec: str):
 def _is_term(term, nvars: int) -> bool:
     return (isinstance(term, list) and len(term) == 3
             and isinstance(term[0], list) and len(term[0]) == nvars
-            and all(isinstance(e, int) and e >= 0 for e in term[0])
-            and all(isinstance(v, (int, str)) for v in term[1:]))
+            and all(type(e) is int and e >= 0 for e in term[0])
+            and all(type(v) in (int, str) for v in term[1:]))
 
 
 def cmd_groebner(args, out) -> int:

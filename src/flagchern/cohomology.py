@@ -15,7 +15,6 @@ of ``groebner`` that lists no monomial below the top degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -29,21 +28,39 @@ class CertificateError(ValueError):
     """Raised when a claimed top class reduces to zero in the quotient."""
 
 
-@dataclass(frozen=True)
 class PresentationCase:
-    name: str
-    generators: tuple[Polynomial, ...]
-    relations: tuple[Polynomial, ...]
-    top_class: Polynomial
-    expected_quotient_dim: int
-    # claimed reduced Groebner basis, when the reference prints one
-    claimed_basis: tuple[Polynomial, ...] = ()
+    """A presentation to verify; a value that cannot be assigned to.
+    ``claimed_basis`` is the claimed reduced Groebner basis, when the
+    reference prints one."""
+    __slots__ = ("name", "generators", "relations", "top_class",
+                 "expected_quotient_dim", "claimed_basis")
 
-    def __post_init__(self):
-        for r in self.relations:
+    def __init__(self, name: str, generators: tuple[Polynomial, ...],
+                 relations: tuple[Polynomial, ...], top_class: Polynomial,
+                 expected_quotient_dim: int,
+                 claimed_basis: tuple[Polynomial, ...] = ()):
+        for r in relations:
             if not r.is_homogeneous():
-                raise ValueError(f"case {self.name}: claimed relation {r} "
+                raise ValueError(f"case {name}: claimed relation {r} "
                                  f"is not homogeneous")
+        for field, value in zip(self.__slots__, (
+                name, generators, relations, top_class,
+                expected_quotient_dim, claimed_basis)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def groebner(self) -> GroebnerBasis:
         return buchberger(self.generators, MonomialOrder("lex"))

@@ -25,8 +25,8 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from operator import itemgetter, neg, sub
+from typing import NamedTuple
 
 from .rootsys import (
     RootSystem,
@@ -48,8 +48,7 @@ MAX_T_ROOTS = 20
 MAX_FIXED_POINTS = 100_000
 
 
-@dataclass(frozen=True)
-class IsotropySummand:
+class IsotropySummand(NamedTuple):
     t_root: Vector
     roots: tuple[int, ...]  # positions of the positive complementary roots
     coeffs: tuple[int, ...]  # the roots' coordinates on the removed simples
@@ -63,13 +62,29 @@ class IsotropySummand:
         return sum(self.coeffs)
 
 
-@dataclass(frozen=True)
 class InvariantACS:
-    signs: tuple[int, ...]  # one entry of +-1 per positive T-root, canonical order
+    """One entry of +-1 in ``signs`` per positive T-root, in canonical
+    order; a value that cannot be assigned to."""
+    __slots__ = ("signs",)
 
-    def __post_init__(self):
-        if not {1, -1}.issuperset(self.signs):
+    def __init__(self, signs: tuple[int, ...]):
+        if not {1, -1}.issuperset(signs):
             raise ValueError("signs must be +-1")
+        object.__setattr__(self, "signs", signs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.signs == other.signs
+
+    def __hash__(self) -> int:
+        return hash((self.signs,))
+
+    def __repr__(self) -> str:
+        return f"InvariantACS(signs={self.signs!r})"
 
     def label(self) -> str:
         return "(" + ",".join(map(_SIGN_TEXT.__getitem__, self.signs)) + ")"
@@ -375,8 +390,7 @@ def inner_summand_actions(flag: FlagManifold) -> list[tuple[tuple[int, ...], tup
     return sorted(actions)
 
 
-@dataclass
-class ACSClass:
+class ACSClass(NamedTuple):
     representative: InvariantACS
     members: tuple[InvariantACS, ...]
     integrable: bool

@@ -21,23 +21,35 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, neg, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polyring import Polynomial
 
 ORDER_KINDS = ("lex", "grlex", "grevlex")
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
-    kind: str
+    """A monomial order named by one of ``ORDER_KINDS``; a value that cannot
+    be assigned to."""
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ORDER_KINDS:
-            raise ValueError(f"unknown monomial order {self.kind!r}")
+    def __init__(self, kind: str):
+        if kind not in ORDER_KINDS:
+            raise ValueError(f"unknown monomial order {kind!r}")
+        object.__setattr__(self, "kind", kind)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind
+
+    def __hash__(self) -> int:
+        return hash((self.kind,))
 
     def key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         if self.kind == "lex":
@@ -54,8 +66,7 @@ class MonomialOrder:
         return exps, p.terms[exps]
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
 

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 Coroot = tuple[tuple[int, int], ...]
@@ -37,7 +36,6 @@ SUPPORTED_FAMILIES = ("A", "B", "C", "D", "G2")
 MAX_RANK = 60
 
 
-@dataclass(frozen=True, eq=False)
 class RootSystem:
     """A root system, one object per family and rank.
 
@@ -49,16 +47,24 @@ class RootSystem:
     ``cartan[k]`` is the coroot of alpha_k (see ``_coroot``), and ``gram``
     the integer Gram matrix of the simple roots (of their ambient vectors
     times 3 for G2).
+
+    Root systems compare by identity, and no attribute is assigned after
+    construction; the cached tables below write the instance dict directly.
     """
-    family: str
-    rank: int
-    vectors: tuple[Vector, ...] = field(repr=False)
-    coords: tuple[tuple[int, ...], ...] = field(repr=False)
-    index: dict = field(repr=False)
-    positive: tuple[int, ...] = field(repr=False)
-    simple: tuple[int, ...] = field(repr=False)
-    cartan: tuple[Coroot, ...] = field(repr=False)
-    gram: tuple = field(repr=False)
+
+    def __init__(self, family: str, rank: int, vectors: tuple[Vector, ...],
+                 coords: tuple[tuple[int, ...], ...], index: dict,
+                 positive: tuple[int, ...], simple: tuple[int, ...],
+                 cartan: tuple[Coroot, ...], gram: tuple):
+        vars(self).update(family=family, rank=rank, vectors=vectors,
+                          coords=coords, index=index, positive=positive,
+                          simple=simple, cartan=cartan, gram=gram)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"RootSystem(family={self.family!r}, rank={self.rank!r})"
 
     @property
     def simples(self) -> tuple[Vector, ...]:
@@ -279,8 +285,7 @@ def weyl_group(rs: RootSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
 MAX_BRUHAT_ORDER = 46080
 
 
-@dataclass(frozen=True)
-class BruhatCovers:
+class BruhatCovers(NamedTuple):
     """The Bruhat covers w < w s_beta of a Weyl group, in compressed rows.
 
     Elements are numbered by length, then by their name w^-1(2 rho) (see

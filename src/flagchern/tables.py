@@ -27,8 +27,8 @@ import csv
 import functools
 import io
 import json
+import os
 import re
-from importlib import resources
 
 # chern_numbers is not called here, but perfbench/tests/test_bench_tracing.py
 # checks that the tracer rebinds it in this module too
@@ -38,9 +38,13 @@ from .flagmodel import FlagManifold, InvariantACS, parse_manifold
 
 @functools.cache
 def load_registry() -> dict:
-    """The packaged registry, read once per process."""
-    ref = resources.files("flagchern").joinpath("data/expected_tables.json")
-    return json.loads(ref.read_text())
+    """The packaged registry, read once per process.  It is read beside this
+    file rather than through ``importlib.resources``, which imports
+    ``pathlib``, ``tempfile`` and, from Python 3.12, ``inspect``."""
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "expected_tables.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def table_ids() -> list[str]:

@@ -1,7 +1,6 @@
 import random
 import re
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, prod
 from operator import mul
@@ -518,7 +517,7 @@ def test_schubert_oracle_checks_its_final_state(monkeypatch,
             corrupted += [(alone, "palindromic"), (mirrored, "length range")]
     for starts, message in corrupted:
         monkeypatch.setattr(chern_module, "bruhat_covers",
-                            lambda rs, s=starts: replace(real, starts=s))
+                            lambda rs, s=starts: real._replace(starts=s))
         with pytest.raises(AssertionError, match=message):
             chern_numbers_schubert(flag, [acs], [c1n])
     monkeypatch.undo()
@@ -531,7 +530,7 @@ def test_schubert_oracle_checks_its_final_state(monkeypatch,
 
     def wrong_top(rs):
         covers = real_table(rs)
-        return replace(covers, top=covers.top - 1)
+        return covers._replace(top=covers.top - 1)
 
     cold_root_systems()  # fresh, cold tables
     monkeypatch.setattr(rootsys, "_cover_table", wrong_top)

@@ -719,11 +719,29 @@ NOT_TERMS = (": each generator must be a list of [exponents, numerator, "
     ([[[[1, 0], "1"]]], NOT_TERMS),
     ([[[[1, 0], 1.5, 1]]], NOT_TERMS),
     ([[[[1, 0], "1", 0]]], NOT_TERMS),
+    ([[[[True, 0], "1", "1"]]], NOT_TERMS),
+    ([[[[1, 0], "1", True]]], NOT_TERMS),
 ])
 def test_malformed_ideal_file_is_a_usage_error(tmp_path, capsys, generators,
                                                tail):
     path = tmp_path / "ideal.json"
     path.write_text(json.dumps({"nvars": 2, "generators": generators}))
+    assert main(["groebner", "--ideal", str(path)]) == 1
+    assert capsys.readouterr().err == f"usage error: --ideal: {path}{tail}\n"
+
+
+@pytest.mark.parametrize("content,tail", [
+    ('{"nvars": true, "generators": [[[[true], "1", "1"]]]}',
+     " needs a positive 'nvars' and a nonempty list of 'generators'"),
+    ('{"nvars": 1, "generators": [[[[1], true, "1"]]]}',
+     ": each generator must be a list of [exponents, numerator, "
+     "denominator] terms with 1 exponents each"),
+])
+def test_json_booleans_in_an_ideal_file_are_not_integers(tmp_path, capsys,
+                                                         content, tail):
+    # json.load gives true as a bool, and a bool is an int to isinstance
+    path = tmp_path / "ideal.json"
+    path.write_text(content)
     assert main(["groebner", "--ideal", str(path)]) == 1
     assert capsys.readouterr().err == f"usage error: --ideal: {path}{tail}\n"
 

@@ -1,12 +1,12 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from operator import le
 
 import pytest
 
 from flagchern.cohomology import (CASE_EXAMPLES, CertificateError,
-                                  presentation_case, top_class_certificate,
+                                  PresentationCase, presentation_case,
+                                  top_class_certificate,
                                   verify_case, verify_claimed_basis,
                                   verify_relations)
 from flagchern.groebner import MonomialOrder, buchberger, normal_form, \
@@ -51,7 +51,9 @@ def test_certificate_rejects_zero_class():
     zero_class = case.generators[0]  # an ideal member reduces to 0
     mono = top_staircase_monomial(gb)
     with pytest.raises(CertificateError):
-        top_class_certificate(replace(case, top_class=zero_class), gb, mono)
+        top_class_certificate(PresentationCase(
+            case.name, case.generators, case.relations, zero_class,
+            case.expected_quotient_dim, case.claimed_basis), gb, mono)
 
 
 def test_certificate_independent_of_monomial_order():

@@ -1,9 +1,20 @@
 import ast
 import inspect
+import subprocess
+import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import flagchern
+from flagchern import (ACSClass, GroebnerBasis, InvariantACS,
+                       IsotropySummand, MonomialOrder, Polynomial, RootSystem,
+                       build_root_system)
+from flagchern.chern import ToddExpansion
+from flagchern.cohomology import PresentationCase
+from flagchern.rootsys import BruhatCovers
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -322,3 +333,72 @@ def test_private_names_stay_in_their_module():
     crossing = {p.stem: private_reads_across_modules(p)
                 for p in (REPO / "src" / "flagchern").glob("*.py")}
     assert {stem: c for stem, c in crossing.items() if c} == {}
+
+
+def test_value_types_keep_their_contract():
+    # equal fields, by position or by keyword, give equal values with equal
+    # hashes; every type but ACSClass refuses assignment, and three check
+    # their input on construction
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    acs = InvariantACS((1, -1))
+    values = [
+        (IsotropySummand, {"t_root": (Fraction(1, 3), Fraction(-1, 3)),
+                           "roots": (0, 2), "coeffs": (1,)}),
+        (InvariantACS, {"signs": (1, -1)}),
+        (ACSClass, {"representative": acs, "members": (acs,),
+                    "integrable": False}),
+        (BruhatCovers, {"offsets": (0, 1, 1), "targets": (1,), "roots": (0,),
+                        "top": 1, "starts": (0, 1, 2)}),
+        (ToddExpansion, {"numerators": {(2, 0): 1, (0, 1): 1},
+                         "denominator": 12}),
+        (MonomialOrder, {"kind": "grevlex"}),
+        (GroebnerBasis, {"generators": (x * y, y ** 2),
+                         "order": MonomialOrder("lex")}),
+        (PresentationCase, {"name": "c", "generators": (x ** 2, y ** 2),
+                            "relations": (x ** 2,), "top_class": x * y,
+                            "expected_quotient_dim": 4,
+                            "claimed_basis": (x ** 2, y ** 2)}),
+    ]
+    for cls, fields in values:
+        a, b = cls(*fields.values()), cls(**fields)
+        assert a == b and not a != b
+        if cls is ACSClass:  # never frozen: only its equality is pinned
+            continue
+        if cls is not ToddExpansion:  # its numerators are a dict
+            assert hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, next(iter(fields)), None)
+    assert InvariantACS((1, 1)) != acs
+    case = values[-1][1]
+    assert PresentationCase(**{**case, "claimed_basis": ()}) == \
+        PresentationCase(*list(case.values())[:-1])
+
+    rs = build_root_system("A", 3)
+    assert repr(rs) == "RootSystem(family='A', rank=3)"
+    copy = RootSystem(**{f: getattr(rs, f) for f in (
+        "family", "rank", "vectors", "coords", "index", "positive", "simple",
+        "cartan", "gram")})
+    assert copy == copy and copy != rs and len({copy, rs}) == 2
+    with pytest.raises(AttributeError):
+        copy.rank = 4
+    assert copy.rank == 3 and copy.reflections == rs.reflections
+
+    with pytest.raises(ValueError, match="signs"):
+        InvariantACS((1, 0))
+    with pytest.raises(ValueError, match="monomial order"):
+        MonomialOrder("foo")
+    with pytest.raises(ValueError, match="not homogeneous"):
+        PresentationCase("c", (x,), (x + x * y,), x, 1)
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and its decorator
+    # execs generated methods: most of a command's start-up
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "before = set(sys.modules); import flagchern.cli; "
+              "print(' '.join(sorted(set(sys.modules) - before)))")
+    added = subprocess.run([sys.executable, "-I", "-c", script,
+                            str(REPO / "src")], capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "flagchern.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)
