@@ -16,7 +16,11 @@ guard on the first) and divided once by the positive-root product.  It is
 normalized so the all-plus structure's top Chern class integrates to +chi.
 It makes one pass over the fixed points for all the structures, in chunks
 of ``FIXED_POINT_CHUNK`` (``_fixed_point_sums``): per chunk what the signs
-do not change is built once, and the rest per structure in turn.
+do not change is built once, and the rest per structure in turn.  There
+each fixed point packs its values of c_0..c_kmax, for the largest class
+degree kmax the batch reads, into the lanes of one int, and the fixed
+points with equal packed ints are summed as one group before the monomials
+are formed.
 
 ``chern_numbers_schubert`` is the second oracle: it multiplies in the
 Schubert basis of H*(G/B) by Chevalley's formula over the Bruhat covers,
@@ -41,7 +45,8 @@ import functools
 import math
 import re
 from fractions import Fraction
-from operator import add, mul, neg
+from itertools import repeat
+from operator import add, and_, lshift, mul, rshift, sub
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .flagmodel import FlagManifold, InvariantACS
@@ -314,7 +319,7 @@ def chern_numbers_schubert(flag: FlagManifold,
 
 # Fixed points per chunk of the fixed-point kernel: long enough that each list
 # operation's per-call cost is spread thin, short enough that a chunk's
-# columns stay small.
+# columns, packed ints and groups stay small.
 FIXED_POINT_CHUNK = 256
 
 
@@ -359,51 +364,81 @@ def _fixed_point_sums(flag: FlagManifold, slot_signs: list[list[int]],
     """The fixed-point sums of the numerators, totals[structure][sample
     point][monomial], for the structures' slot signs, the root values
     ``vals`` at each sample point and the class-degree sequences of the
-    distinct monomials.
+    distinct monomials (at least one).
+
+    Each fixed point holds e_0..e_kmax of its signed slot values packed in
+    one int, P = sum e_k 2^(kB): the polynomial prod (1 + s w X) at
+    X = 2^B, built one slot at a time as P + (w P << B) or P - (w P << B)
+    for the slot's sign s.  Lane k of a product reads only lanes <= k, so
+    once the degree passes kmax, P is cut to its kmax + 1 lowest lanes
+    (mod 2^((kmax + 1) B)) and e_0..e_kmax stay exact.  The width B is
+    taken per sample point: with M the largest |root value| there, which
+    bounds every slot value, |e_k| <= C(n, k) M^k for k <= kmax, and B
+    leaves a sign bit and one bit of margin above that bound.  So every
+    |e_k| < 2^(B-1): adding 2^(B-1) to each lane leaves each lane in
+    [0, 2^B) with no carry between lanes, and then a shift and a mask read
+    e_k exactly, and equal P means equal e_0..e_kmax.
+
+    Fixed points with equal P give every monomial the same factor, so they
+    form one group, whose base values (sign(w) times the K-positive
+    product) are summed; a group whose sum is 0 is dropped.  Each group
+    decodes only the e_k the batch reads, and the sequences run as flat
+    steps (``_trie_steps``) over the groups, one row held per depth, each
+    row its parent times one e_k.
 
     Per chunk of ``FIXED_POINT_CHUNK`` fixed points the transpose of the
-    root images and, per sample point, the K-positive base row and the
-    plus-signed slot columns are built once for all structures.  Only
-    e_1..e_kmax and the step rows are built per structure and sample point,
-    in turn, on chunk-sized lists.  e_j += w e_{j-1} runs over the columns,
-    one column per slot; the sequences run as flat steps (``_trie_steps``),
-    one row held per depth, each row its parent times one e_k.
+    root images and, per sample point, the base row and the plus-signed
+    slot columns, shifted by B, are built once for all structures; the
+    packed ints, groups and step rows are built for one structure at a
+    time.
     """
     steps = _trie_steps(sequences)
-    # every e_k is at hand, so a step costs one pass whatever its degree
     degrees = {k for seq in sequences for k in seq}
-    kmax, kmin = max(degrees, default=0), min(degrees, default=0)
-    rows = [None] * max(map(len, sequences), default=0)
+    lanes = max(degrees) + 1  # e_0..e_kmax
+    rows = [None] * max(map(len, sequences))
     n = flag.complex_dim
-    # e_j only feeds e_kmin.. while n - 1 - i slots remain: the j-range of
-    # e_j += w e_{j-1} at slot i, and whether e_1 += w runs there
-    updates = [(range(min(i, kmax), max(1, kmin - n + i), -1),
-                0 < i and kmin - n + i < 1 <= kmax) for i in range(n)]
+    widths = []
+    for val in vals:
+        bound = max(map(abs, val))
+        widths.append(max((math.comb(n, k) * bound ** k).bit_length()
+                          for k in range(lanes)) + 2)
     totals = [[[0] * len(sequences) for _ in vals] for _ in slot_signs]
     fixed = flag.fixed_points
     for start in range(0, len(fixed), FIXED_POINT_CHUNK):
         point_signs, images = zip(*fixed[start:start + FIXED_POINT_CHUNK])
         cols = list(zip(*images))
-        for p, val in enumerate(vals):
+        ones = [1] * len(images)
+        for p, (val, width) in enumerate(zip(vals, widths)):
             plus = val.__getitem__
             base = list(point_signs)
             for col in cols[n:]:
                 base = list(map(mul, base, map(plus, col)))
-            rows[0] = base
-            slots = [list(map(plus, col)) for col in cols[:n]]
+            slots = [list(map(lshift, map(plus, col), repeat(width)))
+                     for col in cols[:n]]
+            lane = (1 << width) - 1
+            cut = (1 << lanes * width) - 1
+            half = 1 << width - 1
+            bias = half * (cut // lane)  # 2^(B-1) in every lane
             for signs, acc in zip(slot_signs, totals):
-                acc = acc[p]
-                e = [None]  # e_0 = 1 is never multiplied out
+                packed = ones
                 for i, (s, w) in enumerate(zip(signs, slots)):
-                    if s < 0:
-                        w = list(map(neg, w))
-                    if i < kmax:
-                        e.append(list(map(mul, w, e[i])) if i else w)
-                    js, raise_e1 = updates[i]
-                    for j in js:
-                        e[j] = list(map(add, e[j], map(mul, w, e[j - 1])))
-                    if raise_e1:
-                        e[1] = list(map(add, e[1], w))
+                    packed = map(add if s > 0 else sub, packed,
+                                 map(mul, w, packed))
+                    packed = list(map(and_, packed, repeat(cut))
+                                  if i >= lanes - 1 else packed)
+                groups: dict[int, int] = {}
+                get = groups.get
+                for key, b in zip(packed, base):
+                    groups[key] = get(key, 0) + b
+                keys = [key + bias for key, b in groups.items() if b]
+                if not keys:
+                    continue
+                rows[0] = [b for b in groups.values() if b]
+                e = {k: list(map(sub, map(and_, map(rshift, keys,
+                                                    repeat(k * width)),
+                                          repeat(lane)), repeat(half)))
+                     for k in degrees}
+                acc = acc[p]
                 for depth, k, leaf in steps:
                     if leaf is None:
                         rows[depth + 1] = list(map(mul, rows[depth], e[k]))
@@ -431,9 +466,13 @@ def chern_numbers_many(flag: FlagManifold,
     K-positive factor, and differ only in the signs of the complementary
     slots.  So each distinct monomial is validated once and the sums of all
     structures are taken in one pass over the fixed points
-    (``_fixed_point_sums``), which holds chunk-sized lists for one
+    (``_fixed_point_sums``).  There each fixed point's e_0..e_kmax, for the
+    largest class degree kmax of the batch, sit in the lanes of one packed
+    int, the fixed points with equal packed ints form one group, and each
+    monomial is formed once per group.  It holds chunk-sized lists for one
     structure at a time: the memory held grows with the number of
-    structures only by their sums.
+    structures only by their sums.  An empty batch gives one empty dict
+    per structure.
     """
     sequences = _class_sequences(flag, monomials)
     if not structures:
@@ -442,6 +481,8 @@ def chern_numbers_many(flag: FlagManifold,
     vals = [[sum(a * b for a, b in zip(r, pt)) for r in roots]
             for pt in _generic_points(roots)]
     slot_signs = [_slot_signs(flag, acs) for acs in structures]
+    if not sequences:
+        return [{} for _ in structures]
     totals = _fixed_point_sums(flag, slot_signs, vals, sequences.values())
     # both denominators are positive: every positive root is, at both points
     den, den2 = (math.prod(val[i] for i in flag.rs.positive) for val in vals)
