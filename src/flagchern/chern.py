@@ -24,10 +24,11 @@ are formed.
 
 ``chern_numbers_schubert`` is the second oracle: it multiplies in the
 Schubert basis of H*(G/B) by Chevalley's formula over the Bruhat covers,
-reads off the coefficient of the point class sigma_{w0}, and calibrates it
-against the positive-root product.  Like the kernel, it builds what the
-signs do not change once per call, and the rest per structure in turn.  It
-uses no fixed points, no rational functions and no Groebner basis.  The two
+read one row of (target, root) pairs per element, reads off the
+coefficient of the point class sigma_{w0}, and calibrates it against the
+positive-root product.  Like the kernel, it builds what the signs do not
+change once per call, and the rest per structure in turn.  It uses no
+fixed points, no rational functions and no Groebner basis.  The two
 oracles share only the bookkeeping: the slot signs of ``_slot_signs``, the
 batch of class-degree sequences of ``_class_sequences``, which the Schubert
 oracle reads reversed, largest degree first, and the exact division.
@@ -164,12 +165,12 @@ def _chevalley(state: dict[int, int], pairing: Sequence[int],
                covers: BruhatCovers, out: dict[int, int]) -> dict[int, int]:
     """Add lambda . state into ``out`` by Chevalley's formula
     lambda . sigma_w = sum <lambda, beta^vee> sigma_{w s_beta}, summed over
-    the covers w < w s_beta; ``pairing`` holds <lambda, beta^vee> per beta."""
-    offsets, targets, roots = covers.offsets, covers.targets, covers.roots
+    the covers w < w s_beta, read from the (target, root) pairs of w's row;
+    ``pairing`` holds <lambda, beta^vee> per beta."""
+    rows = covers.rows
     get = out.get
     for w, c in state.items():
-        lo, hi = offsets[w], offsets[w + 1]
-        for t, b in zip(targets[lo:hi], roots[lo:hi]):
+        for t, b in rows[w]:
             p = pairing[b]
             if p:
                 out[t] = get(t, 0) + c * p
@@ -210,7 +211,8 @@ def chern_numbers_schubert(flag: FlagManifold,
     sigma_{w0}-coefficient of p times the K-positive roots, over that of the
     positive-root product.  Products are taken in the Schubert basis of
     H*(G/B), one linear form at a time by Chevalley's formula over the Bruhat
-    covers of ``rootsys.bruhat_covers``, in Python ints.  c_1 is the sum of
+    covers of ``rootsys.bruhat_covers``, in Python ints: each sigma_w of a
+    state reads its row of (target, root) pairs.  c_1 is the sum of
     the signed forms f_i, and c_k comes from the recurrence
     S_j += f_i S_{j-1}; one pass of it gives c_k for every k asked for.
 
@@ -516,19 +518,25 @@ def chern_numbers_by(flag: FlagManifold, structures: Sequence[InvariantACS],
     (schubert, or its deprecated alias groebner) or of both, which must
     agree on every structure.  Each oracle parses and validates each
     distinct monomial once (``_class_sequences``), so a batch may
-    repeat monomials, as ``chern --todd`` does with the requested numbers."""
+    repeat monomials, as ``chern --todd`` does with the requested numbers.
+
+    Under both, the Schubert oracle runs first: it refuses a Weyl group
+    above ``MAX_BRUHAT_ORDER`` before building anything, and the kernel
+    never refuses what it accepts (chi <= |W| <= ``MAX_BRUHAT_ORDER`` <
+    ``MAX_FIXED_POINTS``), so a refusal comes before the fixed-point sum."""
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}")
-    if oracle in ("schubert", "groebner"):
-        return chern_numbers_schubert(flag, structures, monos)
+    if oracle == "weyl":
+        return chern_numbers_many(flag, structures, monos)
+    schuberts = chern_numbers_schubert(flag, structures, monos)
+    if oracle != "both":
+        return schuberts
     weyl = chern_numbers_many(flag, structures, monos)
-    if oracle == "both":
-        schuberts = chern_numbers_schubert(flag, structures, monos)
-        for acs, numbers, schubert in zip(structures, weyl, schuberts):
-            if numbers != schubert:
-                raise ArithmeticError(
-                    f"oracle disagreement on {flag.name()} {acs.label()}: "
-                    f"fixed-point sum {numbers} vs Schubert {schubert}")
+    for acs, numbers, schubert in zip(structures, weyl, schuberts):
+        if numbers != schubert:
+            raise ArithmeticError(
+                f"oracle disagreement on {flag.name()} {acs.label()}: "
+                f"fixed-point sum {numbers} vs Schubert {schubert}")
     return weyl
 
 

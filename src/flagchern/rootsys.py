@@ -14,9 +14,11 @@ positive root, and every reflection in the package reads them.
 |W| is Kostant's product of (ht beta + 1) / ht beta over the positive roots
 (``weyl_order``), so a family needs no order formula of its own.
 No program path lists W: the fixed points and the Bruhat cover table walk
-orbits.  ``weyl_group`` lists W as signed root permutations only as the
-reference that ``perfbench/tests/test_bench_reference.py`` and the tests
-check the orders against.
+orbits.  The cover table (``bruhat_covers``) holds one row of
+(target, root) pairs per element, and names the elements by packed ints
+while it is built.  ``weyl_group`` lists W as signed root permutations
+only as the reference that ``perfbench/tests/test_bench_reference.py`` and
+the tests check the orders against.
 """
 
 from __future__ import annotations
@@ -286,18 +288,16 @@ MAX_BRUHAT_ORDER = 46080
 
 
 class BruhatCovers(NamedTuple):
-    """The Bruhat covers w < w s_beta of a Weyl group, in compressed rows.
+    """The Bruhat covers w < w s_beta of a Weyl group, one row per element.
 
     Elements are numbered by length, then by their name w^-1(2 rho) (see
     ``_cover_table``): 0 is the identity, ``top`` the longest element w0.
     The elements of length d are ``starts[d]`` to ``starts[d + 1] - 1``, for
-    d = 0..l(w0) + 1.  The covers of element w are the entries
-    ``offsets[w]`` to ``offsets[w + 1]`` of ``targets`` (the index of
-    w s_beta) and ``roots`` (the index of beta in ``rs.positive``).
+    d = 0..l(w0) + 1.  ``rows[w]`` holds the covers of element w as
+    (target, root) pairs: the index of w s_beta and the index of beta in
+    ``rs.positive``.
     """
-    offsets: list
-    targets: list
-    roots: list
+    rows: list
     top: int
     starts: list
 
@@ -331,34 +331,57 @@ def _cover_table(rs: RootSystem) -> BruhatCovers:
     carries its pairings <mu, beta^vee>: those of s_beta(mu) subtract p times
     those of beta.  Each length is numbered in the sorted order of its
     names; the name of w0 w is -mu, so w0 reverses that order between
-    lengths d and l(w0) - d.
+    lengths d and l(w0) - d.  A length's rows are built as it is numbered
+    against the next, so no other table is held beside them.
+
+    A name is held as one int, coordinate i in lane i of B bits, the first
+    coordinate in the highest lane, offset by m = max_i (2 rho)_i, with
+    B = (2m + 1).bit_length().  Every name is w^-1(2 rho) = 2 rho - 2 S,
+    for S the sum of a set of positive roots (those that w^-1 makes
+    negative), and 0 <= S_i <= (2 rho)_i, so |mu_i| <= (2 rho)_i <= m: each
+    lane holds mu_i + m in [0, 2m], with no carry between lanes.  So int
+    order is tuple order, and mu - p beta is the packed name minus p times
+    beta packed without the offset.  s_beta(mu) is the name of w s_beta
+    whether or not that is a cover, so its lanes are in range before it is
+    looked up.
     """
     betas = [rs.coords[p] for p in rs.positive]
-    simple = [(b, coroot_pairings(rs, betas[b])) for b in range(rs.rank)]
     two_rho = tuple(map(sum, zip(*betas)))
-    level = {two_rho: coroot_pairings(rs, two_rho)}
-    offsets, targets, roots, first, length = [0], [], [], 0, 0
-    starts = [0]
+    m = max(two_rho)
+    width = (2 * m + 1).bit_length()
+
+    def pack(c, offset):
+        """c + offset in every coordinate, coordinate i in lane i."""
+        name = 0
+        for x in c:
+            name = (name << width) + x + offset
+        return name
+
+    packed = [pack(b, 0) for b in betas]
+    simple = [(b, packed[b], coroot_pairings(rs, betas[b]))
+              for b in range(rs.rank)]
+    level = {pack(two_rho, m): coroot_pairings(rs, two_rho)}
+    rows, starts, first, length = [], [0], 0, 0
     while True:
         longer = {}
         for mu, pairs in level.items():
-            for b, col in simple:
+            for b, beta, col in simple:
                 p = pairs[b]
                 if p > 0:
-                    nu = tuple([m - p * x for m, x in zip(mu, betas[b])])
+                    nu = mu - p * beta
                     if nu not in longer:
                         longer[nu] = [x - p * y for x, y in zip(pairs, col)]
         longer = dict(sorted(longer.items()))
         after = first + len(level)
         index = {nu: after + i for i, nu in enumerate(longer)}
         for mu, pairs in level.items():
-            for b, (p, beta) in enumerate(zip(pairs, betas)):
+            row = []
+            for b, (p, beta) in enumerate(zip(pairs, packed)):
                 if p > 0:
-                    t = index.get(tuple([m - p * x for m, x in zip(mu, beta)]))
+                    t = index.get(mu - p * beta)
                     if t is not None:
-                        targets.append(t)
-                        roots.append(b)
-            offsets.append(len(targets))
+                        row.append((t, b))
+            rows.append(tuple(row))
         starts.append(after)
         if not longer:
             break
@@ -366,4 +389,4 @@ def _cover_table(rs: RootSystem) -> BruhatCovers:
     if after != weyl_order(rs) or len(level) != 1 or length != rs.n_positive:
         raise AssertionError(f"W({rs.family}{rs.rank}) has {after} elements "
                              f"and {len(level)} of the top length {length}")
-    return BruhatCovers(offsets, targets, roots, first, starts)
+    return BruhatCovers(rows, first, starts)

@@ -451,6 +451,19 @@ def test_huge_weyl_group_is_refused_by_the_schubert_oracle(
         assert err.count("\n") == 1
         assert err.startswith("usage error: |W(A8)| = 362880 exceeds")
         assert "(--oracle weyl) has no such bound" in err
+    # under both (the default) the Schubert oracle refuses before the
+    # fixed-point sum over FD(7;1,1,1,1,3)'s 53760 fixed points is taken;
+    # the kernel never refuses what the Schubert oracle accepts
+    import flagchern.chern as chern
+    from flagchern.flagmodel import MAX_FIXED_POINTS
+
+    assert rootsys.MAX_BRUHAT_ORDER < MAX_FIXED_POINTS
+    monkeypatch.setattr(chern, "_fixed_point_sums", _refuse_calls)
+    code, out = run_cli("chern", "--manifold", "FD(7;1,1,1,1,3)")
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: |W(D7)| = 322560 exceeds")
+    monkeypatch.undo()
     # the fixed-point kernel still answers: c8 = chi = 9
     code, out = run_cli("chern", "--manifold", "F(9;1,8)", "--oracle", "weyl",
                         "--format", "json")

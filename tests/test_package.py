@@ -347,8 +347,8 @@ def test_value_types_keep_their_contract():
         (InvariantACS, {"signs": (1, -1)}),
         (ACSClass, {"representative": acs, "members": (acs,),
                     "integrable": False}),
-        (BruhatCovers, {"offsets": (0, 1, 1), "targets": (1,), "roots": (0,),
-                        "top": 1, "starts": (0, 1, 2)}),
+        (BruhatCovers, {"rows": (((1, 0),), ()), "top": 1,
+                        "starts": (0, 1, 2)}),
         (ToddExpansion, {"numerators": {(2, 0): 1, (0, 1): 1},
                          "denominator": 12}),
         (MonomialOrder, {"kind": "grevlex"}),

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -300,13 +301,13 @@ def poincare_coefficients(degrees):
 def test_bruhat_cover_table_lengths(family, rank):
     rs = build_root_system(family, rank)
     covers = bruhat_covers(rs)
-    n = len(covers.offsets) - 1
+    n = len(covers.rows)
     assert n == weyl_order(rs)
     # lengths by breadth-first search over the covers from the identity:
     # every cover raises the length by exactly one
     length = {0: 0}
-    for w in range(n):  # the table numbers elements by length
-        for t in covers.targets[covers.offsets[w]:covers.offsets[w + 1]]:
+    for w, row in enumerate(covers.rows):  # numbered by length
+        for t, _ in row:
             assert length.setdefault(t, length[w] + 1) == length[w] + 1
     assert len(length) == n
     sizes = [0] * (rs.n_positive + 1)
@@ -317,14 +318,15 @@ def test_bruhat_cover_table_lengths(family, rank):
     # a cover above it
     assert [w for w, l in length.items() if l == rs.n_positive] \
         == [covers.top]
-    assert [w for w in range(n)
-            if covers.offsets[w] == covers.offsets[w + 1]] == [covers.top]
-    assert set(covers.roots) <= set(range(rs.n_positive))
+    assert [w for w, row in enumerate(covers.rows) if not row] \
+        == [covers.top]
+    assert {b for row in covers.rows for _, b in row} \
+        <= set(range(rs.n_positive))
 
 
 COVER_TABLE_CASES = [
-    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
-    ("D", 4), ("G2", 2),
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
+    ("B", 4), ("C", 3), ("D", 4), ("D", 5), ("G2", 2),
 ]
 
 
@@ -360,15 +362,33 @@ def test_bruhat_cover_table_holds_exactly_the_covers(family, rank):
     # label the table from its identity along its covers
     covers = bruhat_covers(rs)
     label, got = {0: tuple(range(len(coords)))}, set()
-    for w in range(len(covers.offsets) - 1):  # every cover raises the index
-        lo, hi = covers.offsets[w], covers.offsets[w + 1]
-        for t, b in zip(covers.targets[lo:hi], covers.roots[lo:hi]):
+    for w, row in enumerate(covers.rows):  # every cover raises the index
+        for t, b in row:
             u = times(label[w], b)
             assert label.setdefault(t, u) == u
             got.add((label[w], u, b))
     assert sorted(label) == list(range(len(elements)))
     assert set(label.values()) == set(elements)
     assert got == expected
+
+
+@pytest.mark.parametrize("family,rank", COVER_TABLE_CASES)
+def test_every_name_lies_within_two_rho(family, rank):
+    # the bound the cover table's packed names rest on: every
+    # w^-1(2 rho), computed over weyl_group, has |coordinate i| <= (2 rho)_i
+    rs = build_root_system(family, rank)
+    coords, positive = rs.coords, rs.positive
+    two_rho = tuple(map(sum, zip(*(coords[p] for p in positive))))
+    names = set()
+    for _, w in weyl_group(rs):
+        inverse = {image: i for i, image in enumerate(w)}
+        names.add(tuple(map(sum, zip(*(coords[inverse[p]]
+                                        for p in positive)))))
+    assert len(names) == weyl_order(rs)
+    for mu in names:
+        assert all(-r <= x <= r for x, r in zip(mu, two_rho))
+    # the bound is attained: 2 rho and w0(2 rho) = -2 rho are both names
+    assert two_rho in names and tuple(-r for r in two_rho) in names
 
 
 @pytest.mark.parametrize("family,rank", COVER_TABLE_CASES)
@@ -383,9 +403,8 @@ def test_longest_element_mirrors_each_length(family, rank):
     starts, top = covers.starts, rs.n_positive
     # label the table by permutations and lengths along its covers
     label, length = {0: tuple(range(len(coords)))}, {0: 0}
-    for w in range(len(covers.offsets) - 1):
-        lo, hi = covers.offsets[w], covers.offsets[w + 1]
-        for t, b in zip(covers.targets[lo:hi], covers.roots[lo:hi]):
+    for w, row in enumerate(covers.rows):
+        for t, b in row:
             label.setdefault(t, tuple(label[w][i] for i in s_beta[b]))
             length.setdefault(t, length[w] + 1)
     index = {perm: w for w, perm in label.items()}
@@ -414,6 +433,25 @@ def test_longest_element_mirrors_each_length(family, rank):
         dual = index[tuple(w0[i] for i in perm)]
         assert names[dual] == tuple(-x for x in names[u])
         assert dual == starts[top - d] + starts[d + 1] - 1 - u
+
+
+def test_cover_table_memory_per_cover():
+    # the rows' price: a (target, root) pair per cover, its slot in the row,
+    # and per element the row and its index, about 77 bytes per cover on
+    # W(D5) against about 32 for flat lists; 96 leaves room for allocator
+    # and Python-version drift but not for a second table held beside them
+    rs = build_root_system("D", 5)
+    rs.coroots  # built before tracing: not part of the table
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        covers = rootsys._cover_table(rs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_covers = sum(map(len, covers.rows))
+    assert n_covers == 11576
+    assert held <= 96 * n_covers
 
 
 def test_bruhat_covers_refuse_large_groups(monkeypatch):
