@@ -20,7 +20,10 @@ do not change is built once, and the rest per structure in turn.  There
 each fixed point packs its values of c_0..c_kmax, for the largest class
 degree kmax the batch reads, into the lanes of one int, and the fixed
 points with equal packed ints are summed as one group before the monomials
-are formed.
+are formed.  When sigma = -w0 maps Theta to itself, w0 pairs the fixed
+points W_K w and W_K w0 w, and J's term at W_K w0 w is sigma J's term at
+W_K w; then the pass runs over one point of each pair, for the structures
+and their sigma-images, and J's sum is its half plus sigma J's.
 
 ``chern_numbers_schubert`` is the second oracle: it multiplies in the
 Schubert basis of H*(G/B) by Chevalley's formula over the Bruhat covers,
@@ -46,7 +49,7 @@ import functools
 import math
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, and_, lshift, mul, rshift, sub
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -393,6 +396,20 @@ def _fixed_point_sums(flag: FlagManifold, slot_signs: list[list[int]],
     slot columns, shifted by B, are built once for all structures; the
     packed ints, groups and step rows are built for one structure at a
     time.
+
+    When the fixed points are paired (``FlagManifold.w0_summands`` gives
+    pi, and all chi of them are there), the chunks run over the first
+    chi/2 only.  Point i + chi/2 is W_K w0 w for point i = W_K w, and there
+    J's signed slot values are the negatives of sigma J's at point i, where
+    sigma J has the sign s[i] on summand pi[i]: w0 maps each summand i onto
+    minus summand pi[i].  So e_k changes by (-1)^k and each monomial by
+    (-1)^N; the base value changes by (-1)^N too, sign(w0) = (-1)^|Phi+|
+    against (-1)^|K+| from the K-positive roots, which sigma permutes.
+    Hence J's term at point i + chi/2 is sigma J's at point i, and J's
+    full sum is its half sum plus sigma J's.  The chunks run over the
+    distinct sign vectors of the batch and their mirrors, the sign vectors
+    of their sigma J, so a sigma-invariant J, or a pair J, sigma J, costs
+    half its full sum.
     """
     steps = _trie_steps(sequences)
     degrees = {k for seq in sequences for k in seq}
@@ -404,8 +421,29 @@ def _fixed_point_sums(flag: FlagManifold, slot_signs: list[list[int]],
         bound = max(map(abs, val))
         widths.append(max((math.comb(n, k) * bound ** k).bit_length()
                           for k in range(lanes)) + 2)
-    totals = [[[0] * len(sequences) for _ in vals] for _ in slot_signs]
     fixed = flag.fixed_points
+    # a shortened enumeration is summed as it is, unpaired
+    pi = (flag.w0_summands if len(fixed) == flag.euler_characteristic()
+          else None)
+    mirror = None
+    if pi is not None:
+        fixed = fixed[:len(fixed) // 2]
+        summands = flag.summands()
+        # sigma J's sign on summand pi[i] is J's on summand i, read at that
+        # summand's first slot
+        source = dict(zip(pi, accumulate(
+            (s.dim_complex for s in summands), initial=0)))
+        picks = [source[j] for j, s in enumerate(summands) for _ in s.roots]
+
+        def mirror(signs):
+            return tuple(map(signs.__getitem__, picks))
+    # the distinct structures summed, with their mirrors when paired
+    index: dict[tuple[int, ...], int] = {}
+    for signs in map(tuple, slot_signs):
+        index.setdefault(signs, len(index))
+        if mirror:
+            index.setdefault(mirror(signs), len(index))
+    totals = [[[0] * len(sequences) for _ in vals] for _ in index]
     for start in range(0, len(fixed), FIXED_POINT_CHUNK):
         point_signs, images = zip(*fixed[start:start + FIXED_POINT_CHUNK])
         cols = list(zip(*images))
@@ -421,7 +459,7 @@ def _fixed_point_sums(flag: FlagManifold, slot_signs: list[list[int]],
             cut = (1 << lanes * width) - 1
             half = 1 << width - 1
             bias = half * (cut // lane)  # 2^(B-1) in every lane
-            for signs, acc in zip(slot_signs, totals):
+            for signs, acc in zip(index, totals):
                 packed = ones
                 for i, (s, w) in enumerate(zip(signs, slots)):
                     packed = map(add if s > 0 else sub, packed,
@@ -446,7 +484,11 @@ def _fixed_point_sums(flag: FlagManifold, slot_signs: list[list[int]],
                         rows[depth + 1] = list(map(mul, rows[depth], e[k]))
                     else:
                         acc[leaf] += sum(map(mul, rows[depth], e[k]))
-    return totals
+    if not mirror:
+        return [totals[index[tuple(signs)]] for signs in slot_signs]
+    return [[list(map(add, own, partner)) for own, partner in
+             zip(totals[index[signs]], totals[index[mirror(signs)]])]
+            for signs in map(tuple, slot_signs)]
 
 
 def chern_numbers_many(flag: FlagManifold,
@@ -471,10 +513,13 @@ def chern_numbers_many(flag: FlagManifold,
     (``_fixed_point_sums``).  There each fixed point's e_0..e_kmax, for the
     largest class degree kmax of the batch, sit in the lanes of one packed
     int, the fixed points with equal packed ints form one group, and each
-    monomial is formed once per group.  It holds chunk-sized lists for one
-    structure at a time: the memory held grows with the number of
-    structures only by their sums.  An empty batch gives one empty dict
-    per structure.
+    monomial is formed once per group.  When the fixed points are paired
+    by w0 (``FlagManifold.w0_summands``), the pass runs over one point of
+    each pair, for the distinct structures and their sigma-images, so a
+    sigma-invariant structure, or a pair J, sigma J, costs half its full
+    sum.  It holds chunk-sized lists for one structure at a time: the
+    memory held grows with the number of structures only by their sums.
+    An empty batch gives one empty dict per structure.
     """
     sequences = _class_sequences(flag, monomials)
     if not structures:

@@ -184,11 +184,17 @@ def cmd_acs(args, out) -> int:
 def cmd_chern(args, out) -> int:
     flag = parse_manifold(args.manifold)
     s = len(flag.summands())
-    acs = _parse_signs(args.acs, s) if args.acs else InvariantACS((1,) * s)
-    if args.numbers:
+    # an empty --acs or --numbers is refused, not read as the default
+    acs = (_parse_signs(args.acs, s) if args.acs is not None
+           else InvariantACS((1,) * s))
+    if args.numbers is not None:
+        items = [m.strip() for m in args.numbers.split(",")]
+        if not all(items):
+            raise UsageError(f"empty monomial in --numbers "
+                             f"{args.numbers!r}")
         # a repeated monomial is printed once, at its first place
-        monos = list(dict.fromkeys(parse_cmonomial(m.strip(), flag.complex_dim)
-                                   for m in args.numbers.split(",")))
+        monos = list(dict.fromkeys(parse_cmonomial(m, flag.complex_dim)
+                                   for m in items))
     else:
         top = [0] * (flag.complex_dim - 1) + [1]
         monos = [tuple(top)]

@@ -167,6 +167,14 @@ class FlagManifold:
         positive label k leads on, to a coset whose shortest element is one
         reflection longer; s_k fixes mu on a label 0 and leads back to the
         previous level on a negative one, so neither step is taken.
+
+        When -lambda is in the orbit, sigma = -w0 maps Theta to itself, and
+        W_K w -> W_K w0 w pairs the cosets: w0 lambda = -lambda, so the
+        pairs are the labels mu and -mu.  Then the points come as one coset
+        of each pair in breadth-first order, the identity coset first,
+        followed by their partners in the same order: point i's partner is
+        point i + chi/2, and point chi/2 is W_K w0 (see ``w0_summands``).
+        Otherwise they come in breadth-first order.
         """
         chi = self.euler_characteristic()
         if chi > MAX_FIXED_POINTS:
@@ -203,7 +211,47 @@ class FlagManifold:
         if len(points) != chi:
             raise ArithmeticError(f"{len(points)} fixed points on "
                                   f"{self.name()}, expected chi = {chi}")
-        return tuple(points.values())
+        if tuple(map(neg, labels)) not in points:
+            return tuple(points.values())
+        half = []
+        partners = set()
+        for mu in points:
+            if mu not in partners:
+                half.append(mu)
+                partners.add(tuple(map(neg, mu)))
+        return (tuple(map(points.__getitem__, half))
+                + tuple(points[tuple(map(neg, mu))] for mu in half))
+
+    @functools.cached_property
+    def w0_summands(self) -> tuple[int, ...] | None:
+        """pi with w0 mapping summand i onto minus summand pi[i], when
+        sigma = -w0 maps Theta to itself and the fixed points are paired;
+        None otherwise.  sigma is a Dynkin-diagram automorphism, the
+        identity on B_n, C_n, D_2k and G2, so every manifold of those types
+        is paired.
+
+        pi is read off point chi/2, the coset W_K w0: W_K keeps each
+        summand, so the point's images of summand i's roots are minus roots
+        of summand pi[i].  No other coset maps every complementary positive
+        root to a negative complementary root: those N distinct images are
+        all the negative complementary roots and sum to -lambda, which is
+        in the orbit only when the points are paired.  So the point is also
+        the test for the pairing.
+        """
+        fixed = self.fixed_points
+        _, images = fixed[len(fixed) // 2]
+        parts = self.summand_parts
+        pi, start = [], 0
+        for s in self.summands():
+            block = {parts.get(p) for p in images[start:start + s.dim_complex]}
+            start += s.dim_complex
+            if len(block) != 1 or None in block:
+                return None
+            [(target, part)] = block
+            if part != -1:
+                return None
+            pi.append(target)
+        return tuple(pi)
 
     def summands(self) -> tuple[IsotropySummand, ...]:
         return self._summands

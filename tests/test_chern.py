@@ -203,6 +203,81 @@ def test_chunked_kernel_agrees_with_schubert(name, monkeypatch):
     assert chern_numbers_many(flag, picked, monos) == schubert
 
 
+def mirror_structure(flag, acs):
+    """sigma J for sigma = -w0: J's sign on summand i sits on summand
+    pi[i], for pi = ``flag.w0_summands``."""
+    signs = [0] * len(acs.signs)
+    for s, j in zip(acs.signs, flag.w0_summands):
+        signs[j] = s
+    return InvariantACS(tuple(signs))
+
+
+@pytest.mark.parametrize("name", ["F(4)", "FD(3;1,1,1)", "F(6;2,2,2)",
+                                  "F(6;1,4,1)", "FD(4;1,3)", "G2-short"])
+def test_mirror_structure_has_the_same_chern_numbers(name):
+    # w0 is a diffeomorphism carrying J to sigma J
+    flag = parse_manifold(name)
+    n = flag.complex_dim
+    monos = monomials_of_weighted_degree(n, n)
+    structures = enumerate_acs(flag, up_to_conjugation=False)
+    mirrors = [mirror_structure(flag, acs) for acs in structures]
+    assert sorted(mirrors, key=lambda a: a.signs) \
+        == sorted(structures, key=lambda a: a.signs)
+    picked = structures[::max(1, len(structures) // 8)]
+    assert chern_numbers_schubert(
+        flag, [mirror_structure(flag, acs) for acs in picked], monos) \
+        == chern_numbers_schubert(flag, picked, monos)
+
+
+@pytest.mark.parametrize("name,half", [("FD(4;1,3)", 16), ("G2/T", 6),
+                                       ("F(5)", 60), ("FD(3;1,1,1)", 12)])
+def test_paired_kernel_mixes_invariant_paired_and_lone_structures(
+        name, half, monkeypatch):
+    # chunks of 7 over the chi/2 points the paired kernel sums: a
+    # sigma-invariant J, a pair J, sigma J and a lone J in one batch, in
+    # either order, each equal to the Schubert oracle
+    monkeypatch.setattr(chern_module, "FIXED_POINT_CHUNK", 7)
+    flag = parse_manifold(name)
+    assert flag.w0_summands is not None
+    assert len(flag.fixed_points) == 2 * half and half % 7
+    n = flag.complex_dim
+    monos = monomials_of_weighted_degree(n, n)
+    structures = enumerate_acs(flag, up_to_conjugation=False)
+    invariant = [acs for acs in structures
+                 if mirror_structure(flag, acs) == acs]
+    moved = [acs for acs in structures if acs not in invariant]
+    batch = invariant[1:3]
+    if moved:
+        pair = moved[len(moved) // 3]
+        lone = next(acs for acs in moved[::-1]
+                    if pair not in (acs, mirror_structure(flag, acs)))
+        batch += [pair, mirror_structure(flag, pair), lone]
+    else:
+        # sigma is the identity: every structure is invariant
+        assert flag.w0_summands == tuple(range(len(flag.summands())))
+        batch += structures[-2:]
+    schubert = chern_numbers_schubert(flag, batch, monos)
+    assert chern_numbers_many(flag, batch, monos) == schubert
+    assert chern_numbers_many(flag, batch[::-1], monos) == schubert[::-1]
+    assert [chern_numbers(flag, acs, monos) for acs in batch] == schubert
+
+
+@pytest.mark.parametrize("name", ["F(4)", "G2/T", "FD(4;1,3)"])
+def test_paired_kernel_reads_only_the_first_half(name, monkeypatch):
+    # the partners' terms are the mirrors' terms at the first half, so
+    # the second half may hold anything of the right length
+    flag = parse_manifold(name)
+    n = flag.complex_dim
+    monos = monomials_of_weighted_degree(n, n)
+    structures = enumerate_acs(flag)[:6]
+    expected = chern_numbers_schubert(flag, structures, monos)
+    fixed = flag.fixed_points
+    half = len(fixed) // 2
+    assert flag.w0_summands is not None
+    monkeypatch.setattr(flag, "fixed_points", fixed[:half] * 2)
+    assert chern_numbers_many(flag, structures, monos) == expected
+
+
 def test_kernel_over_more_than_one_chunk():
     # F(6) has chi = 720 fixed points; c1^N = N! 2^N on a full flag
     flag = parse_manifold("F(6)")

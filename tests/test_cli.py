@@ -318,6 +318,24 @@ def test_exit_code_usage_errors():
     assert run_cli("chern", "--manifold", "F(4)", "--acs", "+,-")[0] == 1
 
 
+@pytest.mark.parametrize("argv,err", [
+    (("--acs", ""), "bad sign '' in --acs (use +/-)"),
+    (("--acs=",), "bad sign '' in --acs (use +/-)"),
+    (("--acs", "+,+,"), "bad sign '' in --acs (use +/-)"),
+    (("--numbers", ""), "empty monomial in --numbers ''"),
+    (("--numbers=",), "empty monomial in --numbers ''"),
+    (("--numbers", "c1^3,"), "empty monomial in --numbers 'c1^3,'"),
+    (("--numbers", "c1^3, ,c3"), "empty monomial in --numbers 'c1^3, ,c3'"),
+])
+def test_chern_refuses_an_empty_acs_or_numbers(argv, err, capsys):
+    # an empty value is refused, not read as the all-plus structure or c_N
+    assert main(["chern", "--manifold", "F(3)", *argv, "--oracle", "weyl",
+                 "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {err}\n"
+
+
 def test_exit_code_zero_on_success():
     assert run_cli("acs", "list", "G2-short")[0] == 0
 

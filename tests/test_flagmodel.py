@@ -1,6 +1,8 @@
 import itertools
 import json
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,67 @@ def test_fixed_point_count_is_euler_characteristic(name):
     tracked += flag.k_positives
     assert sign == 1
     assert list(images) == tracked
+
+
+# sigma = -w0 is the identity on B_n, C_n, D_2k and G2, so every flag of
+# those types is paired; on A_n and D_odd it flips the Dynkin diagram
+FULL_FLAGS = ["F(2)", "F(3)", "F(4)", "F(5)", "F(6)", "F(7)", "FB(2;1,1)",
+              "FB(3;1,1,1)", "FB(4;1,1,1,1)", "FB(5;1,1,1,1,1)", "FC(2;1,1)",
+              "FC(3;1,1,1)", "FC(4;1,1,1,1)", "FC(5;1,1,1,1,1)",
+              "FD(3;1,1,1)", "FD(4;1,1,1,1)", "FD(5;1,1,1,1,1)", "G2/T"]
+PAIRED_PARTIAL_FLAGS = ["FD(4;1,3)", "SO(7)/U(3)", "G2-long", "G2-short",
+                        "F(6;2,2,2)", "F(6;1,4,1)", "FD(4;2,2)"]
+UNPAIRED_FLAGS = ["F(5;1,2,2)", "F(6;1,2,3)", "F(7;1,2,4)", "FD(3;1,2)",
+                  "FD(5;1,1,3)", "F(3;1,2)"]
+
+
+def sample_values(flag):
+    """Each root's value at (1, ..., 1) and at (1, 2, ..., r)."""
+    rank = flag.rs.rank
+    return [[sum(map(mul, c, point)) for c in flag.rs.coords]
+            for point in ((1,) * rank, tuple(range(1, rank + 1)))]
+
+
+@pytest.mark.parametrize("name", FULL_FLAGS + PAIRED_PARTIAL_FLAGS
+                         + UNPAIRED_FLAGS)
+def test_fixed_points_pair_exactly_when_sigma_keeps_theta(name):
+    flag = parse_manifold(name)
+    rs = flag.rs
+    theta = set(range(rs.rank)) - set(flag.removed_indices)
+    # sigma(alpha_i) = -w0(alpha_i), read off the root positions
+    w0 = next(w for _, w in weyl_group(rs)
+              if all(w[p] not in rs.positive for p in rs.positive))
+    minus = {p: rs.index[tuple(-x for x in rs.coords[p])]
+             for p in range(len(rs.coords))}
+    simple = [rs.index[tuple(int(i == j) for j in range(rs.rank))]
+              for i in range(rs.rank)]
+    sigma = {i: simple.index(minus[w0[p]]) for i, p in enumerate(simple)}
+    paired = {sigma[i] for i in theta} == theta
+    assert paired == (name not in UNPAIRED_FLAGS)
+    pi = flag.w0_summands
+    if not paired:
+        assert pi is None
+        return
+    # w0 maps summand i onto minus summand pi[i]
+    parts = flag.summand_parts
+    for i, s in enumerate(flag.summands()):
+        assert {parts[w0[p]] for p in s.roots} == {(pi[i], -1)}
+    fixed = flag.fixed_points
+    chi = len(fixed)
+    assert chi % 2 == 0 and sorted(pi) == list(range(len(pi)))
+    tracked = [p for s in flag.summands() for p in s.roots]
+    assert fixed[0] == (1, tuple(tracked + list(flag.k_positives)))
+    half = chi // 2
+    n = flag.complex_dim
+    vals = sample_values(flag)
+    for (sign, images), (sign2, images2) in zip(fixed[:half], fixed[half:]):
+        # W_K w0 w: minus w0's summand images of W_K w's, as a set
+        assert set(images2[:n]) == {minus[p] for p in images[:n]}
+        # sign(w) times the K-positive product changes by (-1)^N
+        for val in vals:
+            base = sign * prod(val[p] for p in images[n:])
+            base2 = sign2 * prod(val[p] for p in images2[n:])
+            assert base2 == (-1) ** n * base
 
 
 def reference_summand_actions(flag):
